@@ -5,8 +5,8 @@ bottleneck, gh-bound, verify.  Every command calls the same library
 functions the test suite uses; the CLI layer only parses, dispatches
 and serializes.
 
-Exit codes: 0 success, 1 verification failure, 2 validation error,
-3 internal invariant violation.
+Exit codes: 0 success, 1 verification failure, 2 validation error or
+unreadable/unwritable file, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -233,11 +233,17 @@ def cmd_theta_barcode(args, kernel: bool) -> int:
     return 0
 
 
+def _load_barcode(path: str) -> Barcode:
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: malformed barcode JSON: {exc}") from None
+    return Barcode.from_json_dict(data)
+
+
 def cmd_bottleneck(args) -> int:
-    with open(args.a) as fh:
-        A = Barcode.from_json_dict(json.load(fh))
-    with open(args.b) as fh:
-        B = Barcode.from_json_dict(json.load(fh))
+    A, B = _load_barcode(args.a), _load_barcode(args.b)
     d = bottleneck(A, B, args.degree)
     _emit({"degree": args.degree, "d_B": None if math.isinf(d) else d},
           args.out, args.force)
@@ -372,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         args.radius = 2.0 if args.kind == "rp" else 1.0
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

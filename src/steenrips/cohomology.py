@@ -10,13 +10,18 @@ representatives, which the Steenrod stage consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 from .errors import ValidationError
-from .gf2 import F2Matrix, PivotTable, nullspace
-from .simplicial import Cochain, FilteredComplex, coboundary_columns
+from .gf2 import F2Matrix, PivotTable, rank
+from .simplicial import (
+    Cochain,
+    FilteredComplex,
+    coboundary_columns,
+    coboundary_matrix,
+)
 
 INF = math.inf
 
@@ -182,6 +187,8 @@ def persistent_barcode(K: FilteredComplex, max_degree: int,
             if j in cleared:
                 continue
             bits = cols[j]
+            # highest-bit pivots, not PivotTable's lowest: bit_length()
+            # needs no negated copy of the column, and this loop is faster
             while bits:
                 low = bits.bit_length() - 1
                 other = pivot_col.get(low)
@@ -211,40 +218,43 @@ def persistent_barcode(K: FilteredComplex, max_degree: int,
     return barcode
 
 
+def cocycle_representatives(delta: Iterable[int], rows: int,
+                            coboundaries: PivotTable) -> list[int]:
+    """Cocycles spanning ker(delta) mod the span of ``coboundaries``.
+
+    ``delta`` holds the coboundary columns, supported below ``rows``.
+    Each nullspace vector is reduced against the coboundaries and the
+    representatives kept before it, and its nonzero residual is stored in
+    the table: the residuals are still cocycles and their classes are
+    independent.
+    """
+    reps = []
+    for z in PivotTable().dependencies(delta, rows):
+        pivot = coboundaries.insert(z)
+        if pivot is not None:
+            reps.append(coboundaries.columns[pivot])
+    return reps
+
+
 def cohomology_basis(K: FilteredComplex, p: int) -> CohomologyBasis:
     """Cocycle representatives spanning ker(delta_p) mod im(delta_{p-1})."""
     if p < 0:
         raise ValidationError("degree must be nonnegative")
-    n_p = K.n_simplices(p)
-    delta_p = F2Matrix(K.n_simplices(p + 1), tuple(coboundary_columns(K, p)))
-    cocycles = nullspace(delta_p)
-    table = PivotTable()
+    coboundaries = PivotTable()
     if p >= 1:
         for col in coboundary_columns(K, p - 1):
-            table.insert(col)
-    boundary_basis = F2Matrix(n_p, tuple(sorted(table.columns().values())))
-    # reduce each cocycle mod boundaries and previously kept representatives;
-    # the residuals are still cocycles and their classes are independent
-    reps: list[Cochain] = []
-    for z in cocycles:
-        pivot = table.insert(z.bits)
-        if pivot is not None:
-            reps.append(Cochain(K, p, table.column(pivot)))
-    return CohomologyBasis(p, tuple(reps), boundary_basis)
+            coboundaries.insert(col)
+    boundary_basis = F2Matrix(K.n_simplices(p),
+                              tuple(sorted(coboundaries.columns.values())))
+    reps = cocycle_representatives(coboundary_columns(K, p),
+                                   K.n_simplices(p + 1), coboundaries)
+    return CohomologyBasis(p, tuple(Cochain(K, p, r) for r in reps),
+                           boundary_basis)
 
 
 def betti_number(K: FilteredComplex, p: int) -> int:
     """dim H^p(K; F2) from coboundary ranks (independent of the reduction)."""
     if p < 0 or p > K.dimension:
         return 0
-    t1 = PivotTable()
-    for col in coboundary_columns(K, p):
-        t1.insert(col)
-    rank_p = len(t1)
-    rank_pm1 = 0
-    if p >= 1:
-        t0 = PivotTable()
-        for col in coboundary_columns(K, p - 1):
-            t0.insert(col)
-        rank_pm1 = len(t0)
-    return K.n_simplices(p) - rank_p - rank_pm1
+    rank_pm1 = rank(coboundary_matrix(K, p - 1)) if p >= 1 else 0
+    return K.n_simplices(p) - rank(coboundary_matrix(K, p)) - rank_pm1

@@ -37,22 +37,38 @@ def _unmatched_cost(a: tuple[float, float]) -> float:
 
 
 def _max_matching(n_left: int, n_right: int, adj: list[list[int]]) -> int:
-    """Size of a maximum matching (Kuhn's augmenting paths)."""
+    """Size of a maximum matching (Kuhn's augmenting paths).
+
+    The depth-first search keeps its path on an explicit stack, so an
+    augmenting path may be as long as the graph allows; vertices are
+    visited in the order of the textbook recursion.
+    """
     match_right = [-1] * n_right
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] == -1 or augment(match_right[v], seen):
-                    match_right[v] = u
-                    return True
-        return False
-
     size = 0
-    for u in range(n_left):
-        if augment(u, [False] * n_right):
-            size += 1
+    for root in range(n_left):
+        seen = [False] * n_right
+        # path[k] = (left vertex, its unread neighbours); via[k] = the
+        # right vertex through which path[k] reached path[k + 1]
+        path = [(root, iter(adj[root]))]
+        via: list[int] = []
+        while path:
+            for v in path[-1][1]:
+                if not seen[v]:
+                    break
+            else:
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            seen[v] = True
+            via.append(v)
+            u = match_right[v]
+            if u == -1:
+                for (w, _), x in zip(path, via):
+                    match_right[x] = w
+                size += 1
+                break
+            path.append((u, iter(adj[u])))
     return size
 
 

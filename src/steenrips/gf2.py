@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .errors import DimensionMismatchError
 
 
@@ -99,119 +97,38 @@ class F2Matrix:
                 packed.append(int(c))
         return cls(rows, tuple(packed))
 
-    @classmethod
-    def from_dense(cls, array) -> "F2Matrix":
-        a = np.asarray(array, dtype=np.uint8) & 1
-        if a.ndim != 2:
-            raise DimensionMismatchError("dense input must be 2-dimensional")
-        rows, cols = a.shape
-        packed = []
-        for j in range(cols):
-            bits = 0
-            for i in range(rows):
-                if a[i, j]:
-                    bits |= 1 << i
-            packed.append(bits)
-        return cls(rows, tuple(packed))
-
-    @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(rows, (0,) * cols)
-
     @property
     def ncols(self) -> int:
         return len(self.columns)
-
-    def column(self, j: int) -> F2Vector:
-        return F2Vector(self.rows, self.columns[j])
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.ncols), dtype=np.uint8)
-        for j, bits in enumerate(self.columns):
-            while bits:
-                i = _low(bits)
-                out[i, j] = 1
-                bits &= bits - 1
-        return out
-
-    def transpose(self) -> "F2Matrix":
-        cols = [0] * self.rows
-        for j, bits in enumerate(self.columns):
-            while bits:
-                i = _low(bits)
-                cols[i] |= 1 << j
-                bits &= bits - 1
-        return F2Matrix(self.ncols, tuple(cols))
-
-    def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
-        if self.ncols != other.rows:
-            raise DimensionMismatchError("inner dimensions differ")
-        cols = []
-        for bits in other.columns:
-            acc = 0
-            while bits:
-                i = _low(bits)
-                acc ^= self.columns[i]
-                bits &= bits - 1
-            cols.append(acc)
-        return F2Matrix(self.rows, tuple(cols))
-
-    def hstack(self, other: "F2Matrix") -> "F2Matrix":
-        if self.rows != other.rows:
-            raise DimensionMismatchError("row counts differ")
-        return F2Matrix(self.rows, self.columns + other.columns)
 
 
 class PivotTable:
     """Incremental column elimination with lowest-set-bit pivots.
 
-    Inserted columns are reduced against the stored ones; a nonzero
-    residual is stored under its pivot.  The stored columns always have
-    pairwise distinct lowest set bits and span the same space as
-    everything inserted so far.
+    ``reduce`` is the one elimination loop of the package.  Inserted
+    columns are reduced against the stored ones; a nonzero residual is
+    stored under its pivot.  ``columns`` maps each pivot to its stored
+    column: the stored columns always have pairwise distinct lowest set
+    bits and span the same space as everything inserted so far.  A table
+    may start from a copy of such a mapping, e.g. another table's
+    ``columns``.
     """
 
-    __slots__ = ("_cols",)
+    __slots__ = ("columns",)
 
-    def __init__(self):
-        self._cols: dict[int, int] = {}
+    def __init__(self, columns: dict[int, int] | None = None):
+        self.columns: dict[int, int] = dict(columns or {})
 
     def __len__(self) -> int:
-        return len(self._cols)
-
-    def pivots(self) -> list[int]:
-        return sorted(self._cols)
-
-    def columns(self) -> dict[int, int]:
-        """Snapshot of the stored reduced columns, keyed by pivot."""
-        return dict(self._cols)
-
-    def column(self, pivot: int) -> int:
-        return self._cols[pivot]
+        return len(self.columns)
 
     def reduce(self, bits: int) -> int:
-        cols = self._cols
+        cols = self.columns
         while bits:
             col = cols.get((bits & -bits).bit_length() - 1)
             if col is None:
                 break
             bits ^= col
-        return bits
-
-    def reduce_masked(self, bits: int, mask: int) -> int:
-        # Reduce with every stored column masked to the given row prefix.
-        # Valid because masking preserves the pivot bit of any column
-        # whose pivot lies inside the mask.
-        cols = self._cols
-        while bits:
-            col = cols.get((bits & -bits).bit_length() - 1)
-            if col is None:
-                break
-            bits ^= col & mask
         return bits
 
     def insert(self, bits: int) -> int | None:
@@ -220,8 +137,29 @@ class PivotTable:
         if bits == 0:
             return None
         p = _low(bits)
-        self._cols[p] = bits
+        self.columns[p] = bits
         return p
+
+    def dependencies(self, columns: Iterable[int], rows: int) -> list[int]:
+        """Insert columns supported below ``rows`` in turn; for each one
+        that depends on the table and the columns before it, return the
+        coefficients of that dependency over ``columns``.
+
+        Column j is augmented with a unit companion bit above its rows,
+        ``col | 1 << (rows + j)``, and reduced like any other column, so
+        one whose row part reduces to zero holds its dependency in
+        ``bits >> rows``.  Every stored pivot must lie below ``rows``, so
+        companion bits never hit one; dependent columns are not stored.
+        """
+        mask = (1 << rows) - 1
+        out = []
+        for j, col in enumerate(columns):
+            bits = self.reduce(col | 1 << (rows + j))
+            if bits & mask:
+                self.columns[_low(bits)] = bits
+            else:
+                out.append(bits >> rows)
+        return out
 
 
 def rank(matrix: F2Matrix) -> int:
@@ -262,22 +200,5 @@ def member(basis: F2Matrix, v: F2Vector) -> bool:
 
 def nullspace(matrix: F2Matrix) -> list[F2Vector]:
     """Basis of {x : matrix @ x = 0}, as coefficient vectors over columns."""
-    table = PivotTable()
-    companions: dict[int, int] = {}
-    out = []
-    for j, bits in enumerate(matrix.columns):
-        comp = 1 << j
-        while bits:
-            p = _low(bits)
-            col = table._cols.get(p)
-            if col is None:
-                break
-            bits ^= col
-            comp ^= companions[p]
-        if bits == 0:
-            out.append(F2Vector(matrix.ncols, comp))
-        else:
-            p = _low(bits)
-            table._cols[p] = bits
-            companions[p] = comp
-    return out
+    return [F2Vector(matrix.ncols, comp)
+            for comp in PivotTable().dependencies(matrix.columns, matrix.rows)]

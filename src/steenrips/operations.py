@@ -1,12 +1,9 @@
 """Persistent image/kernel barcodes of cohomology operations.
 
 Ranks of the structure maps are assembled into a table over filtration
-indices and converted to bars by Mobius inversion.  theta_rank and
-kernel_rank are the literal per-pair operations (sublevel complexes,
-explicit restriction, quotient ranks); theta_rank_function and
-kernel_rank_function build the whole table from one global coboundary
-reduction, exploiting that a sublevel's cochains occupy a bit-prefix of
-the full complex's:
+indices and converted to bars by Mobius inversion.  The whole table
+comes from one global coboundary reduction, exploiting that a
+sublevel's cochains occupy a bit-prefix of the full complex's:
 
 * a column reduced to a distinct lowest set bit survives masking to the
   prefix iff its pivot lies inside the prefix, so the rank of any masked
@@ -15,7 +12,8 @@ the full complex's:
   (faces precede cofaces), so one global coboundary matrix serves every
   sublevel at once.
 
-The two paths are interchangeable; tests pin their exact agreement.
+This is the only image/kernel path.  Tests pin it to the literal
+per-pair ranks of the reference implementations in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -23,23 +21,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cohomology import Bar, Barcode, cohomology_basis
+from .cohomology import Bar, Barcode, cocycle_representatives
 from .errors import InternalInvariantError, ValidationError
-from .gf2 import F2Matrix, PivotTable
-from .simplicial import (
-    Cochain,
-    FilteredComplex,
-    coboundary_columns,
-    restrict_cochain,
-    sublevel,
-    zero_cochain,
-)
+from .gf2 import PivotTable
+from .simplicial import Cochain, FilteredComplex, coboundary_columns, zero_cochain
 from .steenrod import _cup_bits, sq as _sq
-from .gf2 import quotient_rank
 
 INF = math.inf
 
@@ -128,41 +118,6 @@ class RankFunction:
         return int(self.table[a, b])
 
 
-class _CombinedReducer:
-    """Reduce against a fixed pivot dict, then a growing local table.
-
-    The fixed columns may be masked on the fly; the local table tracks
-    companion coefficient vectors when requested.
-    """
-
-    __slots__ = ("fixed", "mask", "local")
-
-    def __init__(self, fixed: dict[int, int], mask: int | None = None):
-        self.fixed = fixed
-        self.mask = mask
-        self.local: dict[int, tuple[int, int]] = {}
-
-    def feed(self, bits: int, companion: int = 0) -> tuple[int, int]:
-        """Fully reduce; store nonzero residuals. Returns (residual, companion)."""
-        fixed, mask, local = self.fixed, self.mask, self.local
-        while bits:
-            p = (bits & -bits).bit_length() - 1
-            col = fixed.get(p)
-            if col is not None:
-                bits ^= col if mask is None else col & mask
-                continue
-            entry = local.get(p)
-            if entry is None:
-                local[p] = (bits, companion)
-                return bits, companion
-            bits ^= entry[0]
-            companion ^= entry[1]
-        return 0, companion
-
-    def pivots(self) -> list[int]:
-        return sorted(self.local)
-
-
 def _basis_bits_at(K: FilteredComplex, ell: int, j: int,
                    delta_ell: list[int], delta_below: list[int]) -> list[int]:
     """Cocycle representatives of a basis of H^ell(K_j), bit-packed over
@@ -170,34 +125,13 @@ def _basis_bits_at(K: FilteredComplex, ell: int, j: int,
     n_src = K.count_at(ell, j)
     n_tgt = K.count_at(ell + 1, j)
     mask_tgt = (1 << n_tgt) - 1
-    table: dict[int, tuple[int, int]] = {}
-    null_companions: list[int] = []
-    for c in range(n_src):
-        bits = delta_ell[c] & mask_tgt
-        comp = 1 << c
-        while bits:
-            p = (bits & -bits).bit_length() - 1
-            entry = table.get(p)
-            if entry is None:
-                table[p] = (bits, comp)
-                break
-            bits ^= entry[0]
-            comp ^= entry[1]
-        else:
-            null_companions.append(comp)
-    # quotient by coboundaries from one dimension below
-    reducer = _CombinedReducer({})
+    coboundaries = PivotTable()
     if ell >= 1:
-        n_b = K.count_at(ell - 1, j)
         mask_src = (1 << n_src) - 1
-        for c in range(n_b):
-            reducer.feed(delta_below[c] & mask_src)
-    reps = []
-    for z in null_companions:
-        residual, _ = reducer.feed(z)
-        if residual:
-            reps.append(residual)
-    return reps
+        for col in delta_below[:K.count_at(ell - 1, j)]:
+            coboundaries.insert(col & mask_src)
+    return cocycle_representatives(
+        [col & mask_tgt for col in delta_ell[:n_src]], n_tgt, coboundaries)
 
 
 def _image_bits(K: FilteredComplex, op: Operation, cocycle_bits: int,
@@ -235,59 +169,6 @@ def _grid_degrees(op: Operation) -> set[int]:
     return {ell - 1, ell, ell + 1, m, m + 1}
 
 
-def theta_rank(K: FilteredComplex, op: Operation, i: int, j: int) -> int:
-    """Rank of img(theta at K_j) -> H^m(K_i): apply the operation to a
-    basis of H^ell(K_j), restrict, and quotient by K_i's coboundaries."""
-    if i > j:
-        raise ValidationError(f"need i <= j, got ({i}, {j})")
-    ell, m = op.source_degree, op.target_degree
-    Kj = sublevel(K, j)
-    basis = cohomology_basis(Kj, ell)
-    images = [op.apply(c) for c in basis.cocycles]
-    Ki = sublevel(K, i)
-    restricted = [restrict_cochain(w, Ki) for w in images]
-    span = F2Matrix(Ki.n_simplices(m), tuple(w.bits for w in restricted))
-    bound = F2Matrix(Ki.n_simplices(m),
-                     tuple(coboundary_columns(Ki, m - 1)) if m >= 1 else ())
-    return quotient_rank(span, bound)
-
-
-def kernel_rank(K: FilteredComplex, op: Operation, i: int, j: int) -> int:
-    """Rank of ker(theta at K_j) -> H^ell(K_i)."""
-    if i > j:
-        raise ValidationError(f"need i <= j, got ({i}, {j})")
-    ell, m = op.source_degree, op.target_degree
-    Kj = sublevel(K, j)
-    basis = cohomology_basis(Kj, ell)
-    images = [op.apply(c) for c in basis.cocycles]
-    d_table = PivotTable()
-    if m >= 1:
-        for col in coboundary_columns(Kj, m - 1):
-            d_table.insert(col)
-    reducer = _CombinedReducer(d_table.columns())
-    alphas = []
-    for t, w in enumerate(images):
-        residual, comp = reducer.feed(w.bits, 1 << t)
-        if residual == 0:
-            alphas.append(comp)
-    kappas = []
-    for alpha in alphas:
-        acc = zero_cochain(Kj, ell)
-        t = 0
-        while alpha:
-            if alpha & 1:
-                acc = acc + basis.cocycles[t]
-            alpha >>= 1
-            t += 1
-        kappas.append(acc)
-    Ki = sublevel(K, i)
-    restricted = [restrict_cochain(c, Ki) for c in kappas]
-    span = F2Matrix(Ki.n_simplices(ell), tuple(c.bits for c in restricted))
-    bound = F2Matrix(Ki.n_simplices(ell),
-                     tuple(coboundary_columns(Ki, ell - 1)) if ell >= 1 else ())
-    return quotient_rank(span, bound)
-
-
 def _rank_table(K: FilteredComplex, op: Operation, kernel: bool) -> RankFunction:
     """Build the full rank table via the global-reduction fast path."""
     ell, m = op.source_degree, op.target_degree
@@ -299,23 +180,18 @@ def _rank_table(K: FilteredComplex, op: Operation, kernel: bool) -> RankFunction
 
     delta_ell = coboundary_columns(K, ell) if ell <= K.dimension else []
     delta_below = coboundary_columns(K, ell - 1) if ell >= 1 else []
-    # global coboundary reduction in the target degree
+    # global coboundary reductions in the target and source degrees
     d_m = PivotTable()
     if m >= 1:
         for col in coboundary_columns(K, m - 1):
             d_m.insert(col)
-    d_m_cols = d_m.columns()
-    d_ell_cols = None
-    if kernel:
-        if ell >= 1 and m != ell:
-            d_ell = PivotTable()
+    if m == ell:
+        d_ell = d_m
+    else:
+        d_ell = PivotTable()
+        if kernel and ell >= 1:
             for col in delta_below:
                 d_ell.insert(col)
-            d_ell_cols = d_ell.columns()
-        elif m == ell:
-            d_ell_cols = d_m_cols
-        else:
-            d_ell_cols = {}
 
     count_deg = ell if kernel else m
     prefix = np.array([K.count_at(count_deg, idx) for idx in rel], dtype=np.int64)
@@ -326,20 +202,16 @@ def _rank_table(K: FilteredComplex, op: Operation, kernel: bool) -> RankFunction
         n_m_j = K.count_at(m, j)
         images = [_image_bits(K, op, c, n_m_j) for c in basis]
         if not kernel:
-            reducer = _CombinedReducer(d_m_cols)
-            for w in images:
-                reducer.feed(w)
-            pivots = np.array(reducer.pivots(), dtype=np.int64)
+            pivots = _new_pivots(d_m, images)
         else:
+            # kernel: combinations of images that vanish in H^m(K_j); the
+            # masked pivots all lie below n_m_j, as dependencies() needs
             mask_j = (1 << n_m_j) - 1
-            membership = _CombinedReducer(d_m_cols, mask=mask_j)
-            alphas = []
-            for t, w in enumerate(images):
-                residual, comp = membership.feed(w, 1 << t)
-                if residual == 0:
-                    alphas.append(comp)
+            membership = PivotTable({p: col & mask_j
+                                     for p, col in d_m.columns.items()
+                                     if p < n_m_j})
             kappas = []
-            for alpha in alphas:
+            for alpha in membership.dependencies(images, n_m_j):
                 acc = 0
                 t = 0
                 while alpha:
@@ -348,12 +220,16 @@ def _rank_table(K: FilteredComplex, op: Operation, kernel: bool) -> RankFunction
                     alpha >>= 1
                     t += 1
                 kappas.append(acc)
-            reducer = _CombinedReducer(d_ell_cols)
-            for kap in kappas:
-                reducer.feed(kap)
-            pivots = np.array(reducer.pivots(), dtype=np.int64)
+            pivots = _new_pivots(d_ell, kappas)
         table[: b + 1, b] = np.searchsorted(pivots, prefix[: b + 1], side="left")
     return RankFunction(N, rel, table)
+
+
+def _new_pivots(base: PivotTable, columns: Iterable[int]) -> np.ndarray:
+    """Sorted pivots that the columns add to a copy of ``base``."""
+    table = PivotTable(base.columns)
+    added = [table.insert(col) for col in columns]
+    return np.array(sorted(p for p in added if p is not None), dtype=np.int64)
 
 
 def theta_rank_function(K: FilteredComplex, op: Operation) -> RankFunction:

@@ -24,7 +24,7 @@ from .errors import (
     MonotonicityError,
     ValidationError,
 )
-from .gf2 import F2Matrix, F2Vector, PivotTable
+from .gf2 import F2Matrix, F2Vector, rank
 
 Simplex = tuple[int, ...]
 
@@ -55,11 +55,9 @@ class FilteredComplex:
         "dim_index",
         "distinct_values",
         "_dim_value_lists",
-        "parent",
     )
 
-    def __init__(self, simplices: Sequence[Simplex], values: Sequence[float],
-                 parent: "FilteredComplex | None" = None):
+    def __init__(self, simplices: Sequence[Simplex], values: Sequence[float]):
         self.simplices = tuple(simplices)
         self.values = tuple(float(v) for v in values)
         self.index = {s: i for i, s in enumerate(self.simplices)}
@@ -80,7 +78,6 @@ class FilteredComplex:
                 seen.append(v)
         self.distinct_values = tuple(seen)
         self._dim_value_lists = tuple(list(vv) for vv in self.dim_values)
-        self.parent = parent
 
     # -- basic queries -------------------------------------------------
 
@@ -120,12 +117,6 @@ class FilteredComplex:
 
     def value_of(self, simplex: Iterable[int]) -> float:
         return self.values[self.index[normalize_simplex(simplex)]]
-
-    def is_prefix_of(self, other: "FilteredComplex") -> bool:
-        n = len(self.simplices)
-        return (n <= len(other.simplices)
-                and other.simplices[:n] == self.simplices
-                and other.values[:n] == self.values)
 
 
 def build(filtered_simplices: Iterable[tuple[Iterable[int], float]]) -> FilteredComplex:
@@ -167,8 +158,7 @@ def sublevel(K: FilteredComplex, i: int) -> FilteredComplex:
         )
     t = K.distinct_values[i]
     n = bisect_right(K.values, t)
-    root = K.parent if K.parent is not None else K
-    return FilteredComplex(K.simplices[:n], K.values[:n], parent=root)
+    return FilteredComplex(K.simplices[:n], K.values[:n])
 
 
 @dataclass(frozen=True)
@@ -254,16 +244,6 @@ def coboundary(c: Cochain) -> Cochain:
     return Cochain(c.host, c.degree + 1, acc)
 
 
-def restrict_cochain(c: Cochain, K_i: FilteredComplex) -> Cochain:
-    """Pull a cochain back along the inclusion of a sublevel complex."""
-    if not K_i.is_prefix_of(c.host):
-        raise DimensionMismatchError(
-            "target complex is not a sublevel of the cochain's host"
-        )
-    n = K_i.n_simplices(c.degree)
-    return Cochain(K_i, c.degree, c.bits & ((1 << n) - 1))
-
-
 # -- reference spaces ------------------------------------------------------
 
 
@@ -334,12 +314,7 @@ def rp2_complex() -> FilteredComplex:
     if any(c != 2 for c in cofaces.values()):
         raise InternalInvariantError("quotient is not a closed surface")
     # F2 Betti numbers via coboundary ranks
-    ranks = []
-    for p in range(3):
-        table = PivotTable()
-        for col in coboundary_columns(K, p):
-            table.insert(col)
-        ranks.append(len(table))
+    ranks = [rank(coboundary_matrix(K, p)) for p in range(3)]
     betti = [K.n_simplices(p) - ranks[p] - (ranks[p - 1] if p else 0)
              for p in range(3)]
     if betti != [1, 1, 1]:

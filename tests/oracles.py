@@ -1,8 +1,9 @@
 """Independent brute-force oracles the production code is tested against.
 
-Everything here goes through homology-side cycle/boundary spaces and
-plain rank computations; no column-reduction pairing, no cohomology
-rank tables.  Slow but first-principles.
+Everything here goes through homology-side cycle/boundary spaces, or
+through explicit sublevel complexes and restriction, and plain rank
+computations; no column-reduction pairing, no cohomology rank tables.
+Slow but first-principles.
 """
 
 from __future__ import annotations
@@ -10,9 +11,16 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from steenrips.cohomology import Bar, Barcode
-from steenrips.gf2 import F2Matrix, quotient_rank, rank
-from steenrips.simplicial import FilteredComplex, sublevel
+from steenrips.cohomology import Bar, Barcode, cohomology_basis
+from steenrips.errors import DimensionMismatchError, ValidationError
+from steenrips.gf2 import F2Matrix, nullspace, quotient_rank, rank
+from steenrips.operations import Operation
+from steenrips.simplicial import (
+    Cochain,
+    FilteredComplex,
+    coboundary_columns,
+    sublevel,
+)
 
 
 def _chain_boundary_columns(K: FilteredComplex, p: int) -> list[int]:
@@ -103,3 +111,61 @@ def brute_barcode(K: FilteredComplex, max_degree: int) -> Barcode:
                     death = math.inf if d == N else values[d]
                     bars.append(Bar(p, values[b], death, mu))
     return Barcode(bars)
+
+
+def is_prefix_of(K: FilteredComplex, other: FilteredComplex) -> bool:
+    n = len(K.simplices)
+    return (n <= len(other.simplices)
+            and other.simplices[:n] == K.simplices
+            and other.values[:n] == K.values)
+
+
+def restrict_cochain(c: Cochain, K_i: FilteredComplex) -> Cochain:
+    """Pull a cochain back along the inclusion of a sublevel complex."""
+    if not is_prefix_of(K_i, c.host):
+        raise DimensionMismatchError(
+            "target complex is not a sublevel of the cochain's host"
+        )
+    n = K_i.n_simplices(c.degree)
+    return Cochain(K_i, c.degree, c.bits & ((1 << n) - 1))
+
+
+def _coboundary_span(K: FilteredComplex, p: int) -> F2Matrix:
+    """Coboundaries in degree p, as columns over K's p-simplices."""
+    return F2Matrix(K.n_simplices(p),
+                    tuple(coboundary_columns(K, p - 1)) if p >= 1 else ())
+
+
+def theta_rank(K: FilteredComplex, op: Operation, i: int, j: int) -> int:
+    """Rank of img(theta at K_j) -> H^m(K_i): apply the operation to a
+    basis of H^ell(K_j), restrict, and quotient by K_i's coboundaries."""
+    if i > j:
+        raise ValidationError(f"need i <= j, got ({i}, {j})")
+    Kj, Ki = sublevel(K, j), sublevel(K, i)
+    images = [op.apply(c) for c in cohomology_basis(Kj, op.source_degree).cocycles]
+    bound = _coboundary_span(Ki, op.target_degree)
+    span = F2Matrix(bound.rows, tuple(restrict_cochain(w, Ki).bits for w in images))
+    return quotient_rank(span, bound)
+
+
+def kernel_rank(K: FilteredComplex, op: Operation, i: int, j: int) -> int:
+    """Rank of ker(theta at K_j) -> H^ell(K_i)."""
+    if i > j:
+        raise ValidationError(f"need i <= j, got ({i}, {j})")
+    ell, m = op.source_degree, op.target_degree
+    Kj, Ki = sublevel(K, j), sublevel(K, i)
+    basis = cohomology_basis(Kj, ell).cocycles
+    images = [op.apply(c).bits for c in basis]
+    # coefficient vectors a with sum a_t theta(c_t) a coboundary of K_j:
+    # the first len(basis) coordinates of the nullspace of [images | delta]
+    bound_j = _coboundary_span(Kj, m)
+    relations = nullspace(F2Matrix(bound_j.rows, tuple(images) + bound_j.columns))
+    kappas = []
+    for rel in relations:
+        bits = 0
+        for t, c in enumerate(basis):
+            if rel[t]:
+                bits ^= c.bits
+        kappas.append(restrict_cochain(Cochain(Kj, ell, bits), Ki).bits)
+    bound_i = _coboundary_span(Ki, ell)
+    return quotient_rank(F2Matrix(bound_i.rows, tuple(kappas)), bound_i)

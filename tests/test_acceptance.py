@@ -35,9 +35,7 @@ from steenrips.operations import (
     Operation,
     homological_radius,
     image_barcode,
-    kernel_rank,
     theta_radius,
-    theta_rank,
 )
 from steenrips.simplicial import (
     Cochain,
@@ -54,6 +52,8 @@ from steenrips.verify import (
     verify_stability,
     verify_wedge,
 )
+
+from oracles import kernel_rank, theta_rank
 
 INF = math.inf
 

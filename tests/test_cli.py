@@ -126,6 +126,27 @@ def test_bottleneck_command(circle_file, tmp_path, capsys):
     assert data == {"degree": 1, "d_B": 0.0}
 
 
+def test_bottleneck_missing_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["bottleneck", "--a", missing, "--b", missing,
+                 "--degree", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_barcode_missing_input(tmp_path, capsys):
+    assert main(["barcode", "--input", str(tmp_path / "missing.dmat"),
+                 "--max-dim", "1", "--max-scale", "1.0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bottleneck_truncated_json(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"bars": [')
+    assert main(["bottleneck", "--a", str(bad), "--b", str(bad),
+                 "--degree", "0"]) == 2
+    assert "malformed barcode JSON" in capsys.readouterr().err
+
+
 def test_gh_bound_command(circle_file, tmp_path, capsys):
     code, data = run_json(capsys, [
         "gh-bound", "--a", str(circle_file), "--b", str(circle_file),

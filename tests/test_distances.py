@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +68,28 @@ def test_oracle_equivalence_random():
         a = random_barcode(rng, max_bars=6, degree=0)
         b = random_barcode(rng, max_bars=6, degree=0)
         assert bottleneck(a, b, 0) == bottleneck_oracle(a, b, 0)
+
+
+def test_bottleneck_long_augmenting_paths():
+    # A-bars (i, i+10) against B-bars (i+0.5, i+10.5) chain every bar to
+    # the next, so augmenting paths run the length of the barcode; a
+    # recursive search exceeds the lowered recursion limit here
+    code = (
+        "import sys\n"
+        "sys.setrecursionlimit(150)\n"
+        "from steenrips.cohomology import Bar, Barcode\n"
+        "from steenrips.distances import bottleneck\n"
+        "A = Barcode(Bar(0, i, i + 10) for i in range(300))\n"
+        "B = Barcode(Bar(0, i + 0.5, i + 10.5) for i in range(300))\n"
+        "print(bottleneck(A, B, 0))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0.5"
 
 
 def test_oracle_size_limit():

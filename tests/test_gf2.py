@@ -7,17 +7,28 @@ from steenrips.errors import DimensionMismatchError
 from steenrips.gf2 import F2Matrix, F2Vector, member, nullspace, quotient_rank, rank
 
 
+def dense(array) -> F2Matrix:
+    """Bit-packed columns of a dense 0/1 array (row i = bit i)."""
+    a = np.asarray(array, dtype=np.uint8) & 1
+    return F2Matrix(a.shape[0], tuple(
+        sum(1 << int(i) for i in np.flatnonzero(a[:, j])) for j in range(a.shape[1])))
+
+
+def identity(n: int) -> F2Matrix:
+    return F2Matrix(n, tuple(1 << i for i in range(n)))
+
+
 def test_rank_zero_matrix():
-    assert rank(F2Matrix.zeros(3, 3)) == 0
+    assert rank(F2Matrix(3, (0, 0, 0))) == 0
 
 
 def test_rank_identity():
-    assert rank(F2Matrix.identity(4)) == 4
+    assert rank(identity(4)) == 4
 
 
 def test_rank_triangle_boundary():
     # boundary of the full triangle: 3 vertices x 3 edges, two 1s per column
-    m = F2Matrix.from_dense([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    m = dense([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
     assert rank(m) == 2
 
 
@@ -26,14 +37,14 @@ def test_rank_transpose_property():
     for _ in range(60):
         rows = int(rng.integers(1, 65))
         cols = int(rng.integers(1, 65))
-        m = F2Matrix.from_dense(rng.integers(0, 2, size=(rows, cols)))
-        assert rank(m) == rank(m.transpose())
+        a = rng.integers(0, 2, size=(rows, cols))
+        assert rank(dense(a)) == rank(dense(a.T))
 
 
 def test_quotient_rank_examples():
-    e = F2Matrix.identity(2)
+    e = identity(2)
     assert quotient_rank(e, e) == 0
-    assert quotient_rank(e, F2Matrix.zeros(2, 0)) == 2
+    assert quotient_rank(e, F2Matrix(2)) == 2
     s = F2Matrix.from_columns(3, [0b011])  # e1 + e2
     b = F2Matrix.from_columns(3, [0b010])  # e2
     assert quotient_rank(s, b) == 1
@@ -43,20 +54,20 @@ def test_quotient_rank_additivity():
     rng = np.random.default_rng(3)
     for _ in range(50):
         rows = int(rng.integers(1, 30))
-        s = F2Matrix.from_dense(rng.integers(0, 2, size=(rows, int(rng.integers(0, 8)))))
-        b = F2Matrix.from_dense(rng.integers(0, 2, size=(rows, int(rng.integers(0, 8)))))
-        assert quotient_rank(s, b) + rank(b) == rank(s.hstack(b))
+        s = dense(rng.integers(0, 2, size=(rows, int(rng.integers(0, 8)))))
+        b = dense(rng.integers(0, 2, size=(rows, int(rng.integers(0, 8)))))
+        assert quotient_rank(s, b) + rank(b) == rank(F2Matrix(rows, s.columns + b.columns))
 
 
 def test_quotient_rank_row_mismatch():
     with pytest.raises(DimensionMismatchError):
-        quotient_rank(F2Matrix.identity(2), F2Matrix.identity(3))
+        quotient_rank(identity(2), identity(3))
 
 
 def test_member_examples():
-    basis = F2Matrix.identity(3)
+    basis = identity(3)
     assert member(basis, F2Vector(3, 0b101))
-    assert member(F2Matrix.zeros(4, 0), F2Vector(4, 0))
+    assert member(F2Matrix(4), F2Vector(4, 0))
     basis = F2Matrix.from_columns(2, [0b11])
     assert not member(basis, F2Vector(2, 0b01))
 
@@ -66,7 +77,7 @@ def test_member_against_span_enumeration():
     for _ in range(25):
         rows = int(rng.integers(1, 10))
         ncols = int(rng.integers(0, min(rows + 2, 12)))
-        m = F2Matrix.from_dense(rng.integers(0, 2, size=(rows, ncols)))
+        m = dense(rng.integers(0, 2, size=(rows, ncols)))
         span = set()
         for coeffs in product((0, 1), repeat=ncols):
             acc = 0
@@ -81,7 +92,7 @@ def test_member_against_span_enumeration():
 
 def test_member_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        member(F2Matrix.identity(3), F2Vector(2, 0b01))
+        member(identity(3), F2Vector(2, 0b01))
 
 
 def test_nullspace_is_kernel():
@@ -89,7 +100,7 @@ def test_nullspace_is_kernel():
     for _ in range(40):
         rows = int(rng.integers(1, 20))
         cols = int(rng.integers(0, 20))
-        m = F2Matrix.from_dense(rng.integers(0, 2, size=(rows, cols)))
+        m = dense(rng.integers(0, 2, size=(rows, cols)))
         null = nullspace(m)
         assert len(null) == cols - rank(m)
         for x in null:
@@ -102,20 +113,11 @@ def test_nullspace_is_kernel():
 
 
 def test_operations_are_pure():
-    m = F2Matrix.from_dense([[1, 0], [1, 1]])
+    m = dense([[1, 0], [1, 1]])
     v = F2Vector(2, 0b10)
     assert rank(m) == rank(m)
     assert member(m, v) == member(m, v)
     assert m.columns == (0b11, 0b10)
-
-
-def test_matmul_and_dense_roundtrip():
-    rng = np.random.default_rng(13)
-    a = rng.integers(0, 2, size=(5, 4))
-    b = rng.integers(0, 2, size=(4, 6))
-    ma, mb = F2Matrix.from_dense(a), F2Matrix.from_dense(b)
-    assert np.array_equal((ma @ mb).to_dense(), (a @ b) % 2)
-    assert np.array_equal(F2Matrix.from_dense(a).to_dense(), a)
 
 
 def test_vector_xor_and_support():

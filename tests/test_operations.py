@@ -12,15 +12,15 @@ from steenrips.operations import (
     homological_radius,
     image_barcode,
     kernel_barcode,
-    kernel_rank,
     kernel_rank_function,
     rank_to_barcode,
     theta_radius,
-    theta_rank,
     theta_rank_function,
 )
 from steenrips.simplicial import build, rp2_complex, sublevel
 from steenrips.synthetic import random_filtered_complex
+
+from oracles import kernel_rank, theta_rank
 
 INF = math.inf
 

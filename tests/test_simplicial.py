@@ -19,12 +19,13 @@ from steenrips.simplicial import (
     cochain_from_simplices,
     dump_complex,
     load_complex,
-    restrict_cochain,
     rp2_complex,
     sublevel,
     zero_cochain,
 )
 from steenrips.synthetic import random_filtered_complex
+
+from oracles import restrict_cochain
 
 TRIANGLE_BOUNDARY = [
     ([0], 0.0), ([1], 0.0), ([2], 0.0),
@@ -113,8 +114,13 @@ def test_delta_squared_is_zero():
     for _ in range(20):
         K = random_filtered_complex(rng)
         for p in range(K.dimension):
-            prod = coboundary_matrix(K, p + 1) @ coboundary_matrix(K, p)
-            assert all(c == 0 for c in prod.columns)
+            outer = coboundary_matrix(K, p + 1).columns
+            for col in coboundary_matrix(K, p).columns:
+                acc = 0
+                for i in range(col.bit_length()):
+                    if col >> i & 1:
+                        acc ^= outer[i]
+                assert acc == 0
 
 
 def test_sublevel_whole_and_empty():
