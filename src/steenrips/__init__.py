@@ -55,14 +55,10 @@ from .cohomology import (
 from .steenrod import cup_i, sq
 from .operations import (
     Operation,
-    RankFunction,
     homological_radius,
     image_barcode,
     kernel_barcode,
-    kernel_rank_function,
-    rank_to_barcode,
     theta_radius,
-    theta_rank_function,
 )
 from .distances import (
     bottleneck,
@@ -91,7 +87,6 @@ __all__ = [
     "MonotonicityError",
     "NotACocycleError",
     "Operation",
-    "RankFunction",
     "ValidationError",
     "antipodal_action",
     "betti_number",
@@ -109,7 +104,6 @@ __all__ = [
     "homological_radius",
     "image_barcode",
     "kernel_barcode",
-    "kernel_rank_function",
     "linf_product",
     "load_complex",
     "load_distance_matrix",
@@ -122,7 +116,6 @@ __all__ = [
     "quotient_metric",
     "quotient_rank",
     "rank",
-    "rank_to_barcode",
     "rp2_complex",
     "save_distance_matrix",
     "sphere_sample",
@@ -130,7 +123,6 @@ __all__ = [
     "stability_check",
     "sublevel",
     "theta_radius",
-    "theta_rank_function",
     "vr_filtration",
     "zero_cochain",
 ]

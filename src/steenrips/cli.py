@@ -378,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         args.radius = 2.0 if args.kind == "rp" else 1.0
     try:
         return args.func(args)
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

@@ -132,7 +132,7 @@ class Barcode:
                     int(e.get("mult", 1)))
                 for e in data["bars"]
             ]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed barcode JSON: {exc}") from None
         return cls(bars)
 
@@ -218,24 +218,6 @@ def persistent_barcode(K: FilteredComplex, max_degree: int,
     return barcode
 
 
-def cocycle_representatives(delta: Iterable[int], rows: int,
-                            coboundaries: PivotTable) -> list[int]:
-    """Cocycles spanning ker(delta) mod the span of ``coboundaries``.
-
-    ``delta`` holds the coboundary columns, supported below ``rows``.
-    Each nullspace vector is reduced against the coboundaries and the
-    representatives kept before it, and its nonzero residual is stored in
-    the table: the residuals are still cocycles and their classes are
-    independent.
-    """
-    reps = []
-    for z in PivotTable().dependencies(delta, rows):
-        pivot = coboundaries.insert(z)
-        if pivot is not None:
-            reps.append(coboundaries.columns[pivot])
-    return reps
-
-
 def cohomology_basis(K: FilteredComplex, p: int) -> CohomologyBasis:
     """Cocycle representatives spanning ker(delta_p) mod im(delta_{p-1})."""
     if p < 0:
@@ -246,8 +228,15 @@ def cohomology_basis(K: FilteredComplex, p: int) -> CohomologyBasis:
             coboundaries.insert(col)
     boundary_basis = F2Matrix(K.n_simplices(p),
                               tuple(sorted(coboundaries.columns.values())))
-    reps = cocycle_representatives(coboundary_columns(K, p),
-                                   K.n_simplices(p + 1), coboundaries)
+    # each nullspace vector of delta_p, reduced against the coboundaries
+    # and the representatives before it, leaves a residual cocycle whose
+    # class is independent of theirs
+    reps = []
+    for z in PivotTable().dependencies(coboundary_columns(K, p),
+                                       K.n_simplices(p + 1)):
+        pivot = coboundaries.insert(z)
+        if pivot is not None:
+            reps.append(coboundaries.columns[pivot])
     return CohomologyBasis(p, tuple(Cochain(K, p, r) for r in reps),
                            boundary_basis)
 

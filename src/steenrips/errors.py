@@ -35,4 +35,4 @@ class NotACocycleError(ValidationError):
 
 
 class InternalInvariantError(RuntimeError):
-    """A mathematically impossible state (e.g. negative Mobius multiplicity)."""
+    """A mathematically impossible state (e.g. no feasible bottleneck threshold)."""

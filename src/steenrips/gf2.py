@@ -140,25 +140,35 @@ class PivotTable:
         self.columns[p] = bits
         return p
 
+    def insert_augmented(self, bits: int, rows: int) -> tuple[int | None, int]:
+        """Reduce a column that carries a companion at bit ``rows`` and up,
+        and store it only if its row part stays nonzero.
+
+        Returns the new pivot (None if the row part reduced to zero) and
+        the reduced companion ``bits >> rows``.  Stored pivots must lie
+        below ``rows``, so the companion never picks a pivot.
+        """
+        bits = self.reduce(bits)
+        if bits & ((1 << rows) - 1):
+            p = _low(bits)
+            self.columns[p] = bits
+            return p, bits >> rows
+        return None, bits >> rows
+
     def dependencies(self, columns: Iterable[int], rows: int) -> list[int]:
         """Insert columns supported below ``rows`` in turn; for each one
         that depends on the table and the columns before it, return the
         coefficients of that dependency over ``columns``.
 
         Column j is augmented with a unit companion bit above its rows,
-        ``col | 1 << (rows + j)``, and reduced like any other column, so
-        one whose row part reduces to zero holds its dependency in
-        ``bits >> rows``.  Every stored pivot must lie below ``rows``, so
-        companion bits never hit one; dependent columns are not stored.
+        ``col | 1 << (rows + j)``, so one whose row part reduces to zero
+        holds its dependency in ``bits >> rows``.
         """
-        mask = (1 << rows) - 1
         out = []
         for j, col in enumerate(columns):
-            bits = self.reduce(col | 1 << (rows + j))
-            if bits & mask:
-                self.columns[_low(bits)] = bits
-            else:
-                out.append(bits >> rows)
+            pivot, companion = self.insert_augmented(col | 1 << (rows + j), rows)
+            if pivot is None:
+                out.append(companion)
         return out
 
 

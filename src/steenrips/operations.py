@@ -1,32 +1,53 @@
 """Persistent image/kernel barcodes of cohomology operations.
 
-Ranks of the structure maps are assembled into a table over filtration
-indices and converted to bars by Mobius inversion.  The whole table
-comes from one global coboundary reduction, exploiting that a
-sublevel's cochains occupy a bit-prefix of the full complex's:
+Both barcodes of an operation theta: H^ell -> H^m come from one pass
+over the bars of H^ell.  The pass rests on two facts about the canonical
+order:
 
-* a column reduced to a distinct lowest set bit survives masking to the
-  prefix iff its pivot lies inside the prefix, so the rank of any masked
-  column span is the number of pivots below the prefix length;
-* the coboundary of a simplex outside a sublevel masks to zero there
-  (faces precede cofaces), so one global coboundary matrix serves every
-  sublevel at once.
+* sublevels are bit-prefixes: the p-cochains of K_i occupy the first
+  count_at(p, i) bits of K's, and the coboundary of a simplex outside
+  K_i masks to zero there (faces precede cofaces), so one global
+  coboundary matrix serves every sublevel;
+* a masked rank is a pivot count: columns reduced to distinct lowest
+  set bits stay independent when masked to a prefix, and exactly those
+  with a pivot inside it stay nonzero, so the rank of a masked span is
+  the number of pivots below the prefix length.
 
-This is the only image/kernel path.  Tests pin it to the literal
-per-pair ranks of the reference implementations in tests/oracles.py.
+The pass has three steps.
+
+1. delta_ell is reduced in reverse canonical order, each column
+   augmented with its unit bit, after clearing the ell-simplices that
+   are pivots of delta_{ell-1}.  A column of sigma that keeps a lowest
+   row tau gives the bar [value sigma, value tau), one that reduces to
+   zero gives [value sigma, inf).  The companion z above the rows is
+   supported on sigma and later simplices, so it restricts to 0 below
+   the birth and to a cocycle below the death; the representatives of
+   the bars alive at a value form a basis of H^ell there.
+2. Image: theta(z) is evaluated once per bar, below the bar's death, and
+   inserted with z as companion into the global delta_{m-1} pivots, by
+   decreasing death.  The bars alive past v_j are a prefix of that
+   order, so r(i, j) is the number of new pivots below K_i's prefix
+   that they add: each new pivot p gives the image bar [value p, death).
+   The companion left over is a kernel candidate kappa, a combination
+   of representatives whose image vanishes below
+   e = min(death, value p).
+3. Kernel: the kappa are inserted by decreasing e into the global
+   delta_{ell-1} pivots, and each new pivot q gives the kernel bar
+   [value q, e) by the same count.
+
+In both modules r(i, j) is then the number of bars alive at v_i and
+v_j.  Tests pin both barcodes to the literal per-pair ranks of the
+reference implementations in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-import numpy as np
-
-from .cohomology import Bar, Barcode, cocycle_representatives
-from .errors import InternalInvariantError, ValidationError
+from .cohomology import Bar, Barcode
+from .errors import ValidationError
 from .gf2 import PivotTable
 from .simplicial import Cochain, FilteredComplex, coboundary_columns, zero_cochain
 from .steenrod import _cup_bits, sq as _sq
@@ -87,59 +108,12 @@ class Operation:
         return _sq(self.k, c)
 
 
-class RankFunction:
-    """Table r(i, j) of structure-map ranks over filtration indices.
-
-    Stored on the compressed grid of indices where the module can
-    change; rank(i, j) resolves arbitrary indices through that grid.
-    """
-
-    __slots__ = ("n", "indices", "table")
-
-    def __init__(self, n: int, indices: Sequence[int], table: np.ndarray):
-        self.n = n
-        self.indices = list(indices)
-        self.table = np.asarray(table, dtype=np.int64)
-        if self.indices and self.indices[0] != 0:
-            raise ValidationError("compressed grid must start at index 0")
-        if self.table.shape != (len(self.indices), len(self.indices)):
-            raise ValidationError("table shape does not match grid size")
-
-    @classmethod
-    def dense(cls, table) -> "RankFunction":
-        t = np.asarray(table, dtype=np.int64)
-        return cls(t.shape[0], range(t.shape[0]), t)
-
-    def rank(self, i: int, j: int) -> int:
-        if not 0 <= i <= j < self.n:
-            raise ValidationError(f"need 0 <= i <= j < {self.n}, got ({i}, {j})")
-        a = bisect_right(self.indices, i) - 1
-        b = bisect_right(self.indices, j) - 1
-        return int(self.table[a, b])
-
-
-def _basis_bits_at(K: FilteredComplex, ell: int, j: int,
-                   delta_ell: list[int], delta_below: list[int]) -> list[int]:
-    """Cocycle representatives of a basis of H^ell(K_j), bit-packed over
-    the full complex's ell-simplex order (support inside the prefix)."""
-    n_src = K.count_at(ell, j)
-    n_tgt = K.count_at(ell + 1, j)
-    mask_tgt = (1 << n_tgt) - 1
-    coboundaries = PivotTable()
-    if ell >= 1:
-        mask_src = (1 << n_src) - 1
-        for col in delta_below[:K.count_at(ell - 1, j)]:
-            coboundaries.insert(col & mask_src)
-    return cocycle_representatives(
-        [col & mask_tgt for col in delta_ell[:n_src]], n_tgt, coboundaries)
-
-
 def _image_bits(K: FilteredComplex, op: Operation, cocycle_bits: int,
                 count_m: int) -> int:
-    """Chain-level op applied to a sublevel cocycle, evaluated on the
-    first count_m target simplices (all faces lie in the sublevel)."""
+    """Chain-level op applied to a cocycle, evaluated on the first
+    count_m target simplices (where the cocycle's coboundary vanishes)."""
     if op.kind == "identity":
-        return cocycle_bits
+        return cocycle_bits & ((1 << count_m) - 1)
     if op.kind == "zero":
         return 0
     ell = op.source_degree
@@ -149,160 +123,67 @@ def _image_bits(K: FilteredComplex, op: Operation, cocycle_bits: int,
                      count=count_m)
 
 
-def _relevant_indices(K: FilteredComplex, degrees: set[int]) -> list[int]:
-    """Indices where the complex changes in any of the given degrees."""
-    if K.num_values == 0:
-        return []
-    out = [0]
-    degs = [p for p in degrees if 0 <= p <= K.dimension]
-    prev = {p: K.count_at(p, 0) for p in degs}
-    for i in range(1, K.num_values):
-        cur = {p: K.count_at(p, i) for p in degs}
-        if cur != prev:
-            out.append(i)
-            prev = cur
-    return out
+def _coboundary_pivots(K: FilteredComplex, p: int) -> PivotTable:
+    """delta_p reduced in reverse canonical order (empty for p < 0)."""
+    table = PivotTable()
+    if p >= 0:
+        for col in reversed(coboundary_columns(K, p)):
+            table.insert(col)
+    return table
 
 
-def _grid_degrees(op: Operation) -> set[int]:
+def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
+    """Image and kernel barcodes of op, in one pass over the bars of
+    H^ell (steps 1-3 of the module docstring)."""
     ell, m = op.source_degree, op.target_degree
-    return {ell - 1, ell, ell + 1, m, m + 1}
-
-
-def _rank_table(K: FilteredComplex, op: Operation, kernel: bool) -> RankFunction:
-    """Build the full rank table via the global-reduction fast path."""
-    ell, m = op.source_degree, op.target_degree
-    N = K.num_values
-    if N == 0:
-        return RankFunction(0, [], np.zeros((0, 0), dtype=np.int64))
-    rel = _relevant_indices(K, _grid_degrees(op))
-    R = len(rel)
-
-    delta_ell = coboundary_columns(K, ell) if ell <= K.dimension else []
-    delta_below = coboundary_columns(K, ell - 1) if ell >= 1 else []
-    # global coboundary reductions in the target and source degrees
-    d_m = PivotTable()
-    if m >= 1:
-        for col in coboundary_columns(K, m - 1):
-            d_m.insert(col)
-    if m == ell:
-        d_ell = d_m
-    else:
-        d_ell = PivotTable()
-        if kernel and ell >= 1:
-            for col in delta_below:
-                d_ell.insert(col)
-
-    count_deg = ell if kernel else m
-    prefix = np.array([K.count_at(count_deg, idx) for idx in rel], dtype=np.int64)
-    table = np.zeros((R, R), dtype=np.int64)
-
-    for b, j in enumerate(rel):
-        basis = _basis_bits_at(K, ell, j, delta_ell, delta_below)
-        n_m_j = K.count_at(m, j)
-        images = [_image_bits(K, op, c, n_m_j) for c in basis]
-        if not kernel:
-            pivots = _new_pivots(d_m, images)
-        else:
-            # kernel: combinations of images that vanish in H^m(K_j); the
-            # masked pivots all lie below n_m_j, as dependencies() needs
-            mask_j = (1 << n_m_j) - 1
-            membership = PivotTable({p: col & mask_j
-                                     for p, col in d_m.columns.items()
-                                     if p < n_m_j})
-            kappas = []
-            for alpha in membership.dependencies(images, n_m_j):
-                acc = 0
-                t = 0
-                while alpha:
-                    if alpha & 1:
-                        acc ^= basis[t]
-                    alpha >>= 1
-                    t += 1
-                kappas.append(acc)
-            pivots = _new_pivots(d_ell, kappas)
-        table[: b + 1, b] = np.searchsorted(pivots, prefix[: b + 1], side="left")
-    return RankFunction(N, rel, table)
-
-
-def _new_pivots(base: PivotTable, columns: Iterable[int]) -> np.ndarray:
-    """Sorted pivots that the columns add to a copy of ``base``."""
-    table = PivotTable(base.columns)
-    added = [table.insert(col) for col in columns]
-    return np.array(sorted(p for p in added if p is not None), dtype=np.int64)
-
-
-def theta_rank_function(K: FilteredComplex, op: Operation) -> RankFunction:
-    return _rank_table(K, op, kernel=False)
-
-
-def kernel_rank_function(K: FilteredComplex, op: Operation) -> RankFunction:
-    return _rank_table(K, op, kernel=True)
-
-
-def rank_to_barcode(R: RankFunction, values: Sequence[float],
-                    reversed_module: bool = False, degree: int = 0) -> Barcode:
-    """Mobius inversion of a rank table into a barcode.
-
-    Multiplicity of the bar alive on grid indices [b, d-1] (death at
-    value d, or infinite past the end) is
-    mu(b, d) = (r(b, d-1) - r(b, d)) - (r(b-1, d-1) - r(b-1, d)).
-    Cohomology modules are contravariant: with reversed_module the
-    indices are mirrored before inversion and bars mirrored back.
-    Negative multiplicities signal a broken rank function and raise.
-    """
-    if R.n != len(values):
-        raise ValidationError("value grid does not match the rank table")
-    if R.n == 0:
-        return Barcode()
-    rel = R.indices
-    size = len(rel)
-    T = R.table
-    if reversed_module:
-        Tm = np.zeros_like(T)
-        for a in range(size):
-            for b in range(a, size):
-                Tm[a, b] = T[size - 1 - b, size - 1 - a]
-        T = Tm
-    # padded so that r(-1, .) = r(., size) = 0
-    A = np.zeros((size + 2, size + 2), dtype=np.int64)
-    A[1:size + 1, 1:size + 1] = T
-    # mu[b, d] over 0 <= b < d <= size
-    mu = np.zeros((size, size + 1), dtype=np.int64)
-    for b in range(size):
-        r_bd = A[b + 1, b + 2:size + 2]          # r(b, d) for d = b+1 .. size
-        r_bdm1 = A[b + 1, b + 1:size + 1]        # r(b, d-1)
-        r_pbd = A[b, b + 2:size + 2]             # r(b-1, d)
-        r_pbdm1 = A[b, b + 1:size + 1]           # r(b-1, d-1)
-        mu[b, b + 1:] = (r_bdm1 - r_bd) - (r_pbdm1 - r_pbd)
-    if (mu < 0).any():
-        raise InternalInvariantError("negative multiplicity in Mobius inversion")
+    if ell > K.dimension:
+        return Barcode(), Barcode()
+    values_ell = K.dim_values[ell]
+    # step 1: bars of H^ell with representative cocycles
+    d_ell = _coboundary_pivots(K, ell - 1)
+    rows = K.n_simplices(ell + 1)
+    values_up = K.dim_values[ell + 1] if rows else ()
+    reduced = PivotTable()
     bars = []
-    for b, d in zip(*np.nonzero(mu)):
-        mult = int(mu[b, d])
-        if reversed_module:
-            lo = size - d            # first compressed index alive
-            hi_next = size - b       # compressed death index (size => infinite)
-        else:
-            lo, hi_next = int(b), int(d)
-        birth = values[rel[lo]]
-        death = INF if hi_next >= size else values[rel[hi_next]]
-        bars.append(Bar(degree, birth, death, mult))
-    return Barcode(bars)
+    cols = coboundary_columns(K, ell)
+    for s in reversed(range(len(cols))):
+        if s in d_ell.columns:
+            continue
+        tau, z = reduced.insert_augmented(cols[s] | 1 << (rows + s), rows)
+        death = INF if tau is None else values_up[tau]
+        if values_ell[s] < death:
+            bars.append((death, z))
+    # step 2: image, one evaluation of op per bar
+    n_m = K.n_simplices(m)
+    values_m = K.dim_values[m] if n_m else ()
+    # a copy when m == ell: step 3 adds to d_ell
+    d_m = PivotTable(d_ell.columns) if m == ell else _coboundary_pivots(K, m - 1)
+    image, candidates = [], []
+    for death, z in sorted(bars, key=lambda bar: -bar[0]):
+        img = _image_bits(K, op, z, bisect_left(values_m, death))
+        p, kappa = d_m.insert_augmented(img | z << n_m, n_m)
+        e = death
+        if p is not None and values_m[p] < death:
+            image.append(Bar(m, values_m[p], death))
+            e = values_m[p]
+        candidates.append((e, kappa))
+    # step 3: kernel, the candidates in the global delta_{ell-1} pivots
+    kernel = []
+    for e, kappa in sorted(candidates, key=lambda c: -c[0]):
+        q = d_ell.insert(kappa)
+        if q is not None and values_ell[q] < e:
+            kernel.append(Bar(ell, values_ell[q], e))
+    return Barcode(image), Barcode(kernel)
 
 
 def image_barcode(K: FilteredComplex, op: Operation) -> Barcode:
     """Barcode of the image persistence module of the operation."""
-    R = theta_rank_function(K, op)
-    return rank_to_barcode(R, K.distinct_values, reversed_module=True,
-                           degree=op.target_degree)
+    return _image_kernel(K, op)[0]
 
 
 def kernel_barcode(K: FilteredComplex, op: Operation) -> Barcode:
     """Barcode of the kernel persistence module of the operation."""
-    R = kernel_rank_function(K, op)
-    return rank_to_barcode(R, K.distinct_values, reversed_module=True,
-                           degree=op.source_degree)
+    return _image_kernel(K, op)[1]
 
 
 def _signal_min_death(bars: list[Bar], eps: float | None) -> float:

@@ -2,7 +2,7 @@
 
 Everything here goes through homology-side cycle/boundary spaces, or
 through explicit sublevel complexes and restriction, and plain rank
-computations; no column-reduction pairing, no cohomology rank tables.
+computations; no column-reduction pairing.
 Slow but first-principles.
 """
 
@@ -87,29 +87,43 @@ def brute_betti(K: FilteredComplex, p: int) -> int:
     return n_p - rank_dp - rank_dp1
 
 
+def mobius_barcode(rank, values, degree: int) -> Barcode:
+    """Barcode of a module from its ranks by Mobius inversion.
+
+    ``rank(i, j)``, for grid indices i <= j, counts the bars alive at
+    both values[i] and values[j]; this reads the same for covariant and
+    contravariant modules.  The bar alive on indices b..d-1 (d = N is an
+    infinite death) has multiplicity
+    r(b, d-1) - r(b, d) - r(b-1, d-1) + r(b-1, d), with r = 0 off the grid.
+    """
+    N = len(values)
+    r = [[0] * (N + 1) for _ in range(N + 1)]
+    for i in range(N):
+        for j in range(i, N):
+            r[i][j] = rank(i, j)
+
+    def rk(i, j):
+        if i < 0 or j >= N:
+            return 0
+        return r[i][j]
+
+    bars = []
+    for b in range(N):
+        for d in range(b + 1, N + 1):
+            mu = (rk(b, d - 1) - rk(b, d)) - (rk(b - 1, d - 1) - rk(b - 1, d))
+            assert mu >= 0
+            if mu:
+                death = math.inf if d == N else values[d]
+                bars.append(Bar(degree, values[b], death, mu))
+    return Barcode(bars)
+
+
 def brute_barcode(K: FilteredComplex, max_degree: int) -> Barcode:
     """Barcode via Mobius inversion of the brute-force homology ranks."""
-    N = K.num_values
-    values = K.distinct_values
     bars = []
     for p in range(max_degree + 1):
-        r = [[0] * (N + 1) for _ in range(N + 1)]
-        for i in range(N):
-            for j in range(i, N):
-                r[i][j] = brute_rank(K, p, i, j)
-
-        def rk(i, j):
-            if i < 0 or j >= N:
-                return 0
-            return r[i][j]
-
-        for b in range(N):
-            for d in range(b + 1, N + 1):
-                mu = (rk(b, d - 1) - rk(b, d)) - (rk(b - 1, d - 1) - rk(b - 1, d))
-                assert mu >= 0
-                if mu:
-                    death = math.inf if d == N else values[d]
-                    bars.append(Bar(p, values[b], death, mu))
+        bars.extend(mobius_barcode(lambda i, j: brute_rank(K, p, i, j),
+                                   K.distinct_values, p))
     return Barcode(bars)
 
 

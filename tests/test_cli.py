@@ -147,6 +147,33 @@ def test_bottleneck_truncated_json(tmp_path, capsys):
     assert "malformed barcode JSON" in capsys.readouterr().err
 
 
+NOT_UTF8 = bytes(range(0x80, 0x100))  # continuation bytes cannot start text
+
+
+@pytest.mark.parametrize("argv", [
+    ["barcode", "--input", "{bad}", "--max-dim", "2", "--max-scale", "1"],
+    ["bottleneck", "--a", "{bom}", "--b", "{ok}", "--degree", "0"],
+    ["gh-bound", "--a", "{bad}", "--b", "{bad}", "--degrees", "0",
+     "--max-dim", "1", "--max-scale", "1"],
+])
+def test_input_not_utf8(tmp_path, capsys, argv):
+    files = {"bad": NOT_UTF8, "bom": b"\xff\xfe" + NOT_UTF8,
+             "ok": b'{"bars": []}'}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [a.format(**{k: str(tmp_path / k) for k in files}) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bottleneck_non_numeric_field(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"bars": [{"degree": 0, "birth": "x", "death": 1}]}')
+    assert main(["bottleneck", "--a", str(bad), "--b", str(bad),
+                 "--degree", "0"]) == 2
+    assert "malformed barcode JSON" in capsys.readouterr().err
+
+
 def test_gh_bound_command(circle_file, tmp_path, capsys):
     code, data = run_json(capsys, [
         "gh-bound", "--a", str(circle_file), "--b", str(circle_file),

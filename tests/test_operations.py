@@ -1,28 +1,42 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import steenrips.operations as operations
 from steenrips.cohomology import Bar, Barcode, cohomology_basis, persistent_barcode
-from steenrips.errors import InternalInvariantError, ValidationError
-from steenrips.metric import circle_grid, vr_filtration
+from steenrips.errors import ValidationError
+from steenrips.metric import circle_grid, projective_sample, vr_filtration
 from steenrips.operations import (
     Operation,
-    RankFunction,
     homological_radius,
     image_barcode,
     kernel_barcode,
-    kernel_rank_function,
-    rank_to_barcode,
     theta_radius,
-    theta_rank_function,
 )
 from steenrips.simplicial import build, rp2_complex, sublevel
 from steenrips.synthetic import random_filtered_complex
 
-from oracles import kernel_rank, theta_rank
+from oracles import kernel_rank, mobius_barcode, theta_rank
 
 INF = math.inf
+
+
+def barcode_rank(bc: Barcode, values, i: int, j: int) -> int:
+    """r(i, j) of a barcode: bars alive at both values[i] and values[j]."""
+    return sum(b.multiplicity for b in bc
+               if b.birth <= values[i] and b.death > values[j])
+
+
+def assert_matches_literal_ops(K, op):
+    """Image and kernel barcodes give the literal ranks at every i <= j."""
+    img, ker = image_barcode(K, op), kernel_barcode(K, op)
+    values = K.distinct_values
+    for i in range(K.num_values):
+        for j in range(i, K.num_values):
+            assert barcode_rank(img, values, i, j) == theta_rank(K, op, i, j)
+            assert barcode_rank(ker, values, i, j) == kernel_rank(K, op, i, j)
 
 
 def test_operation_properties():
@@ -105,80 +119,106 @@ def test_fast_tables_match_literal_ops():
         for ell in range(min(2, K.dimension) + 1):
             for op in (Operation.identity(ell), Operation.sq(1, ell),
                        Operation.zero(ell)):
-                R_img = theta_rank_function(K, op)
-                R_ker = kernel_rank_function(K, op)
-                for i in range(K.num_values):
-                    for j in range(i, K.num_values):
-                        assert R_img.rank(i, j) == theta_rank(K, op, i, j)
-                        assert R_ker.rank(i, j) == kernel_rank(K, op, i, j)
+                assert_matches_literal_ops(K, op)
 
 
-def test_rank_function_monotonicity():
-    rng = np.random.default_rng(71)
-    for _ in range(10):
-        K = random_filtered_complex(rng, target_size=20)
-        op = Operation.sq(1, 1)
-        R = theta_rank_function(K, op)
-        N = K.num_values
-        for i in range(N):
-            for j in range(i, N):
-                r = R.rank(i, j)
-                assert r <= min(R.rank(i, i), R.rank(j, j))
-                if j + 1 < N:
-                    assert r >= R.rank(i, j + 1)
-                if i - 1 >= 0:
-                    assert r >= R.rank(i - 1, j)
+def test_one_sq_evaluation_per_cohomology_bar(monkeypatch):
+    calls = []
+    cup_bits = operations._cup_bits
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return cup_bits(*args, **kwargs)
+
+    monkeypatch.setattr(operations, "_cup_bits", counting)
+    K = vr_filtration(projective_sample(2, 20, seed=1), 3, 2.3)
+    image_barcode(K, Operation.sq(1, 1))
+    # one evaluation per positive-length H^1 bar, not one per grid index
+    assert len(calls) == len(persistent_barcode(K, 1).in_degree(1)) == 6
 
 
-def test_rank_to_barcode_single_index():
-    R = RankFunction.dense([[3]])
-    bc = rank_to_barcode(R, [0.5], degree=2)
-    assert bc == Barcode([Bar(2, 0.5, INF, 3)])
+def test_tied_values_match_literal_ops():
+    complexes = [rp2_complex()]
+    rng = np.random.default_rng(81)
+    complexes += [random_filtered_complex(rng, target_size=20,
+                                          random_values=False)
+                  for _ in range(8)]
+    for K in complexes:
+        assert K.num_values == 1
+        for ell in range(min(2, K.dimension) + 1):
+            for op in (Operation.identity(ell), Operation.sq(1, ell),
+                       Operation.zero(ell), Operation.sq(0, ell)):
+                assert_matches_literal_ops(K, op)
 
 
-def test_rank_to_barcode_interval_module():
-    # interval module alive on grid indices [1, 2] of a 4-point grid
-    table = np.zeros((4, 4), dtype=int)
-    table[1, 1] = table[1, 2] = table[2, 2] = 1
-    bc = rank_to_barcode(RankFunction.dense(table), [0.0, 1.0, 2.0, 3.0])
-    assert bc == Barcode([Bar(0, 1.0, 3.0)])
+KLEIN_N = 4
 
 
-def test_rank_to_barcode_recovers_interval_sums():
-    rng = np.random.default_rng(73)
-    values = [0.0, 1.0, 2.0, 3.0, 4.0]
-    N = len(values)
-    for _ in range(40):
-        n_intervals = int(rng.integers(1, 5))
-        intervals = []
-        for _ in range(n_intervals):
-            b = int(rng.integers(0, N))
-            d = int(rng.integers(b + 1, N + 1))  # death index, N = infinite
-            intervals.append((b, d))
-        table = np.zeros((N, N), dtype=int)
-        for b, d in intervals:
-            for i in range(b, min(d, N)):
-                for j in range(i, min(d, N)):
-                    table[i, j] += 1
-        expected = Barcode(
-            Bar(0, values[b], values[d] if d < N else INF)
-            for b, d in intervals
-        )
-        # the stored table r(i, j) = #intervals containing [i, j] reads the
-        # same covariantly and contravariantly, so both inversions agree
-        for reversed_module in (False, True):
-            bc = rank_to_barcode(RankFunction.dense(table), values,
-                                 reversed_module=reversed_module)
-            assert bc == expected
+def klein_vertex(i: int, j: int) -> int:
+    """Vertex (i, j) of the KLEIN_N x KLEIN_N grid Klein bottle: the seam
+    i = KLEIN_N flips j, the seam j = KLEIN_N does not."""
+    n = KLEIN_N
+    j = -j if (i // n) % 2 else j
+    return (j % n) * n + i % n
 
 
-def test_rank_to_barcode_negative_multiplicity_raises():
-    table = np.zeros((2, 2), dtype=int)
-    table[0, 0] = 1
-    table[0, 1] = 1
-    table[1, 1] = 0  # rank of a map exceeding the target dimension: broken
-    with pytest.raises(InternalInvariantError):
-        rank_to_barcode(RankFunction.dense(table), [0.0, 1.0])
+def klein_loop(point) -> list[int]:
+    """Closed grid loop through point(0), ..., point(KLEIN_N - 1)."""
+    return [point(t) for t in range(KLEIN_N)]
+
+
+def klein_bottle_filtration(surface_value, loops=(), cones=()):
+    """The grid Klein bottle at ``surface_value``, except the vertices and
+    edges of each (value, loop) in ``loops``, which enter by that value;
+    plus a new cone on each (value, loop) in ``cones``."""
+    n = KLEIN_N
+    values = {}
+    for i in range(n):
+        for j in range(n):
+            corner = klein_vertex(i, j), klein_vertex(i + 1, j + 1)
+            for tri in ((*corner, klein_vertex(i + 1, j)),
+                        (*corner, klein_vertex(i, j + 1))):
+                for k in (1, 2, 3):
+                    for face in combinations(sorted(tri), k):
+                        values[face] = surface_value
+    for value, loop in loops:
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            for s in ((a,), (min(a, b), max(a, b))):
+                values[s] = min(values[s], value)
+    for apex, (value, loop) in enumerate(cones, start=n * n):
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            for s in ((apex,), (a, apex), (*sorted((a, b)), apex)):
+                values[s] = value
+    return build(values.items())
+
+
+DIAGONAL = klein_loop(lambda t: klein_vertex(t, t))
+TWISTED = klein_loop(lambda t: klein_vertex(t, 0))
+STRAIGHT = klein_loop(lambda t: klein_vertex(0, t))
+
+
+def test_image_needs_bars_by_decreasing_death():
+    # The crosscap classes x, y of the Klein bottle have x^2 = y^2 != 0.
+    # Coning the diagonal loop at 5 and the twisted loop at 10 kills H^1
+    # in two steps while a nonzero square lives on to 10: one image bar,
+    # which taking the H^1 bars in reduction order splits at 5.
+    K = klein_bottle_filtration(0.0, cones=[(5.0, DIAGONAL), (10.0, TWISTED)])
+    op = Operation.sq(1, 1)
+    assert image_barcode(K, op) == Barcode([Bar(2, 0.0, 10.0)])
+    assert kernel_barcode(K, op) == Barcode([Bar(1, 0.0, 5.0)])
+    assert_matches_literal_ops(K, op)
+
+
+def test_kernel_needs_candidates_by_decreasing_death():
+    # The diagonal class is born at 0 and lives to 8, the straight one is
+    # born at 1; both squares appear with the surface at 3.  Their kernel
+    # candidates end at 8 and at 3, the reverse of their H^1 deaths, and
+    # taking them in H^1 order pairs the birth at 0 with the end at 3.
+    K = klein_bottle_filtration(3.0, loops=[(0.0, DIAGONAL), (1.0, STRAIGHT)],
+                                cones=[(8.0, TWISTED)])
+    op = Operation.sq(1, 1)
+    assert kernel_barcode(K, op) == Barcode([Bar(1, 0.0, 8.0), Bar(1, 1.0, 3.0)])
+    assert_matches_literal_ops(K, op)
 
 
 def test_image_barcode_identity_matches_persistent_barcode():
@@ -196,29 +236,20 @@ def test_image_barcode_alive_consistency():
     for _ in range(10):
         K = random_filtered_complex(rng, target_size=20)
         op = Operation.sq(1, 1)
-        R = theta_rank_function(K, op)
         bc = image_barcode(K, op)
-        for i, t in enumerate(K.distinct_values):
-            assert bc.alive(op.target_degree, t) == R.rank(i, i)
-        Rk = kernel_rank_function(K, op)
         kc = kernel_barcode(K, op)
         for i, t in enumerate(K.distinct_values):
-            assert kc.alive(op.source_degree, t) == Rk.rank(i, i)
+            assert bc.alive(op.target_degree, t) == theta_rank(K, op, i, i)
+            assert kc.alive(op.source_degree, t) == kernel_rank(K, op, i, i)
 
 
 def test_barcode_from_dense_literal_table_matches_fast_path():
     rng = np.random.default_rng(79)
     for _ in range(8):
         K = random_filtered_complex(rng, target_size=18)
-        N = K.num_values
         for op in (Operation.identity(1), Operation.sq(1, 1)):
-            table = np.zeros((N, N), dtype=int)
-            for i in range(N):
-                for j in range(i, N):
-                    table[i, j] = theta_rank(K, op, i, j)
-            dense = rank_to_barcode(RankFunction.dense(table),
-                                    K.distinct_values, reversed_module=True,
-                                    degree=op.target_degree)
+            dense = mobius_barcode(lambda i, j: theta_rank(K, op, i, j),
+                                   K.distinct_values, op.target_degree)
             assert dense == image_barcode(K, op)
 
 
