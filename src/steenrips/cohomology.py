@@ -36,6 +36,8 @@ class Bar:
     def __post_init__(self):
         if not self.birth < self.death:
             raise ValidationError(f"bar with birth {self.birth} >= death {self.death}")
+        if math.isinf(self.birth):
+            raise ValidationError("bar birth must be finite")
         if self.multiplicity < 1:
             raise ValidationError("bar multiplicity must be positive")
 

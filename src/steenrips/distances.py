@@ -1,10 +1,17 @@
 """Exact bottleneck distance, brute-force oracle, stability and GH bounds.
 
-The bottleneck distance is computed combinatorially: binary search over
-the finite set of candidate costs, feasibility decided by maximum
-bipartite matching (Kuhn's augmenting paths) on the diagonal-augmented
-threshold graph.  No geometric approximation; acceptance tests compare
-for equality against exhaustive enumeration.
+The bottleneck distance is computed combinatorially.  One numpy pass
+builds the n x m matrix of L-infinity pair costs and the half-persistence
+of every finite bar; the answer is the least of these costs (or 0) at
+which a partial matching of that cost exists, found by binary search.
+At a threshold c the bars with half-persistence > c must be matched
+along pairs of cost <= c.  By the Mendelsohn-Dulmage theorem (Mendelsohn
+& Dulmage, "Some generalizations of the problem of distinct
+representatives", Canad. J. Math. 1958), a matching covering those
+A-bars and one covering those B-bars combine into one covering both, so
+each probe is two one-sided saturation searches (Kuhn's augmenting
+paths) over the threshold graph.  No geometric approximation; acceptance
+tests compare for equality against exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -36,17 +43,19 @@ def _unmatched_cost(a: tuple[float, float]) -> float:
     return INF if math.isinf(a[1]) else (a[1] - a[0]) / 2.0
 
 
-def _max_matching(n_left: int, n_right: int, adj: list[list[int]]) -> int:
-    """Size of a maximum matching (Kuhn's augmenting paths).
+def _saturates(edges: np.ndarray, rows: np.ndarray) -> bool:
+    """Does some matching in the bipartite graph ``edges`` (a boolean
+    left x right matrix) cover every left vertex in ``rows``?
 
-    The depth-first search keeps its path on an explicit stack, so an
-    augmenting path may be as long as the graph allows; vertices are
-    visited in the order of the textbook recursion.
+    Kuhn's augmenting paths, one root per row: a root left exposed at its
+    turn stays exposed in every maximum matching, so the search stops
+    there.  The depth-first search keeps its path on an explicit stack,
+    so an augmenting path may be as long as the graph allows.
     """
-    match_right = [-1] * n_right
-    size = 0
-    for root in range(n_left):
-        seen = [False] * n_right
+    adj = [np.flatnonzero(edges[i]).tolist() for i in rows]
+    match_right = [-1] * edges.shape[1]
+    for root in range(len(adj)):
+        seen = [False] * edges.shape[1]
         # path[k] = (left vertex, its unread neighbours); via[k] = the
         # right vertex through which path[k] reached path[k + 1]
         path = [(root, iter(adj[root]))]
@@ -66,47 +75,35 @@ def _max_matching(n_left: int, n_right: int, adj: list[list[int]]) -> int:
             if u == -1:
                 for (w, _), x in zip(path, via):
                     match_right[x] = w
-                size += 1
                 break
             path.append((u, iter(adj[u])))
-    return size
+        else:
+            return False
+    return True
 
 
-def _feasible(fa: list[tuple[float, float]], fb: list[tuple[float, float]],
+def _costs(fa: list[tuple[float, float]], fb: list[tuple[float, float]]):
+    """L-infinity pair costs (n x m) and half-persistences of finite bars;
+    the same floats as ``_pair_cost`` and ``_unmatched_cost``."""
+    a = np.array(fa, dtype=np.float64).reshape(-1, 2)
+    b = np.array(fb, dtype=np.float64).reshape(-1, 2)
+    pair = np.maximum(np.abs(a[:, None, 0] - b[None, :, 0]),
+                      np.abs(a[:, None, 1] - b[None, :, 1]))
+    return pair, (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
+
+
+def _feasible(pair: np.ndarray, ua: np.ndarray, ub: np.ndarray,
               c: float) -> bool:
     """Is there a partial matching of cost <= c between finite bars?
 
-    Diagonal-augmented formulation: left = A-bars + one diagonal slot per
-    B-bar, right = B-bars + one diagonal slot per A-bar; feasibility is a
-    perfect matching of the augmented graph.  Bars within c of the
-    diagonal and not adjacent to any bar that must be matched can always
-    pair with a diagonal slot, so they are removed up front.
+    Bars with half-persistence > c must be matched, along pairs of cost
+    <= c.  A matching covering the A-bars that must be matched and one
+    covering the B-bars that must be matched combine into one covering
+    both (Mendelsohn-Dulmage), so two one-sided searches decide it.
     """
-    must_a = [i for i, a in enumerate(fa) if _unmatched_cost(a) > c]
-    must_b = [j for j, b in enumerate(fb) if _unmatched_cost(b) > c]
-    keep_a = set(must_a)
-    for i, a in enumerate(fa):
-        if i not in keep_a and any(_pair_cost(a, fb[j]) <= c for j in must_b):
-            keep_a.add(i)
-    keep_b = set(must_b)
-    for j, b in enumerate(fb):
-        if j not in keep_b and any(_pair_cost(fa[i], b) <= c for i in must_a):
-            keep_b.add(j)
-    ka = [fa[i] for i in sorted(keep_a)]
-    kb = [fb[j] for j in sorted(keep_b)]
-    n, m = len(ka), len(kb)
-    adj: list[list[int]] = []
-    for a in ka:
-        row = [j for j, b in enumerate(kb) if _pair_cost(a, b) <= c]
-        if _unmatched_cost(a) <= c:
-            row.extend(range(m, m + n))
-        adj.append(row)
-    for j, b in enumerate(kb):
-        row = list(range(m, m + n))  # diagonal slots pair freely
-        if _unmatched_cost(b) <= c:
-            row.insert(0, j)
-        adj.append(row)
-    return _max_matching(n + m, m + n, adj) == n + m
+    edges = pair <= c
+    return (_saturates(edges, np.flatnonzero(ua > c))
+            and _saturates(edges.T, np.flatnonzero(ub > c)))
 
 
 def bottleneck(A: Barcode, B: Barcode, degree: int) -> float:
@@ -125,24 +122,19 @@ def bottleneck(A: Barcode, B: Barcode, degree: int) -> float:
     fb = [p for p in bars_b if not math.isinf(p[1])]
     if not fa and not fb:
         return inf_cost
-    candidates = {0.0}
-    for p in fa + fb:
-        candidates.add(_unmatched_cost(p))
-    for a in fa:
-        for b in fb:
-            candidates.add(_pair_cost(a, b))
-    ordered = sorted(candidates)
+    pair, ua, ub = _costs(fa, fb)
+    ordered = np.unique(np.concatenate(([0.0], ua, ub, pair.ravel())))
     lo, hi = 0, len(ordered) - 1
-    if not _feasible(fa, fb, ordered[hi]):
+    if not _feasible(pair, ua, ub, ordered[hi]):
         # all-unmatched is always feasible at the largest half-persistence
         raise InternalInvariantError("threshold graph not monotone")
     while lo < hi:
         mid = (lo + hi) // 2
-        if _feasible(fa, fb, ordered[mid]):
+        if _feasible(pair, ua, ub, ordered[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return max(inf_cost, ordered[lo])
+    return max(inf_cost, float(ordered[lo]))
 
 
 def bottleneck_oracle(A: Barcode, B: Barcode, degree: int) -> float:

@@ -43,8 +43,11 @@ class FiniteMetricSpace:
         off = d[~np.eye(n, dtype=bool)]
         if off.size and off.min() <= 0.0:
             raise MetricError("distinct points at non-positive distance")
-        # d(x,y) <= d(x,z) + d(z,y) for all z, within tolerance
-        slack = (d[:, None, :] + d[None, :, :]).min(axis=2)
+        # d(x,y) <= d(x,z) + d(z,y) for all z, within tolerance; one row
+        # of slack at a time keeps the check in O(n^2) memory
+        slack = np.empty_like(d)
+        for i in range(n):
+            slack[i] = (d[i] + d).min(axis=1)
         if (d > slack + _TOL).any():
             i, j = np.unravel_index(np.argmax(d - slack), d.shape)
             raise MetricError(

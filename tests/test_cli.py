@@ -174,6 +174,15 @@ def test_bottleneck_non_numeric_field(tmp_path, capsys):
     assert "malformed barcode JSON" in capsys.readouterr().err
 
 
+def test_bottleneck_infinite_birth(tmp_path, capsys):
+    # |-inf - -inf| is nan, which no pair cost may be
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"bars": [{"degree": 0, "birth": -Infinity, "death": 1}]}')
+    assert main(["bottleneck", "--a", str(bad), "--b", str(bad),
+                 "--degree", "0"]) == 2
+    assert "bar birth must be finite" in capsys.readouterr().err
+
+
 def test_gh_bound_command(circle_file, tmp_path, capsys):
     code, data = run_json(capsys, [
         "gh-bound", "--a", str(circle_file), "--b", str(circle_file),

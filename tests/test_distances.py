@@ -9,6 +9,7 @@ import pytest
 
 from steenrips.cohomology import Bar, Barcode
 from steenrips.distances import (
+    _costs,
     _feasible,
     bottleneck,
     bottleneck_oracle,
@@ -79,8 +80,8 @@ def test_bottleneck_long_augmenting_paths():
         "sys.setrecursionlimit(150)\n"
         "from steenrips.cohomology import Bar, Barcode\n"
         "from steenrips.distances import bottleneck\n"
-        "A = Barcode(Bar(0, i, i + 10) for i in range(300))\n"
-        "B = Barcode(Bar(0, i + 0.5, i + 10.5) for i in range(300))\n"
+        "A = Barcode(Bar(0, i, i + 10) for i in range(1000))\n"
+        "B = Barcode(Bar(0, i + 0.5, i + 10.5) for i in range(1000))\n"
         "print(bottleneck(A, B, 0))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -123,7 +124,9 @@ def test_threshold_feasibility_monotone():
                        | {(d - x) / 2 for x, d in fa + fb}
                        | {max(abs(x - y), abs(d - e))
                           for x, d in fa for y, e in fb})
-        flags = [_feasible(fa, fb, c) for c in costs]
+        pair, ua, ub = _costs(fa, fb)
+        flags = [_feasible(pair, ua, ub, c) for c in costs]
+        assert flags[-1]  # every bar unmatched is within the largest cost
         assert flags == sorted(flags)  # once feasible, stays feasible
 
 
