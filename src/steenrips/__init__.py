@@ -57,6 +57,7 @@ from .operations import (
     Operation,
     homological_radius,
     image_barcode,
+    image_kernel_barcodes,
     kernel_barcode,
     theta_radius,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "gluing_wedge",
     "homological_radius",
     "image_barcode",
+    "image_kernel_barcodes",
     "kernel_barcode",
     "linf_product",
     "load_complex",

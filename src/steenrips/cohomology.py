@@ -34,6 +34,8 @@ class Bar:
     multiplicity: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "birth", float(self.birth))
+        object.__setattr__(self, "death", float(self.death))
         if not self.birth < self.death:
             raise ValidationError(f"bar with birth {self.birth} >= death {self.death}")
         if math.isinf(self.birth):

@@ -17,7 +17,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import InternalInvariantError, MetricError, ValidationError
-from .simplicial import FilteredComplex, build
+from .simplicial import FilteredComplex
 
 _TOL = 1e-9
 
@@ -109,35 +109,56 @@ def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> Filte
     """Vietoris-Rips filtration up to the given dimension and scale.
 
     A simplex enters at its diameter (exact IEEE max of pairwise
-    distances, vertices at 0); incremental lower-neighbor expansion over
-    the distance graph thresholded at max_scale.
+    distances, vertices at 0).  The distance graph thresholded at
+    max_scale is read once into lower-neighbour maps ``near[v] =
+    {u: d[u, v]}``, u < v.  Expansion starts from each vertex v in
+    increasing order and prepends a common lower neighbour u of the
+    current simplex, depth first, so every clique of at most max_dim + 1
+    vertices is emitted exactly once, with increasing vertices.  Each
+    candidate u carries its largest distance to the current simplex, so
+    a diameter costs one comparison.  The (value, dimension, vertices)
+    entries are sorted once, which is the canonical order, and go to
+    FilteredComplex directly: they are duplicate-free, closed under
+    faces and monotone by construction, so :func:`build`'s validation
+    is skipped.
     """
     if max_dim < 0:
         raise ValidationError("max_dim must be nonnegative")
     if not max_scale > 0:
         raise ValidationError("max_scale must be positive")
     d = X.d
-    n = X.n
-    lower: list[list[int]] = [
-        [u for u in range(v) if d[u, v] <= max_scale] for v in range(n)
+    near: list[dict[int, float]] = []
+    for v in range(X.n):
+        # always the upper-triangle entry d[u, v], u < v: validation lets
+        # d[u, v] and d[v, u] differ by up to _TOL
+        column = d[:v, v]
+        us = np.flatnonzero(column <= max_scale)
+        near.append(dict(zip(us.tolist(), column[us].tolist())))
+    entries: list[tuple[float, int, tuple[int, ...]]] = [
+        (0.0, 0, (v,)) for v in range(X.n)
     ]
-    simplices: list[tuple[tuple[int, ...], float]] = [((v,), 0.0) for v in range(n)]
 
-    def expand(simplex: tuple[int, ...], diam: float, candidates: list[int]):
-        for idx, u in enumerate(candidates):
-            dd = max(diam, max(float(d[u, w]) for w in simplex))
+    def expand(simplex: tuple[int, ...], diam: float,
+               candidates: list[tuple[int, float]]):
+        dim = len(simplex)
+        for idx, (u, reach) in enumerate(candidates):
+            dd = reach if reach > diam else diam
             face = (u,) + simplex
-            simplices.append((face, dd))
-            if len(face) <= max_dim:
-                rest = [w for w in candidates[:idx] if d[w, u] <= max_scale]
+            entries.append((dd, dim, face))
+            if dim < max_dim:
+                lower_u = near[u]
+                rest = [(w, r if r >= x else x) for w, r in candidates[:idx]
+                        if (x := lower_u.get(w)) is not None]
                 if rest:
                     expand(face, dd, rest)
 
     if max_dim >= 1:
-        for v in range(n):
-            if lower[v]:
-                expand((v,), 0.0, lower[v])
-    return build(simplices)
+        for v in range(X.n):
+            if near[v]:
+                expand((v,), 0.0, list(near[v].items()))
+    entries.sort()
+    values, _, simplices = zip(*entries)
+    return FilteredComplex(simplices, values)
 
 
 def gluing_wedge(X: FiniteMetricSpace, x0: int, Y: FiniteMetricSpace, y0: int) -> FiniteMetricSpace:

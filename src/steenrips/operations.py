@@ -132,7 +132,8 @@ def _coboundary_pivots(K: FilteredComplex, p: int) -> PivotTable:
     return table
 
 
-def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
+def image_kernel_barcodes(K: FilteredComplex,
+                          op: Operation) -> tuple[Barcode, Barcode]:
     """Image and kernel barcodes of op, in one pass over the bars of
     H^ell (steps 1-3 of the module docstring)."""
     ell, m = op.source_degree, op.target_degree
@@ -178,12 +179,12 @@ def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
 
 def image_barcode(K: FilteredComplex, op: Operation) -> Barcode:
     """Barcode of the image persistence module of the operation."""
-    return _image_kernel(K, op)[0]
+    return image_kernel_barcodes(K, op)[0]
 
 
 def kernel_barcode(K: FilteredComplex, op: Operation) -> Barcode:
     """Barcode of the kernel persistence module of the operation."""
-    return _image_kernel(K, op)[1]
+    return image_kernel_barcodes(K, op)[1]
 
 
 def _signal_min_death(bars: list[Bar], eps: float | None) -> float:

@@ -43,41 +43,39 @@ def normalize_simplex(vertices: Iterable[int]) -> Simplex:
 class FilteredComplex:
     """Finite filtered simplicial complex in canonical order.
 
-    Construct through :func:`build`; instances are immutable.
+    Built by :func:`build`, which validates and sorts arbitrary input,
+    or directly by :func:`steenrips.metric.vr_filtration` and
+    :func:`sublevel`, whose output is canonical by construction.  The
+    constructor trusts its arguments to be sorted, duplicate-free, closed
+    under faces and monotone.  Instances are immutable.
     """
 
     __slots__ = (
         "simplices",
         "values",
-        "index",
         "dim_simplices",
         "dim_values",
         "dim_index",
         "distinct_values",
-        "_dim_value_lists",
     )
 
     def __init__(self, simplices: Sequence[Simplex], values: Sequence[float]):
         self.simplices = tuple(simplices)
-        self.values = tuple(float(v) for v in values)
-        self.index = {s: i for i, s in enumerate(self.simplices)}
-        top = max((len(s) for s in self.simplices), default=0)
+        self.values = tuple(map(float, values))
+        top = max(map(len, self.simplices), default=0)
         by_dim: list[list[Simplex]] = [[] for _ in range(top)]
         val_by_dim: list[list[float]] = [[] for _ in range(top)]
         for s, v in zip(self.simplices, self.values):
-            by_dim[len(s) - 1].append(s)
-            val_by_dim[len(s) - 1].append(v)
+            p = len(s) - 1
+            by_dim[p].append(s)
+            val_by_dim[p].append(v)
         self.dim_simplices = tuple(tuple(ss) for ss in by_dim)
         self.dim_values = tuple(tuple(vv) for vv in val_by_dim)
         self.dim_index = tuple(
-            {s: i for i, s in enumerate(ss)} for ss in self.dim_simplices
+            dict(zip(ss, range(len(ss)))) for ss in self.dim_simplices
         )
-        seen: list[float] = []
-        for v in self.values:
-            if not seen or v > seen[-1]:
-                seen.append(v)
-        self.distinct_values = tuple(seen)
-        self._dim_value_lists = tuple(list(vv) for vv in self.dim_values)
+        # values are sorted, so first occurrences come in increasing order
+        self.distinct_values = tuple(dict.fromkeys(self.values))
 
     # -- basic queries -------------------------------------------------
 
@@ -109,14 +107,18 @@ class FilteredComplex:
         """Number of p-simplices with value <= the i-th distinct value."""
         if not 0 <= p < len(self.dim_simplices):
             return 0
-        return bisect_right(self._dim_value_lists[p], self.distinct_values[i])
+        return bisect_right(self.dim_values[p], self.distinct_values[i])
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * self.n_simplices(p)
                    for p in range(len(self.dim_simplices)))
 
     def value_of(self, simplex: Iterable[int]) -> float:
-        return self.values[self.index[normalize_simplex(simplex)]]
+        s = normalize_simplex(simplex)
+        p = len(s) - 1
+        if p >= len(self.dim_index):
+            raise KeyError(s)
+        return self.dim_values[p][self.dim_index[p][s]]
 
 
 def build(filtered_simplices: Iterable[tuple[Iterable[int], float]]) -> FilteredComplex:

@@ -25,6 +25,8 @@ def test_bar_validation():
         Bar(0, 1.0, 1.0)
     with pytest.raises(ValidationError):
         Bar(0, 0.0, 1.0, 0)
+    bar = Bar(0, 0, 3)
+    assert type(bar.birth) is float and type(bar.death) is float
 
 
 def test_barcode_multiset_merge_and_sort():

@@ -55,6 +55,12 @@ def test_bottleneck_infinite_bars():
     assert bottleneck(mixed_a, mixed_b, 0) == pytest.approx(0.2)
 
 
+def test_bottleneck_of_int_endpoints_is_float():
+    # Bar coerces its endpoints, so int-born essential bars give a float
+    d = bottleneck(Barcode([Bar(0, 0, INF)]), Barcode([Bar(0, 3, INF)]), 0)
+    assert repr(d) == "3.0"
+
+
 def test_bottleneck_respects_degree():
     a = Barcode([Bar(1, 0.0, 4.0)])
     b = Barcode([Bar(2, 0.0, 4.0)])

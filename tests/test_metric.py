@@ -22,7 +22,9 @@ from steenrips.metric import (
     sphere_sample,
     vr_filtration,
 )
-from steenrips.synthetic import random_metric_space
+from steenrips import simplicial
+from steenrips.simplicial import build
+from steenrips.synthetic import random_bounded_metric, random_metric_space
 
 import io
 from itertools import combinations
@@ -118,8 +120,46 @@ def test_vr_monotone_in_caps():
     small = vr_filtration(X, 1, 0.5)
     big = vr_filtration(X, 2, 0.9)
     for s, v in zip(small.simplices, small.values):
-        assert big.index.get(s) is not None
+        assert s in big.dim_index[len(s) - 1]
         assert big.value_of(s) == v
+
+
+def _tied_metric(rng, n):
+    """Seeded metric with many equal distances: entries in [1, 2] rounded
+    to one decimal (always a metric), or Euclidean distances between
+    distinct points of a 5x5 integer grid."""
+    if rng.integers(2):
+        return FiniteMetricSpace(np.round(random_bounded_metric(rng, n, 1.0, 2.0).d, 1))
+    cells = rng.choice(25, size=n, replace=False)
+    return metric_from_points(np.stack([cells // 5, cells % 5], axis=1))
+
+
+def test_vr_equals_build_of_same_pairs(monkeypatch):
+    calls = []
+    original = simplicial.normalize_simplex
+
+    def counting(vertices):
+        calls.append(1)
+        return original(vertices)
+
+    monkeypatch.setattr(simplicial, "normalize_simplex", counting)
+    rng = np.random.default_rng(26)
+    for _ in range(60):
+        X = _tied_metric(rng, int(rng.integers(2, 10)))
+        off = X.d[~np.eye(X.n, dtype=bool)]
+        scales = [off.min() / 2, off.min(), float(rng.choice(off)),
+                  float(rng.uniform(off.min(), off.max())), off.max()]
+        for scale in scales:
+            max_dim = int(rng.integers(0, 5))
+            calls.clear()
+            K = vr_filtration(X, max_dim, float(scale))
+            assert not calls
+            B = build(zip(K.simplices, K.values))
+            assert len(calls) == len(K)
+            assert K == B
+            assert K.dim_index == B.dim_index
+            assert K.dim_values == B.dim_values
+            assert K.distinct_values == B.distinct_values
 
 
 def test_four_point_circle_distances():

@@ -12,6 +12,7 @@ from steenrips.operations import (
     Operation,
     homological_radius,
     image_barcode,
+    image_kernel_barcodes,
     kernel_barcode,
     theta_radius,
 )
@@ -122,7 +123,9 @@ def test_fast_tables_match_literal_ops():
                 assert_matches_literal_ops(K, op)
 
 
-def test_one_sq_evaluation_per_cohomology_bar(monkeypatch):
+@pytest.fixture
+def cup_bits_calls(monkeypatch):
+    """Records the arguments of every _cup_bits call made by operations."""
     calls = []
     cup_bits = operations._cup_bits
 
@@ -131,10 +134,25 @@ def test_one_sq_evaluation_per_cohomology_bar(monkeypatch):
         return cup_bits(*args, **kwargs)
 
     monkeypatch.setattr(operations, "_cup_bits", counting)
+    return calls
+
+
+def test_one_sq_evaluation_per_cohomology_bar(cup_bits_calls):
     K = vr_filtration(projective_sample(2, 20, seed=1), 3, 2.3)
     image_barcode(K, Operation.sq(1, 1))
     # one evaluation per positive-length H^1 bar, not one per grid index
-    assert len(calls) == len(persistent_barcode(K, 1).in_degree(1)) == 6
+    assert len(cup_bits_calls) == len(persistent_barcode(K, 1).in_degree(1)) == 6
+
+
+def test_image_kernel_barcodes_share_one_pass(cup_bits_calls):
+    K = vr_filtration(projective_sample(2, 20, seed=1), 3, 2.3)
+    op = Operation.sq(1, 1)
+    both = image_kernel_barcodes(K, op)
+    assert len(cup_bits_calls) == 6
+    cup_bits_calls.clear()
+    separate = (image_barcode(K, op), kernel_barcode(K, op))
+    assert len(cup_bits_calls) == 12
+    assert both == separate
 
 
 def test_tied_values_match_literal_ops():

@@ -82,11 +82,12 @@ def test_faces_precede_cofaces():
     rng = np.random.default_rng(4)
     for _ in range(20):
         K = random_filtered_complex(rng)
+        position = {s: i for i, s in enumerate(K.simplices)}
         for pos, s in enumerate(K.simplices):
             if len(s) == 1:
                 continue
             for facet in [s[:i] + s[i + 1:] for i in range(len(s))]:
-                assert K.index[facet] < pos
+                assert position[facet] < pos
 
 
 def test_coboundary_triangle_boundary():
@@ -203,6 +204,9 @@ def test_text_parsing():
     K = load_complex("# comment\n0 0\n0 1\n1.5 0 1  # edge\n")
     assert len(K) == 3
     assert K.value_of([0, 1]) == 1.5
+    for missing in ([0, 2], [0, 1, 2]):
+        with pytest.raises(KeyError):
+            K.value_of(missing)
     with pytest.raises(ValidationError):
         load_complex("0\n")
     with pytest.raises(ValidationError):
