@@ -57,7 +57,6 @@ from .operations import (
     Operation,
     homological_radius,
     image_barcode,
-    image_kernel_barcodes,
     kernel_barcode,
     theta_radius,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "gluing_wedge",
     "homological_radius",
     "image_barcode",
-    "image_kernel_barcodes",
     "kernel_barcode",
     "linf_product",
     "load_complex",

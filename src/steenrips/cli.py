@@ -12,6 +12,8 @@ unreadable/unwritable file, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import inspect
+import io
 import json
 import math
 import sys
@@ -135,40 +137,23 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
                    help="allow overwriting existing output files")
 
 
-def _barcode_payload(bc: Barcode, operation: str, args,
-                     u_scale: bool = False) -> dict:
+def _finish_barcode(bc: Barcode, operation: str, args,
+                    u_scale: bool = False) -> None:
     if args.degree is not None:
         bc = bc.in_degree(args.degree)
     payload = bc.to_json_dict(operation=operation, u_scale=u_scale)
-    degrees = sorted({b.degree for b in bc.bars})
-    payload["radii"] = [
-        {
-            "degree": d,
-            "vr_scale": homological_radius(bc, d),
-            "u_scale": homological_radius(bc, d) / 2.0,
-        }
-        for d in degrees
-    ]
-    for entry in payload["radii"]:
-        if math.isinf(entry["vr_scale"]):
-            entry["vr_scale"] = entry["u_scale"] = None
-    return payload
-
-
-def _finish_barcode(bc: Barcode, payload: dict, args) -> None:
+    payload["radii"] = []
+    for d in sorted({b.degree for b in bc.bars}):
+        r = homological_radius(bc, d)
+        r = None if math.isinf(r) else r
+        payload["radii"].append({"degree": d, "vr_scale": r,
+                                 "u_scale": None if r is None else r / 2.0})
     _emit(payload, args.out, args.force)
-    if args.svg:
-        import io
-
-        buf = io.StringIO()
-        write_svg(bc if args.degree is None else bc.in_degree(args.degree), buf)
-        _write_text(args.svg, buf.getvalue(), args.force)
-    if args.csv:
-        import io
-
-        buf = io.StringIO()
-        write_csv(bc if args.degree is None else bc.in_degree(args.degree), buf)
-        _write_text(args.csv, buf.getvalue(), args.force)
+    for path, write in ((args.svg, write_svg), (args.csv, write_csv)):
+        if path:
+            buf = io.StringIO()
+            write(bc, buf)
+            _write_text(path, buf.getvalue(), args.force)
 
 
 def cmd_make(args) -> int:
@@ -196,8 +181,6 @@ def cmd_make(args) -> int:
         X = linf_product(A, B)
     else:
         raise ValidationError(f"unknown space kind {args.kind!r}")
-    import io
-
     buf = io.StringIO()
     save_distance_matrix(X, buf)
     _write_text(args.out, buf.getvalue(), args.force)
@@ -206,8 +189,6 @@ def cmd_make(args) -> int:
 
 def cmd_vr(args) -> int:
     K = vr_filtration(_load_space(args), args.max_dim, args.max_scale)
-    import io
-
     buf = io.StringIO()
     dump_complex(K, buf)
     _write_text(args.out, buf.getvalue(), args.force)
@@ -220,7 +201,7 @@ def cmd_barcode(args) -> int:
     if max_degree is None:
         max_degree = args.degree if args.degree is not None else max(K.dimension, 0)
     bc = persistent_barcode(K, max_degree, reduced=args.reduced)
-    _finish_barcode(bc, _barcode_payload(bc, "id", args), args)
+    _finish_barcode(bc, "id", args)
     return 0
 
 
@@ -228,8 +209,7 @@ def cmd_theta_barcode(args, kernel: bool) -> int:
     K = _filtration_from_args(args)
     op = _parse_op(args.op, args.source_degree)
     bc = kernel_barcode(K, op) if kernel else image_barcode(K, op)
-    payload = _barcode_payload(bc, op.name, args, u_scale=True)
-    _finish_barcode(bc, payload, args)
+    _finish_barcode(bc, op.name, args, u_scale=True)
     return 0
 
 
@@ -255,7 +235,13 @@ def cmd_gh_bound(args) -> int:
         X = load_distance_matrix(fh)
     with open(args.b) as fh:
         Y = load_distance_matrix(fh)
-    degrees = [int(t) for t in args.degrees.split(",") if t != ""]
+    try:
+        degrees = [int(t) for t in args.degrees.split(",") if t != ""]
+        if any(d < 0 for d in degrees):
+            raise ValueError
+    except ValueError:
+        raise ValidationError(f"bad --degrees {args.degrees!r}; need "
+                              "comma-separated nonnegative integers") from None
     ops = [_parse_op_at(s) for s in args.op or []]
     report = gh_lower_bound(X, Y, degrees, ops, args.max_dim, args.max_scale)
     for entry in report["per_invariant"]:
@@ -273,10 +259,12 @@ def cmd_verify(args) -> int:
         raise ValidationError(
             f"unknown suite {args.suite!r}; pick from {sorted(SUITES)}"
         )
+    if args.seed < 0:
+        raise ValidationError("--seed must be nonnegative")
+    if args.trials is not None and args.trials < 1:
+        raise ValidationError("--trials must be at least 1")
     kwargs = {"seed": args.seed}
     if args.trials is not None:
-        import inspect
-
         for key in ("trials", "pairs", "complexes"):
             if key in inspect.signature(suite).parameters:
                 kwargs[key] = args.trials

@@ -1,17 +1,16 @@
 """Ordinary persistent barcodes over F2 and static cohomology bases.
 
-The barcode comes from standard column reduction of the boundary matrix
-in the canonical filtration order, processed one dimension at a time
-from the top down so the clearing optimization can skip columns already
-known to be positive.  Static bases carry explicit cocycle
-representatives, which the Steenrod stage consumes.
+Over F2 the persistent cohomology barcode equals the homology barcode
+(de Silva, Morozov & Vejdemo-Johansson 2011).  It is read from one
+lazily built cohomology reduction per complex, which the image/kernel
+barcodes of :mod:`steenrips.operations` read too.  Static bases carry
+explicit cocycle representatives, which the Steenrod stage consumes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .errors import ValidationError
@@ -153,72 +152,93 @@ class CohomologyBasis:
         return len(self.cocycles)
 
 
-def _boundary_bits(K: FilteredComplex, p: int) -> list[int]:
-    """Columns of the boundary map on p-simplices, rows (p-1)-simplices."""
-    idx = K.dim_index[p - 1]
-    cols = []
-    for s in K.dim_simplices[p]:
-        bits = 0
-        for facet in combinations(s, p):
-            bits |= 1 << idx[facet]
-        cols.append(bits)
-    return cols
+class CohomologyReduction:
+    """The coboundaries delta_0, delta_1, ... of one complex, reduced
+    lazily, one degree at a time.
+
+    delta_p is reduced in reverse canonical order, each column augmented
+    with its unit bit above the rows, after clearing the p-simplices that
+    are pivots of delta_{p-1}: their columns would reduce to zero, so the
+    top simplices are never columns (Bauer, "Ripser", 2021).  A column of
+    sigma that keeps a lowest row tau gives the bar [value sigma, value
+    tau) of H^p, one that reduces to zero gives [value sigma, inf).  The
+    companion z left above the rows is supported on sigma and later
+    simplices, so it restricts to 0 below the birth and to a cocycle below
+    the death; the representatives of the bars alive at a value form a
+    basis of H^p there.  ``operations`` memoises the (image, kernel)
+    barcodes of each operation.  The object holds no reference to its
+    complex, so the two are freed together by reference counting.
+    """
+
+    __slots__ = ("tables", "bars", "operations")
+
+    def __init__(self):
+        self.tables: list[PivotTable] = []
+        self.bars: list[list[tuple[int, float, int]]] = []
+        self.operations: dict = {}
+
+    def degree(self, K: FilteredComplex,
+               p: int) -> tuple[PivotTable, list[tuple[int, float, int]]]:
+        """Reduced delta_p, with companions, and the positive-length bars
+        of H^p as (birth index, death, z) in reverse order of birth
+        index; 0 <= p <= dim(K)."""
+        for q in range(len(self.tables), p + 1):
+            cleared = self.tables[q - 1].columns if q else {}
+            rows = K.n_simplices(q + 1)
+            values = K.dim_values[q]
+            values_up = K.dim_values[q + 1] if rows else ()
+            table, bars = PivotTable(), []
+            cols = coboundary_columns(K, q)
+            while cols:
+                # popping consumes delta_q as it is reduced, so the
+                # matrix and its reduction are never held at once
+                col = cols.pop()
+                s = len(cols)
+                if s in cleared:
+                    continue
+                tau, z = table.insert_augmented(col | 1 << (rows + s), rows)
+                death = INF if tau is None else values_up[tau]
+                if values[s] < death:
+                    bars.append((s, death, z))
+            self.tables.append(table)
+            self.bars.append(bars)
+        return self.tables[p], self.bars[p]
+
+    def pivots(self, K: FilteredComplex, p: int) -> PivotTable:
+        """A new table of reduced delta_p with the companions masked off
+        (empty outside degrees 0..dim)."""
+        if not 0 <= p <= K.dimension:
+            return PivotTable()
+        mask = (1 << K.n_simplices(p + 1)) - 1
+        return PivotTable({q: col & mask
+                           for q, col in self.degree(K, p)[0].columns.items()})
+
+
+def reduction(K: FilteredComplex) -> CohomologyReduction:
+    """The cohomology reduction of K, created on first use."""
+    if K._reduction is None:
+        K._reduction = CohomologyReduction()
+    return K._reduction
 
 
 def persistent_barcode(K: FilteredComplex, max_degree: int,
                        reduced: bool = False) -> Barcode:
     """Barcode of the filtration in degrees 0..max_degree.
 
-    Over a field the cohomology barcode coincides, so one reduction
-    serves both readings.  Zero-length pairs (birth value == death
-    value) are dropped.  With ``reduced`` one infinite degree-0 bar is
-    removed.
+    Read from the cohomology reduction of K; over a field the homology
+    barcode coincides.  Zero-length pairs (birth value == death value)
+    are dropped.  With ``reduced`` one infinite degree-0 bar is removed.
     """
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative")
-    top = min(K.dimension, max_degree + 1)
-    bars: list[Bar] = []
-    # 'cleared' holds the p-simplices that were lows in the round above:
-    # they are positive, and their finite bars are already recorded.
-    cleared: set[int] = set()
-    for p in range(top, 0, -1):
-        cols = _boundary_bits(K, p)
-        values_p = K.dim_values[p]
-        values_f = K.dim_values[p - 1]
-        pivot_col: dict[int, int] = {}
-        next_cleared: set[int] = set()
-        for j in range(len(cols)):
-            if j in cleared:
-                continue
-            bits = cols[j]
-            # highest-bit pivots, not PivotTable's lowest: bit_length()
-            # needs no negated copy of the column, and this loop is faster
-            while bits:
-                low = bits.bit_length() - 1
-                other = pivot_col.get(low)
-                if other is None:
-                    break
-                bits ^= other
-            if bits:
-                low = bits.bit_length() - 1
-                pivot_col[low] = bits
-                next_cleared.add(low)
-                if values_p[j] > values_f[low]:
-                    bars.append(Bar(p - 1, values_f[low], values_p[j]))
-            elif p <= max_degree:
-                # positive and never a low above: essential class
-                bars.append(Bar(p, values_p[j], INF))
-        cleared = next_cleared
-    if len(K):
-        for j, v in enumerate(K.dim_values[0]):
-            if j not in cleared:
-                bars.append(Bar(0, v, INF))
-    barcode = Barcode(bars)
+    red = reduction(K)
+    barcode = Barcode(Bar(p, K.dim_values[p][s], death)
+                      for p in range(min(max_degree, K.dimension) + 1)
+                      for s, death, _ in red.degree(K, p)[1])
     if reduced:
-        deg0 = [b for b in barcode.bars if b.degree == 0 and b.is_infinite]
-        if deg0:
-            first = min(deg0, key=lambda b: b.birth)
-            barcode = barcode.without_one(Bar(0, first.birth, INF))
+        essential = [b.birth for b in barcode.in_degree(0) if b.is_infinite]
+        if essential:
+            barcode = barcode.without_one(Bar(0, min(essential), INF))
     return barcode
 
 

@@ -15,14 +15,9 @@ order:
 
 The pass has three steps.
 
-1. delta_ell is reduced in reverse canonical order, each column
-   augmented with its unit bit, after clearing the ell-simplices that
-   are pivots of delta_{ell-1}.  A column of sigma that keeps a lowest
-   row tau gives the bar [value sigma, value tau), one that reduces to
-   zero gives [value sigma, inf).  The companion z above the rows is
-   supported on sigma and later simplices, so it restricts to 0 below
-   the birth and to a cocycle below the death; the representatives of
-   the bars alive at a value form a basis of H^ell there.
+1. The bars of H^ell, each with a representative cocycle z, come from
+   the cohomology reduction of K (steenrips.cohomology), which the
+   ordinary barcode reads too.
 2. Image: theta(z) is evaluated once per bar, below the bar's death, and
    inserted with z as companion into the global delta_{m-1} pivots, by
    decreasing death.  The bars alive past v_j are a prefix of that
@@ -37,7 +32,9 @@ The pass has three steps.
 
 In both modules r(i, j) is then the number of bars alive at v_i and
 v_j.  Tests pin both barcodes to the literal per-pair ranks of the
-reference implementations in tests/oracles.py.
+reference implementations in tests/oracles.py.  The delta_{m-1} and
+delta_{ell-1} pivots are the reduction's tables with the companions
+masked off, and both barcodes are memoised with the reduction.
 """
 
 from __future__ import annotations
@@ -46,10 +43,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .cohomology import Bar, Barcode
+from .cohomology import Bar, Barcode, reduction
 from .errors import ValidationError
-from .gf2 import PivotTable
-from .simplicial import Cochain, FilteredComplex, coboundary_columns, zero_cochain
+from .simplicial import Cochain, FilteredComplex, zero_cochain
 from .steenrod import _cup_bits, sq as _sq
 
 INF = math.inf
@@ -123,44 +119,23 @@ def _image_bits(K: FilteredComplex, op: Operation, cocycle_bits: int,
                      count=count_m)
 
 
-def _coboundary_pivots(K: FilteredComplex, p: int) -> PivotTable:
-    """delta_p reduced in reverse canonical order (empty for p < 0)."""
-    table = PivotTable()
-    if p >= 0:
-        for col in reversed(coboundary_columns(K, p)):
-            table.insert(col)
-    return table
-
-
-def image_kernel_barcodes(K: FilteredComplex,
-                          op: Operation) -> tuple[Barcode, Barcode]:
+def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
     """Image and kernel barcodes of op, in one pass over the bars of
-    H^ell (steps 1-3 of the module docstring)."""
+    H^ell (steps 2-3 of the module docstring), memoised per complex."""
     ell, m = op.source_degree, op.target_degree
     if ell > K.dimension:
         return Barcode(), Barcode()
+    red = reduction(K)
+    memo = red.operations.get(op)
+    if memo is not None:
+        return memo
     values_ell = K.dim_values[ell]
-    # step 1: bars of H^ell with representative cocycles
-    d_ell = _coboundary_pivots(K, ell - 1)
-    rows = K.n_simplices(ell + 1)
-    values_up = K.dim_values[ell + 1] if rows else ()
-    reduced = PivotTable()
-    bars = []
-    cols = coboundary_columns(K, ell)
-    for s in reversed(range(len(cols))):
-        if s in d_ell.columns:
-            continue
-        tau, z = reduced.insert_augmented(cols[s] | 1 << (rows + s), rows)
-        death = INF if tau is None else values_up[tau]
-        if values_ell[s] < death:
-            bars.append((death, z))
     # step 2: image, one evaluation of op per bar
     n_m = K.n_simplices(m)
     values_m = K.dim_values[m] if n_m else ()
-    # a copy when m == ell: step 3 adds to d_ell
-    d_m = PivotTable(d_ell.columns) if m == ell else _coboundary_pivots(K, m - 1)
+    d_m = red.pivots(K, m - 1)
     image, candidates = [], []
-    for death, z in sorted(bars, key=lambda bar: -bar[0]):
+    for _, death, z in sorted(red.degree(K, ell)[1], key=lambda bar: -bar[1]):
         img = _image_bits(K, op, z, bisect_left(values_m, death))
         p, kappa = d_m.insert_augmented(img | z << n_m, n_m)
         e = death
@@ -169,22 +144,24 @@ def image_kernel_barcodes(K: FilteredComplex,
             e = values_m[p]
         candidates.append((e, kappa))
     # step 3: kernel, the candidates in the global delta_{ell-1} pivots
+    d_ell = red.pivots(K, ell - 1)
     kernel = []
     for e, kappa in sorted(candidates, key=lambda c: -c[0]):
         q = d_ell.insert(kappa)
         if q is not None and values_ell[q] < e:
             kernel.append(Bar(ell, values_ell[q], e))
-    return Barcode(image), Barcode(kernel)
+    memo = red.operations[op] = (Barcode(image), Barcode(kernel))
+    return memo
 
 
 def image_barcode(K: FilteredComplex, op: Operation) -> Barcode:
     """Barcode of the image persistence module of the operation."""
-    return image_kernel_barcodes(K, op)[0]
+    return _image_kernel(K, op)[0]
 
 
 def kernel_barcode(K: FilteredComplex, op: Operation) -> Barcode:
     """Barcode of the kernel persistence module of the operation."""
-    return image_kernel_barcodes(K, op)[1]
+    return _image_kernel(K, op)[1]
 
 
 def _signal_min_death(bars: list[Bar], eps: float | None) -> float:

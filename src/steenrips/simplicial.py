@@ -47,7 +47,9 @@ class FilteredComplex:
     or directly by :func:`steenrips.metric.vr_filtration` and
     :func:`sublevel`, whose output is canonical by construction.  The
     constructor trusts its arguments to be sorted, duplicate-free, closed
-    under faces and monotone.  Instances are immutable.
+    under faces and monotone.  Instances are immutable but for
+    ``_reduction``, a cache of the cohomology reduction that
+    :mod:`steenrips.cohomology` builds on first use.
     """
 
     __slots__ = (
@@ -57,6 +59,7 @@ class FilteredComplex:
         "dim_values",
         "dim_index",
         "distinct_values",
+        "_reduction",
     )
 
     def __init__(self, simplices: Sequence[Simplex], values: Sequence[float]):
@@ -76,6 +79,7 @@ class FilteredComplex:
         )
         # values are sorted, so first occurrences come in increasing order
         self.distinct_values = tuple(dict.fromkeys(self.values))
+        self._reduction = None
 
     # -- basic queries -------------------------------------------------
 

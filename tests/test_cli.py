@@ -225,3 +225,27 @@ def test_bad_op_spec(tmp_path, capsys):
         dump_complex(rp2_complex(), fh)
     assert main(["image-barcode", "--complex", str(cplx),
                  "--op", "cup:1", "--source-degree", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "wedge", "--seed", "-1"],
+    ["verify", "stability", "--trials", "-3"],
+    ["verify", "stability", "--trials", "0"],
+    ["gh-bound", "--a", "{c}", "--b", "{c}", "--degrees", "x",
+     "--max-dim", "1", "--max-scale", "1"],
+    ["gh-bound", "--a", "{c}", "--b", "{c}", "--degrees", "0,-1",
+     "--max-dim", "1", "--max-scale", "1"],
+    ["gh-bound", "--a", "{c}", "--b", "{c}", "--op", "sq:1@x",
+     "--max-dim", "1", "--max-scale", "1"],
+    ["image-barcode", "--input", "{c}", "--max-dim", "1", "--max-scale", "1",
+     "--op", "cup:1", "--source-degree", "1"],
+    ["kernel-barcode", "--input", "{c}", "--max-dim", "1", "--max-scale", "1",
+     "--op", "id", "--source-degree", "-1"],
+], ids=["negative-seed", "negative-trials", "zero-trials", "degrees-not-int",
+        "negative-degree", "bad-source-degree", "bad-op", "negative-source-degree"])
+def test_bad_arguments_exit_2(circle_file, capsys, argv):
+    code = main([a.replace("{c}", str(circle_file)) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

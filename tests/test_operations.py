@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import steenrips.cohomology as cohomology
 import steenrips.operations as operations
 from steenrips.cohomology import Bar, Barcode, cohomology_basis, persistent_barcode
 from steenrips.errors import ValidationError
@@ -12,7 +13,6 @@ from steenrips.operations import (
     Operation,
     homological_radius,
     image_barcode,
-    image_kernel_barcodes,
     kernel_barcode,
     theta_radius,
 )
@@ -144,15 +144,25 @@ def test_one_sq_evaluation_per_cohomology_bar(cup_bits_calls):
     assert len(cup_bits_calls) == len(persistent_barcode(K, 1).in_degree(1)) == 6
 
 
-def test_image_kernel_barcodes_share_one_pass(cup_bits_calls):
+def test_barcode_image_kernel_share_one_reduction(cup_bits_calls, monkeypatch):
+    """Separate barcode, image and kernel calls on one complex build each
+    coboundary once and evaluate Sq1 once per H^1 bar."""
+    built = []
+    columns = cohomology.coboundary_columns
+
+    def counting(K, p):
+        built.append(p)
+        return columns(K, p)
+
+    monkeypatch.setattr(cohomology, "coboundary_columns", counting)
     K = vr_filtration(projective_sample(2, 20, seed=1), 3, 2.3)
     op = Operation.sq(1, 1)
-    both = image_kernel_barcodes(K, op)
-    assert len(cup_bits_calls) == 6
-    cup_bits_calls.clear()
-    separate = (image_barcode(K, op), kernel_barcode(K, op))
-    assert len(cup_bits_calls) == 12
-    assert both == separate
+    bc = persistent_barcode(K, 2)
+    img, ker = image_barcode(K, op), kernel_barcode(K, op)
+    assert sorted(built) == [0, 1, 2]
+    assert len(cup_bits_calls) == len(bc.in_degree(1)) == 6
+    assert img == image_barcode(K, op) and ker == kernel_barcode(K, op)
+    assert len(cup_bits_calls) == 6 and sorted(built) == [0, 1, 2]
 
 
 def test_tied_values_match_literal_ops():
