@@ -165,23 +165,26 @@ class CohomologyReduction:
     companion z left above the rows is supported on sigma and later
     simplices, so it restricts to 0 below the birth and to a cocycle below
     the death; the representatives of the bars alive at a value form a
-    basis of H^p there.  ``operations`` memoises the (image, kernel)
-    barcodes of each operation.  The object holds no reference to its
-    complex, so the two are freed together by reference counting.
+    basis of H^p there.  Only the bars keep their companions: once delta_p
+    is reduced its table is masked to the rows, and in the top degree,
+    where delta_p is zero, z is the unit cochain of sigma and is stored as
+    None.  ``operations`` memoises the (image, kernel) barcodes of each
+    operation.  The object holds no reference to its complex, so the two
+    are freed together by reference counting.
     """
 
     __slots__ = ("tables", "bars", "operations")
 
     def __init__(self):
         self.tables: list[PivotTable] = []
-        self.bars: list[list[tuple[int, float, int]]] = []
+        self.bars: list[list[tuple[int, float, int | None]]] = []
         self.operations: dict = {}
 
     def degree(self, K: FilteredComplex,
-               p: int) -> tuple[PivotTable, list[tuple[int, float, int]]]:
-        """Reduced delta_p, with companions, and the positive-length bars
-        of H^p as (birth index, death, z) in reverse order of birth
-        index; 0 <= p <= dim(K)."""
+               p: int) -> tuple[PivotTable, list[tuple[int, float, int | None]]]:
+        """Reduced delta_p and the positive-length bars of H^p as (birth
+        index, death, z) in reverse order of birth index (z None for the
+        unit cochain of the birth simplex); 0 <= p <= dim(K)."""
         for q in range(len(self.tables), p + 1):
             cleared = self.tables[q - 1].columns if q else {}
             rows = K.n_simplices(q + 1)
@@ -189,6 +192,8 @@ class CohomologyReduction:
             values_up = K.dim_values[q + 1] if rows else ()
             table, bars = PivotTable(), []
             cols = coboundary_columns(K, q)
+            for s in cleared:  # would reduce to zero: free them now
+                cols[s] = 0
             while cols:
                 # popping consumes delta_q as it is reduced, so the
                 # matrix and its reduction are never held at once
@@ -199,19 +204,19 @@ class CohomologyReduction:
                 tau, z = table.insert_augmented(col | 1 << (rows + s), rows)
                 death = INF if tau is None else values_up[tau]
                 if values[s] < death:
-                    bars.append((s, death, z))
+                    bars.append((s, death, z if rows else None))
+            mask = (1 << rows) - 1
+            for tau in table.columns:
+                table.columns[tau] &= mask
             self.tables.append(table)
             self.bars.append(bars)
         return self.tables[p], self.bars[p]
 
     def pivots(self, K: FilteredComplex, p: int) -> PivotTable:
-        """A new table of reduced delta_p with the companions masked off
-        (empty outside degrees 0..dim)."""
+        """A copy of reduced delta_p (empty outside degrees 0..dim)."""
         if not 0 <= p <= K.dimension:
             return PivotTable()
-        mask = (1 << K.n_simplices(p + 1)) - 1
-        return PivotTable({q: col & mask
-                           for q, col in self.degree(K, p)[0].columns.items()})
+        return PivotTable(self.degree(K, p)[0].columns)
 
 
 def reduction(K: FilteredComplex) -> CohomologyReduction:

@@ -33,8 +33,8 @@ The pass has three steps.
 In both modules r(i, j) is then the number of bars alive at v_i and
 v_j.  Tests pin both barcodes to the literal per-pair ranks of the
 reference implementations in tests/oracles.py.  The delta_{m-1} and
-delta_{ell-1} pivots are the reduction's tables with the companions
-masked off, and both barcodes are memoised with the reduction.
+delta_{ell-1} pivots are copies of the reduction's tables, and both
+barcodes are memoised with the reduction.
 """
 
 from __future__ import annotations
@@ -135,7 +135,8 @@ def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
     values_m = K.dim_values[m] if n_m else ()
     d_m = red.pivots(K, m - 1)
     image, candidates = [], []
-    for _, death, z in sorted(red.degree(K, ell)[1], key=lambda bar: -bar[1]):
+    for s, death, z in sorted(red.degree(K, ell)[1], key=lambda bar: -bar[1]):
+        z = 1 << s if z is None else z
         img = _image_bits(K, op, z, bisect_left(values_m, death))
         p, kappa = d_m.insert_augmented(img | z << n_m, n_m)
         e = death

@@ -225,9 +225,12 @@ def coboundary_columns(K: FilteredComplex, p: int) -> list[int]:
     if p + 1 > K.dimension:
         return cols
     src_index = K.dim_index[p]
-    for row, tau in enumerate(K.dim_simplices[p + 1]):
+    rows = K.dim_simplices[p + 1]
+    # last row first: each column takes its final size at its first bit,
+    # so the ints it passes through are all of one size
+    for row in range(len(rows) - 1, -1, -1):
         bit = 1 << row
-        for facet in combinations(tau, p + 1):
+        for facet in combinations(rows[row], p + 1):
             cols[src_index[facet]] |= bit
     return cols
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from steenrips.cohomology import (
     persistent_barcode,
 )
 from steenrips.errors import ValidationError
-from steenrips.metric import circle_grid, vr_filtration
+from steenrips.metric import circle_grid, projective_sample, vr_filtration
 from steenrips.simplicial import build, coboundary, rp2_complex, sublevel
 from steenrips.synthetic import random_filtered_complex
 
@@ -150,3 +151,19 @@ def test_rp2_barcode():
     K = rp2_complex()
     bc = persistent_barcode(K, 2)
     assert bc == Barcode([Bar(0, 0.0, INF), Bar(1, 0.0, INF), Bar(2, 0.0, INF)])
+
+
+def test_top_degree_memory_is_linear():
+    """The cocycle of a top-degree bar is the unit cochain of its birth
+    simplex and is not stored: reading the top degree keeps a bounded
+    number of bytes per top simplex, not an int as long as the degree
+    for each bar."""
+    K = vr_filtration(projective_sample(2, 25, seed=3), 3, 10.0)
+    persistent_barcode(K, K.dimension - 1)
+    tracemalloc.start()
+    bc = persistent_barcode(K, K.dimension)
+    retained = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    n_top = K.n_simplices(K.dimension)
+    assert n_top == 12650 and len(bc.in_degree(3)) > n_top // 2
+    assert retained < 200 * n_top

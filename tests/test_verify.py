@@ -1,6 +1,8 @@
 import pytest
 
-from steenrips.verify import SUITES, verify_product, verify_wedge
+from steenrips.verify import (
+    SUITES, verify_product, verify_stability, verify_wedge,
+)
 
 
 def test_all_suites_registered():
@@ -23,6 +25,11 @@ def test_suites_pass(name, kwargs):
     assert report["suite"] == name
     assert report["passed"] is True
     assert all(c["passed"] for c in report["checks"])
+
+
+def test_suite_without_checks_fails():
+    report = verify_stability(seed=0, trials=0)
+    assert report["checks"] == [] and report["passed"] is False
 
 
 def test_reports_are_json_ready():
