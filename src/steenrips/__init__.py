@@ -15,7 +15,7 @@ from .errors import (
     NotACocycleError,
     ValidationError,
 )
-from .gf2 import F2Matrix, F2Vector, member, nullspace, quotient_rank, rank
+from .gf2 import nullspace, quotient_rank, rank
 from .simplicial import (
     Cochain,
     FilteredComplex,
@@ -50,6 +50,7 @@ from .cohomology import (
     CohomologyBasis,
     betti_number,
     cohomology_basis,
+    is_coboundary,
     persistent_barcode,
 )
 from .steenrod import cup_i, sq
@@ -77,8 +78,6 @@ __all__ = [
     "ClosureError",
     "DimensionMismatchError",
     "DuplicateSimplexError",
-    "F2Matrix",
-    "F2Vector",
     "FilteredComplex",
     "FiniteMetricSpace",
     "GroupAction",
@@ -103,12 +102,12 @@ __all__ = [
     "gluing_wedge",
     "homological_radius",
     "image_barcode",
+    "is_coboundary",
     "kernel_barcode",
     "linf_product",
     "load_complex",
     "load_distance_matrix",
     "load_points_csv",
-    "member",
     "metric_from_points",
     "nullspace",
     "persistent_barcode",

@@ -12,7 +12,6 @@ unreadable/unwritable file, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import inspect
 import io
 import json
 import math
@@ -265,10 +264,7 @@ def cmd_verify(args) -> int:
         raise ValidationError("--trials must be at least 1")
     kwargs = {"seed": args.seed}
     if args.trials is not None:
-        for key in ("trials", "pairs", "complexes"):
-            if key in inspect.signature(suite).parameters:
-                kwargs[key] = args.trials
-                break
+        kwargs["trials"] = args.trials
     report = suite(**kwargs)
     _emit(report, args.out, args.force)
     return 0 if report["passed"] else 1
@@ -352,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a theorem-level property suite")
     p.add_argument("suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, help="trials/pairs/complexes override")
+    p.add_argument("--trials", type=int,
+                   help="number of random cases (suite default if omitted)")
     p.add_argument("--out")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .gf2 import F2Matrix, PivotTable, rank
+from .gf2 import PivotTable, rank
 from .simplicial import (
     Cochain,
     FilteredComplex,
@@ -142,11 +142,10 @@ class Barcode:
 
 @dataclass(frozen=True)
 class CohomologyBasis:
-    """Cocycle representatives of a basis of H^p, plus the coboundary space."""
+    """Cocycle representatives of a basis of H^p."""
 
     degree: int
     cocycles: tuple[Cochain, ...]
-    coboundary_basis: F2Matrix
 
     def __len__(self) -> int:
         return len(self.cocycles)
@@ -255,8 +254,6 @@ def cohomology_basis(K: FilteredComplex, p: int) -> CohomologyBasis:
     if p >= 1:
         for col in coboundary_columns(K, p - 1):
             coboundaries.insert(col)
-    boundary_basis = F2Matrix(K.n_simplices(p),
-                              tuple(sorted(coboundaries.columns.values())))
     # each nullspace vector of delta_p, reduced against the coboundaries
     # and the representatives before it, leaves a residual cocycle whose
     # class is independent of theirs
@@ -266,8 +263,16 @@ def cohomology_basis(K: FilteredComplex, p: int) -> CohomologyBasis:
         pivot = coboundaries.insert(z)
         if pivot is not None:
             reps.append(coboundaries.columns[pivot])
-    return CohomologyBasis(p, tuple(Cochain(K, p, r) for r in reps),
-                           boundary_basis)
+    return CohomologyBasis(p, tuple(Cochain(K, p, r) for r in reps))
+
+
+def is_coboundary(c: Cochain) -> bool:
+    """True iff the cochain c is a coboundary on its host, i.e. c is a
+    cocycle whose class is zero; read from the cohomology reduction."""
+    K, p = c.host, c.degree
+    if p == 0 or p > K.dimension:
+        return c.is_zero
+    return reduction(K).degree(K, p - 1)[0].reduce(c.bits) == 0
 
 
 def betti_number(K: FilteredComplex, p: int) -> int:

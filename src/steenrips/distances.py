@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .cohomology import Barcode
+from .cohomology import Barcode, persistent_barcode
 from .errors import InternalInvariantError, ValidationError
 from .metric import FiniteMetricSpace, vr_filtration
 from .operations import Operation, image_barcode
@@ -169,8 +169,6 @@ def bottleneck_oracle(A: Barcode, B: Barcode, degree: int) -> float:
 
 def _invariant_barcodes(X: FiniteMetricSpace, degrees: list[int],
                         ops: list[Operation], max_dim: int, max_scale: float):
-    from .cohomology import persistent_barcode
-
     K = vr_filtration(X, max_dim, max_scale)
     homology = persistent_barcode(K, max(degrees, default=0))
     images = {op: image_barcode(K, op) for op in ops}
@@ -214,8 +212,6 @@ def stability_check(X: FiniteMetricSpace, delta: float, trials: int,
     Returns per-trial distances, the max observed ratio d_B/delta, and a
     list of violating trials (empty when the inequality holds throughout).
     """
-    from .cohomology import persistent_barcode
-
     if delta < 0:
         raise ValidationError("delta must be nonnegative")
     rng = np.random.default_rng(seed)

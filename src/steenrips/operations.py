@@ -5,9 +5,9 @@ over the bars of H^ell.  The pass rests on two facts about the canonical
 order:
 
 * sublevels are bit-prefixes: the p-cochains of K_i occupy the first
-  count_at(p, i) bits of K's, and the coboundary of a simplex outside
-  K_i masks to zero there (faces precede cofaces), so one global
-  coboundary matrix serves every sublevel;
+  bits of K's, one per p-simplex of K_i, and the coboundary of a
+  simplex outside K_i masks to zero there (faces precede cofaces), so
+  one global coboundary matrix serves every sublevel;
 * a masked rank is a pivot count: columns reduced to distinct lowest
   set bits stay independent when masked to a prefix, and exactly those
   with a pivot inside it stay nonzero, so the rank of a masked span is

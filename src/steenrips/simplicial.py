@@ -24,7 +24,7 @@ from .errors import (
     MonotonicityError,
     ValidationError,
 )
-from .gf2 import F2Matrix, F2Vector, rank
+from .gf2 import rank
 
 Simplex = tuple[int, ...]
 
@@ -107,12 +107,6 @@ class FilteredComplex:
             return len(self.dim_simplices[p])
         return 0
 
-    def count_at(self, p: int, i: int) -> int:
-        """Number of p-simplices with value <= the i-th distinct value."""
-        if not 0 <= p < len(self.dim_simplices):
-            return 0
-        return bisect_right(self.dim_values[p], self.distinct_values[i])
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * self.n_simplices(p)
                    for p in range(len(self.dim_simplices)))
@@ -183,10 +177,6 @@ class Cochain:
             )
 
     @property
-    def support(self) -> F2Vector:
-        return F2Vector(self.host.n_simplices(self.degree), self.bits)
-
-    @property
     def is_zero(self) -> bool:
         return self.bits == 0
 
@@ -203,7 +193,7 @@ class Cochain:
 
     def simplices(self) -> tuple[Simplex, ...]:
         sims = self.host.dim_simplices[self.degree]
-        return tuple(sims[i] for i in self.support.support())
+        return tuple(s for i, s in enumerate(sims) if self.bits >> i & 1)
 
 
 def zero_cochain(K: FilteredComplex, p: int) -> Cochain:
@@ -235,11 +225,11 @@ def coboundary_columns(K: FilteredComplex, p: int) -> list[int]:
     return cols
 
 
-def coboundary_matrix(K: FilteredComplex, p: int) -> F2Matrix:
-    """Matrix of delta: C^p -> C^{p+1} in the canonical simplex order."""
+def coboundary_matrix(K: FilteredComplex, p: int) -> tuple[int, ...]:
+    """Columns of delta: C^p -> C^{p+1} in the canonical simplex order."""
     if p < 0:
         raise ValidationError("degree must be nonnegative")
-    return F2Matrix(K.n_simplices(p + 1), tuple(coboundary_columns(K, p)))
+    return tuple(coboundary_columns(K, p))
 
 
 def coboundary(c: Cochain) -> Cochain:

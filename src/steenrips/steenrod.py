@@ -17,10 +17,26 @@ complexes, and by the axioms on the projective plane.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 
 from .errors import DimensionMismatchError, NotACocycleError, ValidationError
 from .simplicial import Cochain, FilteredComplex, coboundary, zero_cochain
+
+
+@lru_cache(maxsize=None)
+def _blocks(p: int, q: int, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Vertex positions of the even and odd blocks of every cut tuple of
+    cup_i on degrees (p, q) whose even blocks hold p + 1 vertices."""
+    n = p + q - i
+    table = []
+    for cuts in combinations(range(n + 1), i + 1):
+        ends = (0, *cuts, n)
+        blocks = [range(ends[j], ends[j + 1] + 1) for j in range(i + 2)]
+        even, odd = (tuple(chain.from_iterable(blocks[k::2])) for k in (0, 1))
+        if len(even) == p + 1:
+            table.append((even, odd))
+    return tuple(table)
 
 
 def _cup_bits(K: FilteredComplex, p: int, q: int, i: int,
@@ -31,32 +47,16 @@ def _cup_bits(K: FilteredComplex, p: int, q: int, i: int,
     if n > K.dimension:
         return 0
     target = K.dim_simplices[n]
-    if count is None:
-        count = len(target)
     index_a = K.dim_index[p]
     index_b = K.dim_index[q]
+    blocks = _blocks(p, q, i)
     out = 0
-    cut_tuples = list(combinations(range(n + 1), i + 1))
-    for pos in range(count):
+    for pos in range(len(target) if count is None else count):
         sigma = target[pos]
         val = 0
-        for cuts in cut_tuples:
-            blocks_even: list[int] = []
-            blocks_odd: list[int] = []
-            prev = 0
-            for j, a in enumerate(cuts):
-                seg = sigma[prev:a + 1]
-                (blocks_even if j % 2 == 0 else blocks_odd).extend(seg)
-                prev = a
-            seg = sigma[prev:]
-            if (i + 1) % 2 == 0:
-                blocks_even.extend(seg)
-            else:
-                blocks_odd.extend(seg)
-            if len(blocks_even) != p + 1:
-                continue
-            face_a = index_a[tuple(blocks_even)]
-            face_b = index_b[tuple(blocks_odd)]
+        for even, odd in blocks:
+            face_a = index_a[tuple([sigma[v] for v in even])]
+            face_b = index_b[tuple([sigma[v] for v in odd])]
             val ^= (abits >> face_a) & (bbits >> face_b) & 1
         if val:
             out |= 1 << pos

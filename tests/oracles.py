@@ -13,12 +13,13 @@ from itertools import combinations
 
 from steenrips.cohomology import Bar, Barcode, cohomology_basis
 from steenrips.errors import DimensionMismatchError, ValidationError
-from steenrips.gf2 import F2Matrix, nullspace, quotient_rank, rank
+from steenrips.gf2 import nullspace, quotient_rank, rank
 from steenrips.operations import Operation
 from steenrips.simplicial import (
     Cochain,
     FilteredComplex,
     coboundary_columns,
+    cochain_from_simplices,
     sublevel,
 )
 
@@ -69,22 +70,14 @@ def brute_rank(K: FilteredComplex, p: int, i: int, j: int) -> int:
     is dim((Z_p(K_i) + B_p(K_j)) / B_p(K_j)).
     """
     Ki, Kj = sublevel(K, i), sublevel(K, j)
-    n_p = Kj.n_simplices(p)
-    cycles_i = _cycle_space(Ki, p)
-    boundaries_j = _chain_boundary_columns(Kj, p + 1)
-    Z = F2Matrix(n_p, tuple(cycles_i))
-    B = F2Matrix(n_p, tuple(boundaries_j))
-    return quotient_rank(Z, B)
+    return quotient_rank(_cycle_space(Ki, p), _chain_boundary_columns(Kj, p + 1))
 
 
 def brute_betti(K: FilteredComplex, p: int) -> int:
     if p < 0 or p > K.dimension:
         return 0
-    n_p = K.n_simplices(p)
-    rank_dp = rank(F2Matrix(K.n_simplices(p - 1) if p else 0,
-                             tuple(_chain_boundary_columns(K, p))))
-    rank_dp1 = rank(F2Matrix(n_p, tuple(_chain_boundary_columns(K, p + 1))))
-    return n_p - rank_dp - rank_dp1
+    return (K.n_simplices(p) - rank(_chain_boundary_columns(K, p))
+            - rank(_chain_boundary_columns(K, p + 1)))
 
 
 def mobius_barcode(rank, values, degree: int) -> Barcode:
@@ -144,10 +137,9 @@ def restrict_cochain(c: Cochain, K_i: FilteredComplex) -> Cochain:
     return Cochain(K_i, c.degree, c.bits & ((1 << n) - 1))
 
 
-def _coboundary_span(K: FilteredComplex, p: int) -> F2Matrix:
+def _coboundary_span(K: FilteredComplex, p: int) -> list[int]:
     """Coboundaries in degree p, as columns over K's p-simplices."""
-    return F2Matrix(K.n_simplices(p),
-                    tuple(coboundary_columns(K, p - 1)) if p >= 1 else ())
+    return coboundary_columns(K, p - 1) if p >= 1 else []
 
 
 def theta_rank(K: FilteredComplex, op: Operation, i: int, j: int) -> int:
@@ -157,9 +149,8 @@ def theta_rank(K: FilteredComplex, op: Operation, i: int, j: int) -> int:
         raise ValidationError(f"need i <= j, got ({i}, {j})")
     Kj, Ki = sublevel(K, j), sublevel(K, i)
     images = [op.apply(c) for c in cohomology_basis(Kj, op.source_degree).cocycles]
-    bound = _coboundary_span(Ki, op.target_degree)
-    span = F2Matrix(bound.rows, tuple(restrict_cochain(w, Ki).bits for w in images))
-    return quotient_rank(span, bound)
+    span = [restrict_cochain(w, Ki).bits for w in images]
+    return quotient_rank(span, _coboundary_span(Ki, op.target_degree))
 
 
 def kernel_rank(K: FilteredComplex, op: Operation, i: int, j: int) -> int:
@@ -172,14 +163,38 @@ def kernel_rank(K: FilteredComplex, op: Operation, i: int, j: int) -> int:
     images = [op.apply(c).bits for c in basis]
     # coefficient vectors a with sum a_t theta(c_t) a coboundary of K_j:
     # the first len(basis) coordinates of the nullspace of [images | delta]
-    bound_j = _coboundary_span(Kj, m)
-    relations = nullspace(F2Matrix(bound_j.rows, tuple(images) + bound_j.columns))
+    relations = nullspace(images + _coboundary_span(Kj, m))
     kappas = []
     for rel in relations:
         bits = 0
         for t, c in enumerate(basis):
-            if rel[t]:
+            if rel >> t & 1:
                 bits ^= c.bits
         kappas.append(restrict_cochain(Cochain(Kj, ell, bits), Ki).bits)
-    bound_i = _coboundary_span(Ki, ell)
-    return quotient_rank(F2Matrix(bound_i.rows, tuple(kappas)), bound_i)
+    return quotient_rank(kappas, _coboundary_span(Ki, ell))
+
+
+def cup_i_oracle(alpha: Cochain, beta: Cochain, i: int) -> Cochain:
+    """alpha cup_i beta, summed term by term from the formula.
+
+    On sigma = [v_0..v_n], n = p + q - i, the value is the sum over cut
+    tuples 0 <= a_0 < ... < a_i <= n of alpha(even blocks) * beta(odd
+    blocks), where block j runs from v_{a_{j-1}} to v_{a_j} (a_{-1} = 0,
+    a_{i+1} = n); a term whose blocks do not make a p-face and a q-face
+    is dropped.
+    """
+    K, p, q = alpha.host, alpha.degree, beta.degree
+    n = p + q - i
+    supported = []
+    for sigma in K.dim_simplices[n] if n <= K.dimension else ():
+        total = 0
+        for cuts in combinations(range(n + 1), i + 1):
+            a = (0, *cuts, n)
+            blocks = [sigma[a[j]:a[j + 1] + 1] for j in range(i + 2)]
+            front = sum(blocks[0::2], ())
+            back = sum(blocks[1::2], ())
+            if len(front) == p + 1 and len(back) == q + 1:
+                total += alpha.value_on(front) * beta.value_on(back)
+        if total % 2:
+            supported.append(sigma)
+    return cochain_from_simplices(K, n, supported)

@@ -202,6 +202,13 @@ def test_verify_command(capsys):
     assert data["passed"] is True
 
 
+def test_verify_trials_reaches_every_suite(capsys):
+    # product runs the circle case plus one random pair per trial
+    code, data = run_json(capsys, ["verify", "product", "--trials", "1"])
+    assert code == 0
+    assert len(data["checks"]) == 2
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nope"]) == 2
     assert "unknown suite" in capsys.readouterr().err

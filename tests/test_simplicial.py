@@ -93,21 +93,18 @@ def test_faces_precede_cofaces():
 def test_coboundary_triangle_boundary():
     K = build(TRIANGLE_BOUNDARY)
     m = coboundary_matrix(K, 0)
-    assert m.rows == 3 and m.ncols == 3
+    assert len(m) == 3 and max(c.bit_length() for c in m) <= 3
     assert rank(m) == 2
 
 
 def test_coboundary_above_top_dimension():
     K = build(TRIANGLE_BOUNDARY)
-    m = coboundary_matrix(K, 1)
-    assert m.rows == 0 and m.ncols == 3
+    assert coboundary_matrix(K, 1) == (0, 0, 0)
 
 
 def test_coboundary_full_triangle_degree1():
     K = build(FULL_TRIANGLE)
-    m = coboundary_matrix(K, 1)
-    assert m.rows == 1 and m.ncols == 3
-    assert m.columns == (1, 1, 1)
+    assert coboundary_matrix(K, 1) == (1, 1, 1)
 
 
 def test_delta_squared_is_zero():
@@ -115,8 +112,8 @@ def test_delta_squared_is_zero():
     for _ in range(20):
         K = random_filtered_complex(rng)
         for p in range(K.dimension):
-            outer = coboundary_matrix(K, p + 1).columns
-            for col in coboundary_matrix(K, p).columns:
+            outer = coboundary_matrix(K, p + 1)
+            for col in coboundary_matrix(K, p):
                 acc = 0
                 for i in range(col.bit_length()):
                     if col >> i & 1:

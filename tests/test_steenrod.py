@@ -1,32 +1,19 @@
 import numpy as np
 import pytest
 
-from steenrips.cohomology import cohomology_basis
+from steenrips.cohomology import cohomology_basis, is_coboundary
 from steenrips.errors import NotACocycleError, ValidationError
-from steenrips.gf2 import F2Matrix, member
 from steenrips.simplicial import (
     Cochain,
     build,
     coboundary,
-    coboundary_columns,
     cochain_from_simplices,
     rp2_complex,
 )
 from steenrips.steenrod import cup_i, sq
 from steenrips.synthetic import random_filtered_complex
 
-
-def class_is_zero(c: Cochain) -> bool:
-    """Is the cocycle a coboundary on its host?"""
-    K, p = c.host, c.degree
-    if p == 0:
-        return c.is_zero
-    bound = F2Matrix(K.n_simplices(p), tuple(coboundary_columns(K, p - 1)))
-    return member(bound, c.support)
-
-
-def classes_equal(a: Cochain, b: Cochain) -> bool:
-    return class_is_zero(a + b)
+from oracles import cup_i_oracle
 
 
 def test_cup0_is_front_face_back_face():
@@ -54,6 +41,25 @@ def test_cup_degree_bounds():
     a = cochain_from_simplices(K, 0, [[0]])
     with pytest.raises(ValidationError):
         cup_i(a, a, 1)
+
+
+def test_cup_i_matches_formula():
+    # every (p, q, i) with a nonempty target degree, on 100 seeds
+    checked = set()
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        K = random_filtered_complex(rng, target_size=22)
+        for p in range(K.dimension + 1):
+            for q in range(K.dimension + 1):
+                for i in range(min(p, q) + 1):
+                    if p + q - i > K.dimension:
+                        continue
+                    a = Cochain(K, p, int(rng.integers(0, 1 << K.n_simplices(p))))
+                    b = Cochain(K, q, int(rng.integers(0, 1 << K.n_simplices(q))))
+                    assert cup_i(a, b, i).bits == cup_i_oracle(a, b, i).bits
+                    checked.add((p, q, i))
+    assert {(p, q, i) for p in range(4) for q in range(4)
+            for i in range(min(p, q) + 1) if p + q - i <= 3} <= checked
 
 
 def test_coboundary_identity_exhaustive():
@@ -95,7 +101,7 @@ def test_sq0_is_identity_on_classes():
         K = random_filtered_complex(rng, target_size=22)
         for p in range(K.dimension + 1):
             for c in cohomology_basis(K, p).cocycles:
-                assert classes_equal(sq(0, c), c)
+                assert is_coboundary(sq(0, c) + c)
 
 
 def test_sq_above_degree_is_zero():
@@ -111,8 +117,8 @@ def test_rp2_cup_square_generates_h2():
     sigma = cohomology_basis(K, 1).cocycles[0]
     square = cup_i(sigma, sigma, 0)
     assert coboundary(square).is_zero
-    assert not class_is_zero(square)        # generates H^2(RP^2)
-    assert classes_equal(sq(1, sigma), square)
+    assert not is_coboundary(square)        # generates H^2(RP^2)
+    assert is_coboundary(sq(1, sigma) + square)
 
 
 def test_sq_well_defined_on_classes():
@@ -127,7 +133,7 @@ def test_sq_well_defined_on_classes():
             bbits = int(rng.integers(0, 1 << K.n_simplices(p - 1)))
             c2 = c + coboundary(Cochain(K, p - 1, bbits))
             for k in range(0, p + 1):
-                assert classes_equal(sq(k, c), sq(k, c2))
+                assert is_coboundary(sq(k, c) + sq(k, c2))
 
 
 def test_sq_additive_on_classes():
@@ -140,7 +146,7 @@ def test_sq_additive_on_classes():
                 continue
             c, c2 = basis[0], basis[1]
             for k in range(0, p + 1):
-                assert classes_equal(sq(k, c + c2), sq(k, c) + sq(k, c2))
+                assert is_coboundary(sq(k, c + c2) + sq(k, c) + sq(k, c2))
 
 
 def test_adem_sq1_sq1_vanishes():
@@ -150,7 +156,7 @@ def test_adem_sq1_sq1_vanishes():
     for K in complexes:
         for p in range(K.dimension + 1):
             for c in cohomology_basis(K, p).cocycles:
-                assert class_is_zero(sq(1, sq(1, c)))
+                assert is_coboundary(sq(1, sq(1, c)))
 
 
 def test_cup_bits_prefix_count_matches_mask():
@@ -180,4 +186,4 @@ def test_cartan_spot_check_on_rp2():
     rhs = cup_i(sq(1, sigma), sigma, 0) + cup_i(sigma, sq(1, sigma), 0)
     # both live in degree 3; RP^2 has no 3-simplices, so the cochain-level
     # statement modulo coboundaries is the strongest available reading
-    assert class_is_zero(lhs + rhs)
+    assert is_coboundary(lhs + rhs)

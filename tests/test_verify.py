@@ -13,11 +13,11 @@ def test_all_suites_registered():
 
 
 @pytest.mark.parametrize("name,kwargs", [
-    ("wedge", {"seed": 3, "pairs": 4}),
+    ("wedge", {"seed": 3, "trials": 4}),
     ("product", {"seed": 0}),
     ("stability", {"seed": 2, "trials": 5}),
-    ("steenrod-axioms", {"seed": 0, "complexes": 4}),
-    ("adem-sq1", {"seed": 0, "complexes": 5}),
+    ("steenrod-axioms", {"seed": 0, "trials": 4}),
+    ("adem-sq1", {"seed": 0, "trials": 5}),
     ("bottleneck-oracle", {"seed": 0, "trials": 40}),
 ])
 def test_suites_pass(name, kwargs):
@@ -37,5 +37,5 @@ def test_reports_are_json_ready():
 
     report = verify_product(seed=1)
     json.dumps(report)
-    report = verify_wedge(seed=1, pairs=2)
+    report = verify_wedge(seed=1, trials=2)
     json.dumps(report)
