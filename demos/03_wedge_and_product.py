@@ -9,12 +9,10 @@ with the sup metric obey a Kunneth rule at every scale.
 import numpy as np
 
 from steenrips import (
-    betti_number,
     circle_grid,
     gluing_wedge,
     linf_product,
     persistent_barcode,
-    sublevel,
     vr_filtration,
 )
 from steenrips.synthetic import random_metric_space
@@ -38,11 +36,12 @@ C = circle_grid(4, 1.0)
 P = linf_product(C, C)          # 16 points, a discrete torus
 KP = vr_filtration(P, 3, P.diameter() + 1e-9)
 KC = vr_filtration(C, 3, P.diameter() + 1e-9)
+barcode_p, barcode_c = persistent_barcode(KP, 2), persistent_barcode(KC, 2)
 
+# the Betti numbers at scale t count the bars alive at t
 print("\n  scale   torus Betti (0,1,2)   Kunneth from circle factors")
-for i, t in enumerate(KP.distinct_values):
-    bp = [betti_number(sublevel(KP, i), m) for m in range(3)]
-    j = max(k for k, v in enumerate(KC.distinct_values) if v <= t)
-    bc = [betti_number(sublevel(KC, j), m) for m in range(3)]
+for t in KP.distinct_values:
+    bp = [barcode_p.alive(m, t) for m in range(3)]
+    bc = [barcode_c.alive(m, t) for m in range(3)]
     kunneth = [sum(bc[a] * bc[m - a] for a in range(m + 1)) for m in range(3)]
     print(f"  {t:5.3f}   {bp}             {kunneth}")

@@ -48,7 +48,6 @@ from .cohomology import (
     Bar,
     Barcode,
     CohomologyBasis,
-    betti_number,
     cohomology_basis,
     is_coboundary,
     persistent_barcode,
@@ -88,7 +87,6 @@ __all__ = [
     "Operation",
     "ValidationError",
     "antipodal_action",
-    "betti_number",
     "bottleneck",
     "bottleneck_oracle",
     "build",

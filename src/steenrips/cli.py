@@ -99,12 +99,18 @@ def _parse_op_at(spec: str) -> Operation:
     return _parse_op(body, source)
 
 
+def _read_matrix(path: str) -> FiniteMetricSpace:
+    with open(path) as fh:
+        return load_distance_matrix(fh)
+
+
 def _load_space(args) -> FiniteMetricSpace:
     if getattr(args, "points", None):
         pts = load_points_csv(Path(args.points).read_text())
         return metric_from_points(pts, args.metric)
-    with open(args.input) as fh:
-        return load_distance_matrix(fh)
+    if args.input is None:
+        raise ValidationError("need --input or --points")
+    return _read_matrix(args.input)
 
 
 def _filtration_from_args(args):
@@ -166,18 +172,14 @@ def cmd_make(args) -> int:
                           antipodal_closure=args.antipodal)
     elif args.kind == "rp":
         X = projective_sample(args.dim, args.count, args.seed, args.radius)
-    elif args.kind == "wedge":
-        with open(args.a) as fh:
-            A = load_distance_matrix(fh)
-        with open(args.b) as fh:
-            B = load_distance_matrix(fh)
-        X = gluing_wedge(A, args.a_base, B, args.b_base)
-    elif args.kind == "product":
-        with open(args.a) as fh:
-            A = load_distance_matrix(fh)
-        with open(args.b) as fh:
-            B = load_distance_matrix(fh)
-        X = linf_product(A, B)
+    elif args.kind in ("wedge", "product"):
+        if args.a is None or args.b is None:
+            raise ValidationError(f"make {args.kind} needs --a and --b")
+        A, B = _read_matrix(args.a), _read_matrix(args.b)
+        if args.kind == "wedge":
+            X = gluing_wedge(A, args.a_base, B, args.b_base)
+        else:
+            X = linf_product(A, B)
     else:
         raise ValidationError(f"unknown space kind {args.kind!r}")
     buf = io.StringIO()
@@ -230,10 +232,7 @@ def cmd_bottleneck(args) -> int:
 
 
 def cmd_gh_bound(args) -> int:
-    with open(args.a) as fh:
-        X = load_distance_matrix(fh)
-    with open(args.b) as fh:
-        Y = load_distance_matrix(fh)
+    X, Y = _read_matrix(args.a), _read_matrix(args.b)
     try:
         degrees = [int(t) for t in args.degrees.split(",") if t != ""]
         if any(d < 0 for d in degrees):

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .gf2 import PivotTable, rank
-from .simplicial import (
-    Cochain,
-    FilteredComplex,
-    coboundary_columns,
-    coboundary_matrix,
-)
+from .gf2 import PivotTable
+from .simplicial import Cochain, FilteredComplex, coboundary_columns
 
 INF = math.inf
 
@@ -273,11 +268,3 @@ def is_coboundary(c: Cochain) -> bool:
     if p == 0 or p > K.dimension:
         return c.is_zero
     return reduction(K).degree(K, p - 1)[0].reduce(c.bits) == 0
-
-
-def betti_number(K: FilteredComplex, p: int) -> int:
-    """dim H^p(K; F2) from coboundary ranks (independent of the reduction)."""
-    if p < 0 or p > K.dimension:
-        return 0
-    rank_pm1 = rank(coboundary_matrix(K, p - 1)) if p >= 1 else 0
-    return K.n_simplices(p) - rank(coboundary_matrix(K, p)) - rank_pm1

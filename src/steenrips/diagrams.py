@@ -22,14 +22,14 @@ def write_csv(barcode: Barcode, stream: TextIO) -> None:
         stream.write(f"{b.degree},{b.birth!r},{death},{b.multiplicity}\n")
 
 
-def write_svg(barcode: Barcode, stream: TextIO, size: int = 420) -> None:
+def write_svg(barcode: Barcode, stream: TextIO) -> None:
     finite = [v for b in barcode.bars for v in (b.birth, b.death)
               if math.isfinite(v)]
     top = max(finite, default=1.0)
     if top <= 0:
         top = 1.0
     lim = 1.1 * top
-    pad, plot = 40.0, float(size)
+    pad, plot = 40.0, 420.0
 
     def sx(v: float) -> float:
         return pad + (v / lim) * plot

@@ -205,9 +205,10 @@ def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace,
 
 def stability_check(X: FiniteMetricSpace, delta: float, trials: int,
                     seed: int, op: Operation, degree: int,
-                    max_dim: int, max_scale: float | None = None) -> dict:
+                    max_dim: int) -> dict:
     """Perturb the metric by sup-norm <= delta and verify the stability
-    inequality: every bottleneck distance must stay <= delta.
+    inequality: every bottleneck distance must stay <= delta.  The VR
+    scale is capped at diameter + 2 delta, past every perturbed diameter.
 
     Returns per-trial distances, the max observed ratio d_B/delta, and a
     list of violating trials (empty when the inequality holds throughout).
@@ -215,11 +216,9 @@ def stability_check(X: FiniteMetricSpace, delta: float, trials: int,
     if delta < 0:
         raise ValidationError("delta must be nonnegative")
     rng = np.random.default_rng(seed)
-    if max_scale is None:
-        max_scale = X.diameter() + 2.0 * delta + 1e-9
-    K = vr_filtration(X, max_dim, max_scale)
-    base_h = persistent_barcode(K, degree)
-    base_img = image_barcode(K, op)
+    max_scale = X.diameter() + 2.0 * delta + 1e-9
+    base_h, base_img = _invariant_barcodes(X, [degree], [op], max_dim,
+                                           max_scale)
 
     results = []
     violations = []
@@ -238,9 +237,10 @@ def stability_check(X: FiniteMetricSpace, delta: float, trials: int,
             raise ValidationError(
                 "could not produce a valid perturbed metric after 100 tries"
             )
-        Kp = vr_filtration(pert, max_dim, max_scale)
-        d_h = bottleneck(base_h, persistent_barcode(Kp, degree), degree)
-        d_img = bottleneck(base_img, image_barcode(Kp, op), op.target_degree)
+        pert_h, pert_img = _invariant_barcodes(pert, [degree], [op], max_dim,
+                                               max_scale)
+        d_h = bottleneck(base_h, pert_h, degree)
+        d_img = bottleneck(base_img[op], pert_img[op], op.target_degree)
         results.append({"trial": trial, "d_B_homology": d_h, "d_B_image": d_img})
         tol = delta + 1e-12
         if d_h > tol or d_img > tol:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
@@ -71,7 +71,6 @@ class GroupAction:
 
     space: FiniteMetricSpace
     generators: tuple[tuple[int, ...], ...]
-    elements: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
         n = self.space.n
@@ -81,27 +80,27 @@ class GroupAction:
             perm = np.asarray(g)
             if np.abs(self.space.d[np.ix_(perm, perm)] - self.space.d).max() > _TOL:
                 raise ValidationError("generator is not an isometry")
-        identity = tuple(range(n))
-        elems = {identity}
-        frontier = [identity]
-        while frontier:
-            e = frontier.pop()
-            for g in self.generators:
-                h = tuple(g[i] for i in e)
-                if h not in elems:
-                    elems.add(h)
-                    frontier.append(h)
-        object.__setattr__(self, "elements", tuple(sorted(elems)))
 
     def orbits(self) -> list[tuple[int, ...]]:
-        seen: set[int] = set()
+        """Orbits by least point, each sorted.
+
+        The inverse of a permutation is one of its powers, so the orbit of
+        x is its component in the graph x -> g(x) over the generators g;
+        the group itself is never built.
+        """
+        seen = [False] * self.space.n
         out = []
         for x in range(self.space.n):
-            if x in seen:
+            if seen[x]:
                 continue
-            orb = sorted({e[x] for e in self.elements})
-            seen.update(orb)
-            out.append(tuple(orb))
+            seen[x] = True
+            orb = [x]
+            for y in orb:
+                for g in self.generators:
+                    if not seen[g[y]]:
+                        seen[g[y]] = True
+                        orb.append(g[y])
+            out.append(tuple(sorted(orb)))
         return out
 
 

@@ -165,12 +165,9 @@ def kernel_barcode(K: FilteredComplex, op: Operation) -> Barcode:
     return _image_kernel(K, op)[1]
 
 
-def _signal_min_death(bars: list[Bar], eps: float | None) -> float:
+def _signal_min_death(bars: list[Bar]) -> float:
     if not bars:
         return 0.0
-    if eps is not None:
-        deaths = [b.death for b in bars if b.birth <= eps]
-        return min(deaths) if deaths else 0.0
     # On a finite sample nothing is born at scale 0, so "bars born at the
     # start" is read as the signal bars: persistence at least half the
     # maximum.  (Noise is born late and dies fast; the classes of the
@@ -181,22 +178,17 @@ def _signal_min_death(bars: list[Bar], eps: float | None) -> float:
     return min(b.death for b in bars if b.death - b.birth >= pmax / 2.0)
 
 
-def homological_radius(barcode: Barcode, degree: int,
-                       eps: float | None = None) -> float:
+def homological_radius(barcode: Barcode, degree: int) -> float:
     """First death of the degree-``degree`` signal classes, at VR scale
     (the neighborhood-scale value is half of this).
 
-    With ``eps`` given, takes the minimum death among bars born by eps
-    (the exact reading for filtrations whose classes appear at the
-    start); otherwise the signal bars are those of at least half the
-    maximal persistence in the degree.  Returns 0 when the degree is
-    empty, inf when the signal never dies.
+    The signal bars are those of at least half the maximal persistence
+    in the degree.  Returns 0 when the degree is empty, inf when the
+    signal never dies.
     """
-    return _signal_min_death(
-        [b for b in barcode.bars if b.degree == degree], eps
-    )
+    return _signal_min_death([b for b in barcode.bars if b.degree == degree])
 
 
-def theta_radius(barcode: Barcode, eps: float | None = None) -> float:
+def theta_radius(barcode: Barcode) -> float:
     """First death of the signal bars of an operation barcode (VR scale)."""
-    return _signal_min_death(list(barcode.bars), eps)
+    return _signal_min_death(list(barcode.bars))

@@ -246,78 +246,38 @@ def coboundary(c: Cochain) -> Cochain:
 # -- reference spaces ------------------------------------------------------
 
 
-def _icosahedron() -> tuple[list[tuple[float, float, float]], list[tuple[int, int, int]]]:
-    phi = (1.0 + 5.0 ** 0.5) / 2.0
-    verts: list[tuple[float, float, float]] = []
-    for a in (1.0, -1.0):
-        for b in (phi, -phi):
-            verts.append((0.0, a, b))
-            verts.append((a, b, 0.0))
-            verts.append((b, 0.0, a))
-    # edges join vertices at squared distance 4
-    def d2(u, v):
-        return sum((x - y) ** 2 for x, y in zip(u, v))
-
-    n = len(verts)
-    adj = [[j for j in range(n) if j != i and abs(d2(verts[i], verts[j]) - 4.0) < 1e-9]
-           for i in range(n)]
-    faces = []
-    for i in range(n):
-        for j in adj[i]:
-            if j <= i:
-                continue
-            for k in adj[j]:
-                if k <= j or k not in adj[i]:
-                    continue
-                faces.append((i, j, k))
-    return verts, faces
+# The antipodal quotient of the icosahedron: six vertices, ten triangles.
+_RP2_TRIANGLES = (
+    (0, 1, 2), (0, 1, 4), (0, 2, 3), (0, 3, 5), (0, 4, 5),
+    (1, 2, 5), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 4, 5),
+)
 
 
 def rp2_complex() -> FilteredComplex:
     """Minimal 6-vertex triangulation of the projective plane, all values 0.
 
-    Built as the antipodal quotient of the icosahedron and self-validated:
-    Euler characteristic 1, F2 Betti numbers (1, 1, 1), every edge has
-    exactly two cofacing triangles.
+    Built from its ten triangles and self-validated: every edge has
+    exactly two cofacing triangles, Euler characteristic 1, F2 Betti
+    numbers (1, 1, 1).
     """
-    verts, faces = _icosahedron()
-    if len(verts) != 12 or len(faces) != 20:
-        raise InternalInvariantError("icosahedron construction failed")
-    antipode = {}
-    for i, v in enumerate(verts):
-        for j, w in enumerate(verts):
-            if all(abs(x + y) < 1e-9 for x, y in zip(v, w)):
-                antipode[i] = j
-    orbit_of: dict[int, int] = {}
-    for i in range(12):
-        if i not in orbit_of:
-            label = len(set(orbit_of.values()))
-            orbit_of[i] = label
-            orbit_of[antipode[i]] = label
-    quotient_faces = {tuple(sorted({orbit_of[v] for v in f})) for f in faces}
-    if len(quotient_faces) != 10 or any(len(f) != 3 for f in quotient_faces):
-        raise InternalInvariantError("icosahedron quotient is not 10 triangles")
-
-    simplices: list[tuple[Simplex, float]] = [((v,), 0.0) for v in range(6)]
-    edges = {e for f in quotient_faces for e in combinations(f, 2)}
-    simplices += [(e, 0.0) for e in sorted(edges)]
-    simplices += [(f, 0.0) for f in sorted(quotient_faces)]
+    cofaces: dict[Simplex, int] = {}
+    for f in _RP2_TRIANGLES:
+        for e in combinations(f, 2):
+            cofaces[e] = cofaces.get(e, 0) + 1
+    if any(c != 2 for c in cofaces.values()):
+        raise InternalInvariantError("triangles do not form a closed surface")
+    simplices = [((v,), 0.0) for v in range(6)]
+    simplices += [(s, 0.0) for s in (*cofaces, *_RP2_TRIANGLES)]
     K = build(simplices)
 
     if K.euler_characteristic() != 1:
-        raise InternalInvariantError("quotient is not RP2: wrong Euler characteristic")
-    cofaces: dict[Simplex, int] = {e: 0 for e in edges}
-    for f in quotient_faces:
-        for e in combinations(f, 2):
-            cofaces[e] += 1
-    if any(c != 2 for c in cofaces.values()):
-        raise InternalInvariantError("quotient is not a closed surface")
+        raise InternalInvariantError("not RP2: wrong Euler characteristic")
     # F2 Betti numbers via coboundary ranks
     ranks = [rank(coboundary_matrix(K, p)) for p in range(3)]
     betti = [K.n_simplices(p) - ranks[p] - (ranks[p - 1] if p else 0)
              for p in range(3)]
     if betti != [1, 1, 1]:
-        raise InternalInvariantError(f"quotient has Betti {betti}, expected (1,1,1)")
+        raise InternalInvariantError(f"not RP2: Betti {betti}, expected (1,1,1)")
     return K
 
 

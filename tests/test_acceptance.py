@@ -89,7 +89,7 @@ def test_criterion_01_circle_barcode():
 
 def test_criterion_02_wedge_decomposition():
     with criterion(2, "wedge barcodes decompose as unions", budget=30.0):
-        report = verify_wedge(seed=0, trials=20, max_points=8)
+        report = verify_wedge(seed=0, trials=20)
         assert report["passed"], [c for c in report["checks"]
                                   if not c["passed"]]
 
@@ -168,7 +168,7 @@ def test_criterion_08_identity_operation_oracle():
 
 def test_criterion_09_stability():
     with criterion(9, "stability under sup-norm perturbation", budget=60.0):
-        report = verify_stability(seed=0, trials=50, delta=0.05, n_points=12)
+        report = verify_stability(seed=0, trials=50)
         assert report["passed"], [c for c in report["checks"]
                                   if not c["passed"]]
         assert report["max_ratio"] <= 1.0 + 1e-9

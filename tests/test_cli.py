@@ -248,8 +248,12 @@ def test_bad_op_spec(tmp_path, capsys):
      "--op", "cup:1", "--source-degree", "1"],
     ["kernel-barcode", "--input", "{c}", "--max-dim", "1", "--max-scale", "1",
      "--op", "id", "--source-degree", "-1"],
+    ["make", "wedge", "--a", "{c}", "--out", "{c}.out"],
+    ["make", "product", "--b", "{c}", "--out", "{c}.out"],
+    ["vr", "--max-dim", "1", "--max-scale", "1", "--out", "{c}.out"],
 ], ids=["negative-seed", "negative-trials", "zero-trials", "degrees-not-int",
-        "negative-degree", "bad-source-degree", "bad-op", "negative-source-degree"])
+        "negative-degree", "bad-source-degree", "bad-op", "negative-source-degree",
+        "wedge-without-b", "product-without-a", "vr-without-input"])
 def test_bad_arguments_exit_2(circle_file, capsys, argv):
     code = main([a.replace("{c}", str(circle_file)) for a in argv])
     err = capsys.readouterr().err

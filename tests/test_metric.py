@@ -229,6 +229,27 @@ def test_quotient_free_action_orbit_count():
     assert quotient_metric(X, act).n == 10
 
 
+def test_orbits_without_building_the_group():
+    # (0 1) and the 8-cycle generate all 40,320 permutations of 8 points;
+    # the orbits come from the two generators alone
+    X = FiniteMetricSpace(np.ones((8, 8)) - np.eye(8))
+    swap = (1, 0) + tuple(range(2, 8))
+    cycle = tuple(range(1, 8)) + (0,)
+    tracemalloc.start()
+    try:
+        act = GroupAction(X, (swap, cycle))
+        Q = quotient_metric(X, act)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert act.orbits() == [tuple(range(8))]
+    assert Q.n == 1
+    assert peak < 1 << 20
+    # orbits by least point, each sorted: (0 5)(2 7) and (1 3 6)(4 5)
+    act = GroupAction(X, ((5, 1, 7, 3, 4, 0, 6, 2), (0, 3, 2, 6, 5, 4, 1, 7)))
+    assert act.orbits() == [(0, 4, 5), (1, 3, 6), (2, 7)]
+
+
 def test_group_action_rejects_non_isometry():
     d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.5], [2.0, 2.5, 0.0]])
     X = FiniteMetricSpace(d)
