@@ -24,6 +24,7 @@ from .distances import bottleneck, gh_lower_bound
 from .errors import InternalInvariantError, ValidationError
 from .metric import (
     FiniteMetricSpace,
+    _barcode_scale,
     circle_grid,
     gluing_wedge,
     linf_product,
@@ -113,7 +114,9 @@ def _load_space(args) -> FiniteMetricSpace:
     return _read_matrix(args.input)
 
 
-def _filtration_from_args(args):
+def _filtration_from_args(args, top_degree: int | None):
+    """The complex to read barcodes in degrees <= top_degree from; a
+    metric's VR scale is cut where those stay exact."""
     if getattr(args, "complex", None):
         with open(args.complex) as fh:
             return load_complex(fh)
@@ -121,7 +124,10 @@ def _filtration_from_args(args):
         raise ValidationError("need --input/--points with caps, or --complex")
     if args.max_dim is None or args.max_scale is None:
         raise ValidationError("--max-dim and --max-scale are mandatory for VR input")
-    return vr_filtration(_load_space(args), args.max_dim, args.max_scale)
+    X = _load_space(args)
+    return vr_filtration(X, args.max_dim,
+                         _barcode_scale(X, top_degree, args.max_dim,
+                                        args.max_scale))
 
 
 def _add_input_options(p: argparse.ArgumentParser) -> None:
@@ -197,7 +203,8 @@ def cmd_vr(args) -> int:
 
 
 def cmd_barcode(args) -> int:
-    K = _filtration_from_args(args)
+    top = args.degree if args.max_degree is None else args.max_degree
+    K = _filtration_from_args(args, args.max_dim if top is None else top)
     max_degree = args.max_degree
     if max_degree is None:
         max_degree = args.degree if args.degree is not None else max(K.dimension, 0)
@@ -207,8 +214,8 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_theta_barcode(args, kernel: bool) -> int:
-    K = _filtration_from_args(args)
     op = _parse_op(args.op, args.source_degree)
+    K = _filtration_from_args(args, op.target_degree)
     bc = kernel_barcode(K, op) if kernel else image_barcode(K, op)
     _finish_barcode(bc, op.name, args, u_scale=True)
     return 0

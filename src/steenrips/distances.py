@@ -22,7 +22,7 @@ import numpy as np
 
 from .cohomology import Barcode, persistent_barcode
 from .errors import InternalInvariantError, ValidationError
-from .metric import FiniteMetricSpace, vr_filtration
+from .metric import FiniteMetricSpace, _barcode_scale, vr_filtration
 from .operations import Operation, image_barcode
 
 INF = math.inf
@@ -169,7 +169,8 @@ def bottleneck_oracle(A: Barcode, B: Barcode, degree: int) -> float:
 
 def _invariant_barcodes(X: FiniteMetricSpace, degrees: list[int],
                         ops: list[Operation], max_dim: int, max_scale: float):
-    K = vr_filtration(X, max_dim, max_scale)
+    top = max([*degrees, *(op.target_degree for op in ops)], default=0)
+    K = vr_filtration(X, max_dim, _barcode_scale(X, top, max_dim, max_scale))
     homology = persistent_barcode(K, max(degrees, default=0))
     images = {op: image_barcode(K, op) for op in ops}
     return homology, images
@@ -208,7 +209,9 @@ def stability_check(X: FiniteMetricSpace, delta: float, trials: int,
                     max_dim: int) -> dict:
     """Perturb the metric by sup-norm <= delta and verify the stability
     inequality: every bottleneck distance must stay <= delta.  The VR
-    scale is capped at diameter + 2 delta, past every perturbed diameter.
+    scale is capped at diameter + 2 delta, past every perturbed diameter,
+    and, when both compared degrees are below max_dim, each side's at
+    its own enclosing radius, which leaves that side's barcodes exact.
 
     Returns per-trial distances, the max observed ratio d_B/delta, and a
     list of violating trials (empty when the inequality holds throughout).

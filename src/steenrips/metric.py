@@ -160,6 +160,27 @@ def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> Filte
     return FilteredComplex(simplices, values)
 
 
+def _barcode_scale(X: FiniteMetricSpace, top_degree: int, max_dim: int,
+                   max_scale: float) -> float:
+    """VR scale at which the barcodes in degrees <= top_degree are exact.
+
+    Let r_enc = min_x max_y d(x, y), the enclosing radius.  From r_enc on,
+    VR_r is a cone on any x attaining it, so below max_dim every bar but
+    the essential H0 bar has died by r_enc, and the filtration cut at
+    min(max_scale, r_enc) has the same barcodes there, and the same
+    image and kernel barcodes for operations into those degrees (Ripser
+    uses the same threshold).  The max_dim-skeleton of a cone has
+    cohomology in degree max_dim, so the caller's scale is kept when
+    top_degree >= max_dim, and for one point, whose r_enc is 0.  r_enc is
+    read from the mirrored upper triangle d[u, v], u < v, which is what
+    vr_filtration reads: validation lets d[v, u] differ by up to _TOL.
+    """
+    if top_degree >= max_dim or X.n == 1:
+        return max_scale
+    upper = np.triu(X.d, 1)
+    return min(max_scale, float((upper + upper.T).max(axis=1).min()))
+
+
 def gluing_wedge(X: FiniteMetricSpace, x0: int, Y: FiniteMetricSpace, y0: int) -> FiniteMetricSpace:
     """Wedge of two pointed spaces: cross distances route through basepoints."""
     if not 0 <= x0 < X.n:

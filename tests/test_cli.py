@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from steenrips import cli
 from steenrips.cli import main
+from steenrips.metric import vr_filtration
 from steenrips.simplicial import dump_complex, rp2_complex
 
 
@@ -73,6 +75,40 @@ def test_vr_and_complex_input(circle_file, tmp_path, capsys):
                                    "--degree", "1"])
     assert code == 0
     assert len(data["bars"]) == 1
+
+
+def test_metric_barcodes_equal_complex_barcodes(tmp_path, monkeypatch):
+    """Below --max-dim the barcode commands cut a metric's VR scale at its
+    enclosing radius; their JSON stays that of the full VR complex."""
+    scales = []
+
+    def spy(X, max_dim, max_scale):
+        scales.append(max_scale)
+        return vr_filtration(X, max_dim, max_scale)
+
+    monkeypatch.setattr(cli, "vr_filtration", spy)
+    dmat, cplx = tmp_path / "rp.dmat", tmp_path / "rp.cplx"
+    # a seeded sample whose Sq^1 image barcode is not empty
+    assert main(["make", "rp", "--count", "28", "--seed", "3",
+                 "--out", str(dmat)]) == 0
+    caps = ["--max-dim", "3", "--max-scale", "4"]
+    assert main(["vr", "--input", str(dmat), *caps, "--out", str(cplx)]) == 0
+    assert scales == [4.0]
+    for i, argv in enumerate([
+        ["barcode", "--degree", "1"],
+        ["image-barcode", "--op", "sq:1", "--source-degree", "1"],
+        ["kernel-barcode", "--op", "sq:1", "--source-degree", "1"],
+    ]):
+        a, b = tmp_path / f"metric{i}.json", tmp_path / f"complex{i}.json"
+        assert main(argv + ["--input", str(dmat), *caps, "--out", str(a)]) == 0
+        assert main(argv + ["--complex", str(cplx), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["bars"]
+    assert len(scales) == 4 and scales[1] == scales[2] == scales[3] < 4.0
+    # the default top degree is --max-dim, which keeps the scale
+    assert main(["barcode", "--input", str(dmat), *caps,
+                 "--out", str(tmp_path / "all.json")]) == 0
+    assert scales[4] == 4.0
 
 
 def test_image_barcode_rp2(tmp_path, capsys):

@@ -7,17 +7,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steenrips.cohomology import Bar, Barcode
+from steenrips import distances
+from steenrips.cohomology import Bar, Barcode, persistent_barcode
 from steenrips.distances import (
     _costs,
     _feasible,
+    _invariant_barcodes,
     bottleneck,
     bottleneck_oracle,
     gh_lower_bound,
     stability_check,
 )
-from steenrips.metric import FiniteMetricSpace, circle_grid
-from steenrips.operations import Operation
+from steenrips.metric import (
+    FiniteMetricSpace,
+    _barcode_scale,
+    circle_grid,
+    vr_filtration,
+)
+from steenrips.operations import Operation, image_barcode, kernel_barcode
 from steenrips.synthetic import (
     random_barcode,
     random_bounded_metric,
@@ -164,8 +171,6 @@ def test_scaling_equivariance():
     X = random_metric_space(rng, 7)
     lam = 2.5
     Y = FiniteMetricSpace(X.d * lam)
-    from steenrips.cohomology import persistent_barcode
-    from steenrips.metric import vr_filtration
 
     bx = persistent_barcode(vr_filtration(X, 2, X.diameter() + 0.01), 1)
     by = persistent_barcode(vr_filtration(Y, 2, Y.diameter() + 0.01), 1)
@@ -199,3 +204,74 @@ def test_stability_zero_delta():
                              op=Operation.identity(1), degree=1, max_dim=2)
     assert report["passed"]
     assert all(r["d_B_homology"] == 0.0 for r in report["results"])
+
+def _lower_skewed(X):
+    """X with its lower triangle 5e-10 below the upper, within the
+    validation tolerance."""
+    d = X.d.copy()
+    d[np.tril_indices(X.n, -1)] -= 5e-10
+    return FiniteMetricSpace(d)
+
+
+def _enclosing_radius(X):
+    """min over x of max over y of the entry d[u, v], u < v, of {x, y}."""
+    return min(max(X.d[min(x, y), max(x, y)] for y in range(X.n) if y != x)
+               for x in range(X.n))
+
+
+@pytest.mark.parametrize("max_dim", [2, 3])
+def test_enclosing_radius_cap_is_exact(max_dim):
+    """Below max_dim the barcodes and the Sq^1 image and kernel barcodes
+    of VR(X) cut at the enclosing radius are those of the full VR(X).
+    The lower triangle sits below the upper, so a radius read from whole
+    rows drops one of the centre's own edges and changes some of them."""
+    rng = np.random.default_rng(211 + max_dim)
+    op = Operation.sq(1, max_dim - 2)
+    for _ in range(100):
+        X = _lower_skewed(random_bounded_metric(rng, int(rng.integers(5, 10))))
+        scale = X.diameter() + 1e-9
+        K = vr_filtration(X, max_dim, scale)
+        capped = _barcode_scale(X, max_dim - 1, max_dim, scale)
+        assert capped == _enclosing_radius(X) < scale
+        C = vr_filtration(X, max_dim, capped)
+        assert (persistent_barcode(C, max_dim - 1)
+                == persistent_barcode(K, max_dim - 1))
+        assert image_barcode(C, op) == image_barcode(K, op)
+        assert kernel_barcode(C, op) == kernel_barcode(K, op)
+        # degree max_dim keeps the caller's scale
+        assert _barcode_scale(X, max_dim, max_dim, scale) == scale
+        homology, _ = _invariant_barcodes(X, [max_dim], [], max_dim, scale)
+        assert homology == persistent_barcode(K, max_dim)
+
+
+def test_cap_reaches_vr_filtration(monkeypatch):
+    scales = []
+
+    def spy(X, max_dim, max_scale):
+        scales.append(max_scale)
+        return vr_filtration(X, max_dim, max_scale)
+
+    monkeypatch.setattr(distances, "vr_filtration", spy)
+    rng = np.random.default_rng(223)
+    X, Y = random_metric_space(rng, 8), random_metric_space(rng, 9)
+    scale = max(X.diameter(), Y.diameter())
+    radii = [_enclosing_radius(X), _enclosing_radius(Y)]
+    assert max(radii) < scale
+    sq1 = [Operation.sq(1, 1)]
+    gh_lower_bound(X, Y, [0, 1, 2], sq1, 3, scale)
+    assert scales == radii
+    scales.clear()
+    gh_lower_bound(X, Y, [0, 1, 2, 3], sq1, 3, scale)
+    assert scales == [scale, scale]
+    scales.clear()
+    low = min(radii) / 2
+    gh_lower_bound(X, Y, [0, 1, 2], sq1, 3, low)
+    assert scales == [low, low]
+
+
+def test_gh_bound_one_point_spaces():
+    P = FiniteMetricSpace([[0.0]])
+    report = gh_lower_bound(P, P, [0, 1], [Operation.sq(1, 1)], 3, 1.0)
+    assert {e["invariant"]: e["d_B"] for e in report["per_invariant"]} == {
+        "H0": 0.0, "H1": 0.0, "imgSq1@deg2": 0.0}
+    assert report["gh_lower_bound"] == 0.0
