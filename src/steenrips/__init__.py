@@ -15,7 +15,7 @@ from .errors import (
     NotACocycleError,
     ValidationError,
 )
-from .gf2 import nullspace, quotient_rank, rank
+from .gf2 import rank
 from .simplicial import (
     Cochain,
     FilteredComplex,
@@ -107,11 +107,9 @@ __all__ = [
     "load_distance_matrix",
     "load_points_csv",
     "metric_from_points",
-    "nullspace",
     "persistent_barcode",
     "projective_sample",
     "quotient_metric",
-    "quotient_rank",
     "rank",
     "rp2_complex",
     "save_distance_matrix",

@@ -3,8 +3,9 @@
 Over F2 the persistent cohomology barcode equals the homology barcode
 (de Silva, Morozov & Vejdemo-Johansson 2011).  It is read from one
 lazily built cohomology reduction per complex, which the image/kernel
-barcodes of :mod:`steenrips.operations` read too.  Static bases carry
-explicit cocycle representatives, which the Steenrod stage consumes.
+barcodes of :mod:`steenrips.operations` read too.  Static bases are
+read from it as well: they carry explicit cocycle representatives, which
+the Steenrod stage consumes.
 """
 
 from __future__ import annotations
@@ -242,23 +243,17 @@ def persistent_barcode(K: FilteredComplex, max_degree: int,
 
 
 def cohomology_basis(K: FilteredComplex, p: int) -> CohomologyBasis:
-    """Cocycle representatives spanning ker(delta_p) mod im(delta_{p-1})."""
+    """Cocycle representatives of a basis of H^p(K), in order of birth:
+    the companions of the essential bars of the cohomology reduction (the
+    unit cochain of the birth simplex in the top degree)."""
     if p < 0:
         raise ValidationError("degree must be nonnegative")
-    coboundaries = PivotTable()
-    if p >= 1:
-        for col in coboundary_columns(K, p - 1):
-            coboundaries.insert(col)
-    # each nullspace vector of delta_p, reduced against the coboundaries
-    # and the representatives before it, leaves a residual cocycle whose
-    # class is independent of theirs
-    reps = []
-    for z in PivotTable().dependencies(coboundary_columns(K, p),
-                                       K.n_simplices(p + 1)):
-        pivot = coboundaries.insert(z)
-        if pivot is not None:
-            reps.append(coboundaries.columns[pivot])
-    return CohomologyBasis(p, tuple(Cochain(K, p, r) for r in reps))
+    if p > K.dimension:
+        return CohomologyBasis(p, ())
+    bars = reduction(K).degree(K, p)[1]
+    return CohomologyBasis(p, tuple(
+        Cochain(K, p, 1 << s if z is None else z)
+        for s, death, z in reversed(bars) if death == INF))
 
 
 def is_coboundary(c: Cochain) -> bool:

@@ -12,7 +12,7 @@ are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def _low(bits: int) -> int:
@@ -73,22 +73,6 @@ class PivotTable:
             return p, bits >> rows
         return None, bits >> rows
 
-    def dependencies(self, columns: Iterable[int], rows: int) -> list[int]:
-        """Insert columns supported below ``rows`` in turn; for each one
-        that depends on the table and the columns before it, return the
-        coefficients of that dependency over ``columns``.
-
-        Column j is augmented with a unit companion bit above its rows,
-        ``col | 1 << (rows + j)``, so one whose row part reduces to zero
-        holds its dependency in ``bits >> rows``.
-        """
-        out = []
-        for j, col in enumerate(columns):
-            pivot, companion = self.insert_augmented(col | 1 << (rows + j), rows)
-            if pivot is None:
-                out.append(companion)
-        return out
-
 
 def rank(columns: Iterable[int]) -> int:
     """Dimension of the span of the columns over F2."""
@@ -96,18 +80,3 @@ def rank(columns: Iterable[int]) -> int:
     for bits in columns:
         table.insert(bits)
     return len(table)
-
-
-def quotient_rank(span: Iterable[int], base: Iterable[int]) -> int:
-    """dim((span + base) / base), i.e. rank(span + base) - rank(base)."""
-    table = PivotTable()
-    for bits in base:
-        table.insert(bits)
-    return sum(table.insert(bits) is not None for bits in span)
-
-
-def nullspace(columns: Sequence[int]) -> list[int]:
-    """Basis of {x : sum of the columns x selects = 0}; bit j of each x
-    is the coefficient of column j."""
-    rows = max((c.bit_length() for c in columns), default=0)
-    return PivotTable().dependencies(columns, rows)

@@ -296,6 +296,8 @@ def load_distance_matrix(source: TextIO | str) -> FiniteMetricSpace:
         n = int(tokens[0])
     except ValueError:
         raise ValidationError("first token must be the point count") from None
+    if n < 0:
+        raise ValidationError(f"point count {n} is negative")
     if len(tokens) != 1 + n * n:
         raise ValidationError(
             f"expected {n * n} matrix entries, found {len(tokens) - 1}"

@@ -233,14 +233,19 @@ def coboundary_matrix(K: FilteredComplex, p: int) -> tuple[int, ...]:
 
 
 def coboundary(c: Cochain) -> Cochain:
-    """Apply delta to a cochain."""
-    cols = coboundary_columns(c.host, c.degree)
-    acc, bits = 0, c.bits
-    while bits:
-        i = (bits & -bits).bit_length() - 1
-        acc ^= cols[i]
-        bits &= bits - 1
-    return Cochain(c.host, c.degree + 1, acc)
+    """Apply delta to a cochain, row by row: its value on a (p+1)-simplex
+    is the parity of c's support among that simplex's facets.  No
+    columns of delta_p are built."""
+    K, p = c.host, c.degree
+    out = 0
+    if c.bits and p < K.dimension:
+        support = set(c.simplices())
+        rows = K.dim_simplices[p + 1]
+        # last row first, so out takes its final size at its first bit
+        for row in range(len(rows) - 1, -1, -1):
+            if len(support.intersection(combinations(rows[row], p + 1))) & 1:
+                out |= 1 << row
+    return Cochain(K, p + 1, out)
 
 
 # -- reference spaces ------------------------------------------------------

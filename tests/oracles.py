@@ -2,7 +2,8 @@
 
 Everything here goes through homology-side cycle/boundary spaces, or
 through explicit sublevel complexes and restriction, and plain rank
-computations; no column-reduction pairing.
+computations; no column-reduction pairing, and nothing reads the
+cohomology reduction that the production barcodes and bases come from.
 Slow but first-principles.
 """
 
@@ -10,10 +11,11 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from typing import Iterable, Sequence
 
-from steenrips.cohomology import Bar, Barcode, cohomology_basis
+from steenrips.cohomology import Bar, Barcode
 from steenrips.errors import DimensionMismatchError, ValidationError
-from steenrips.gf2 import nullspace, quotient_rank, rank
+from steenrips.gf2 import PivotTable, rank
 from steenrips.operations import Operation
 from steenrips.simplicial import (
     Cochain,
@@ -38,18 +40,25 @@ def _chain_boundary_columns(K: FilteredComplex, p: int) -> list[int]:
     return cols
 
 
-def _cycle_space(K: FilteredComplex, p: int) -> list[int]:
-    """Basis of the p-cycles of K (bits over K's p-simplices)."""
-    n_p = K.n_simplices(p)
-    if p == 0:
-        return [1 << i for i in range(n_p)]
-    cols = _chain_boundary_columns(K, p)
-    rows = K.n_simplices(p - 1)
-    # nullspace by companion elimination
+def quotient_rank(span: Iterable[int], base: Iterable[int]) -> int:
+    """dim((span + base) / base), i.e. rank(span + base) - rank(base)."""
+    table = PivotTable()
+    for bits in base:
+        table.insert(bits)
+    return sum(table.insert(bits) is not None for bits in span)
+
+
+def nullspace(columns: Sequence[int]) -> list[int]:
+    """Basis of {x : sum of the columns x selects = 0}; bit j of each x
+    is the coefficient of column j.
+
+    Companion elimination: column j carries the unit vector 1 << j, and a
+    column that reduces to zero leaves a dependency in its companion.
+    """
     table: dict[int, tuple[int, int]] = {}
     out = []
-    for j in range(n_p):
-        bits, comp = cols[j], 1 << j
+    for j, bits in enumerate(columns):
+        comp = 1 << j
         while bits:
             piv = (bits & -bits).bit_length() - 1
             entry = table.get(piv)
@@ -61,6 +70,13 @@ def _cycle_space(K: FilteredComplex, p: int) -> list[int]:
         else:
             out.append(comp)
     return out
+
+
+def _cycle_space(K: FilteredComplex, p: int) -> list[int]:
+    """Basis of the p-cycles of K (bits over K's p-simplices)."""
+    if p == 0:
+        return [1 << i for i in range(K.n_simplices(0))]
+    return nullspace(_chain_boundary_columns(K, p))
 
 
 def brute_rank(K: FilteredComplex, p: int, i: int, j: int) -> int:
@@ -142,13 +158,24 @@ def _coboundary_span(K: FilteredComplex, p: int) -> list[int]:
     return coboundary_columns(K, p - 1) if p >= 1 else []
 
 
+def oracle_cohomology_basis(K: FilteredComplex, p: int) -> list[Cochain]:
+    """Cocycles whose classes form a basis of H^p(K): the nullspace
+    vectors of delta_p that are independent modulo the coboundaries and
+    the cocycles kept before them."""
+    kept = PivotTable()
+    for col in _coboundary_span(K, p):
+        kept.insert(col)
+    return [Cochain(K, p, z) for z in nullspace(coboundary_columns(K, p))
+            if kept.insert(z) is not None]
+
+
 def theta_rank(K: FilteredComplex, op: Operation, i: int, j: int) -> int:
     """Rank of img(theta at K_j) -> H^m(K_i): apply the operation to a
     basis of H^ell(K_j), restrict, and quotient by K_i's coboundaries."""
     if i > j:
         raise ValidationError(f"need i <= j, got ({i}, {j})")
     Kj, Ki = sublevel(K, j), sublevel(K, i)
-    images = [op.apply(c) for c in cohomology_basis(Kj, op.source_degree).cocycles]
+    images = [op.apply(c) for c in oracle_cohomology_basis(Kj, op.source_degree)]
     span = [restrict_cochain(w, Ki).bits for w in images]
     return quotient_rank(span, _coboundary_span(Ki, op.target_degree))
 
@@ -159,7 +186,7 @@ def kernel_rank(K: FilteredComplex, op: Operation, i: int, j: int) -> int:
         raise ValidationError(f"need i <= j, got ({i}, {j})")
     ell, m = op.source_degree, op.target_degree
     Kj, Ki = sublevel(K, j), sublevel(K, i)
-    basis = cohomology_basis(Kj, ell).cocycles
+    basis = oracle_cohomology_basis(Kj, ell)
     images = [op.apply(c).bits for c in basis]
     # coefficient vectors a with sum a_t theta(c_t) a coboundary of K_j:
     # the first len(basis) coordinates of the nullspace of [images | delta]

@@ -287,11 +287,17 @@ def test_bad_op_spec(tmp_path, capsys):
     ["make", "wedge", "--a", "{c}", "--out", "{c}.out"],
     ["make", "product", "--b", "{c}", "--out", "{c}.out"],
     ["vr", "--max-dim", "1", "--max-scale", "1", "--out", "{c}.out"],
+    ["gh-bound", "--a", "{neg}", "--b", "{c}", "--max-dim", "1",
+     "--max-scale", "1"],
 ], ids=["negative-seed", "negative-trials", "zero-trials", "degrees-not-int",
         "negative-degree", "bad-source-degree", "bad-op", "negative-source-degree",
-        "wedge-without-b", "product-without-a", "vr-without-input"])
+        "wedge-without-b", "product-without-a", "vr-without-input",
+        "negative-point-count"])
 def test_bad_arguments_exit_2(circle_file, capsys, argv):
-    code = main([a.replace("{c}", str(circle_file)) for a in argv])
+    negative = circle_file.with_name("negative.dmat")
+    negative.write_text("-1 5\n")
+    code = main([a.replace("{c}", str(circle_file)).replace("{neg}", str(negative))
+                 for a in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,10 +13,21 @@ from steenrips.cohomology import (
 )
 from steenrips.errors import ValidationError
 from steenrips.metric import circle_grid, projective_sample, vr_filtration
-from steenrips.simplicial import build, coboundary, rp2_complex, sublevel
+from steenrips.simplicial import (
+    build,
+    coboundary,
+    coboundary_columns,
+    rp2_complex,
+    sublevel,
+)
 from steenrips.synthetic import random_filtered_complex
 
-from oracles import brute_barcode, brute_betti
+from oracles import (
+    brute_barcode,
+    brute_betti,
+    oracle_cohomology_basis,
+    quotient_rank,
+)
 
 INF = math.inf
 
@@ -97,7 +109,7 @@ def test_alive_counts_equal_betti_of_sublevels():
             Ki = sublevel(K, i)
             t = K.distinct_values[i]
             for p in range(K.dimension + 1):
-                assert bc.alive(p, t) == len(cohomology_basis(Ki, p))
+                assert bc.alive(p, t) == len(oracle_cohomology_basis(Ki, p))
                 assert bc.alive(p, t) == brute_betti(Ki, p)
 
 
@@ -132,18 +144,33 @@ def test_cohomology_basis_triangle():
 
 def test_cohomology_basis_cocycles_and_independence():
     rng = np.random.default_rng(27)
-    for _ in range(15):
-        K = random_filtered_complex(rng, target_size=20)
-        for p in range(K.dimension + 1):
+    # the 2-sphere, its triangles entering one by one, and RP^2 carry
+    # top-degree classes, whose representatives are unit cochains
+    sphere = build([((v,), 0.0) for v in range(4)]
+                   + [(e, 0.0) for e in combinations(range(4), 2)]
+                   + [(t, 1.0 + i) for i, t in enumerate(combinations(range(4), 3))])
+    complexes = [sphere, rp2_complex()]
+    complexes += [random_filtered_complex(rng, target_size=20) for _ in range(15)]
+    top_classes = 0
+    for K in complexes:
+        for p in range(K.dimension + 2):  # no classes above the dimension
             basis = cohomology_basis(K, p)
             assert len(basis) == brute_betti(K, p)
             for c in basis.cocycles:
                 assert coboundary(c).is_zero
+            coboundaries = coboundary_columns(K, p - 1) if p else []
+            assert quotient_rank([c.bits for c in basis.cocycles],
+                                 coboundaries) == len(basis)
+            if p == K.dimension:
+                top_classes += len(basis)
+    assert top_classes == 2
 
 
 def test_rp2_betti():
     K = rp2_complex()
-    assert [len(cohomology_basis(K, p)) for p in range(3)] == [1, 1, 1]
+    assert [len(cohomology_basis(K, p)) for p in range(4)] == [1, 1, 1, 0]
+    with pytest.raises(ValidationError):
+        cohomology_basis(K, -1)
 
 
 def test_rp2_barcode():

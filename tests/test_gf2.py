@@ -2,7 +2,9 @@ from itertools import product
 
 import numpy as np
 
-from steenrips.gf2 import PivotTable, nullspace, quotient_rank, rank
+from steenrips.gf2 import PivotTable, rank
+
+from oracles import nullspace, quotient_rank
 
 
 def dense(array) -> tuple[int, ...]:

@@ -289,6 +289,8 @@ def test_distance_matrix_roundtrip():
     save_distance_matrix(X, buf)
     Y = load_distance_matrix(buf.getvalue())
     assert np.array_equal(X.d, Y.d)
+    with pytest.raises(ValidationError):
+        load_distance_matrix("-1 5")  # 1 + n * n tokens, but n < 0
 
 
 def test_points_csv_euclidean_and_sphere():

@@ -6,7 +6,7 @@ import pytest
 
 import steenrips.cohomology as cohomology
 import steenrips.operations as operations
-from steenrips.cohomology import Bar, Barcode, cohomology_basis, persistent_barcode
+from steenrips.cohomology import Bar, Barcode, persistent_barcode
 from steenrips.errors import ValidationError
 from steenrips.metric import circle_grid, projective_sample, vr_filtration
 from steenrips.operations import (
@@ -19,7 +19,13 @@ from steenrips.operations import (
 from steenrips.simplicial import build, rp2_complex, sublevel
 from steenrips.synthetic import random_filtered_complex
 
-from oracles import kernel_rank, mobius_barcode, theta_rank
+from oracles import (
+    brute_barcode,
+    kernel_rank,
+    mobius_barcode,
+    oracle_cohomology_basis,
+    theta_rank,
+)
 
 INF = math.inf
 
@@ -108,9 +114,30 @@ def test_rank_nullity_pointwise():
             for op in (Operation.identity(ell), Operation.zero(ell),
                        Operation.sq(1, ell)):
                 for i in range(K.num_values):
-                    dim_h = len(cohomology_basis(sublevel(K, i), ell))
+                    dim_h = len(oracle_cohomology_basis(sublevel(K, i), ell))
                     assert (theta_rank(K, op, i, i)
                             + kernel_rank(K, op, i, i)) == dim_h
+
+
+def test_oracles_never_read_the_reduction(monkeypatch):
+    """The oracles stay independent of the cohomology reduction that the
+    barcodes and bases they check are read from: with it broken, they
+    still run."""
+    def refuse(self, K, p):
+        raise AssertionError("the cohomology reduction was read")
+
+    monkeypatch.setattr(cohomology.CohomologyReduction, "degree", refuse)
+    K = random_filtered_complex(np.random.default_rng(73), target_size=20)
+    with pytest.raises(AssertionError):
+        persistent_barcode(K, K.dimension)
+    assert len(brute_barcode(K, K.dimension)) > 0
+    last = K.num_values - 1
+    for ell in range(K.dimension + 1):
+        oracle_cohomology_basis(K, ell)
+        for op in (Operation.identity(ell), Operation.sq(1, ell)):
+            for i in range(K.num_values):
+                theta_rank(K, op, i, last)
+                kernel_rank(K, op, i, last)
 
 
 def test_fast_tables_match_literal_ops():

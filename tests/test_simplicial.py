@@ -121,6 +121,21 @@ def test_delta_squared_is_zero():
                 assert acc == 0
 
 
+def test_coboundary_is_the_sum_of_delta_columns():
+    rng = np.random.default_rng(25)
+    for _ in range(30):
+        K = random_filtered_complex(rng, target_size=20)
+        for p in range(K.dimension + 1):
+            columns = coboundary_matrix(K, p)
+            bits = int(rng.integers(0, 1 << len(columns)))
+            want = 0
+            for i, col in enumerate(columns):
+                if bits >> i & 1:
+                    want ^= col
+            delta = coboundary(Cochain(K, p, bits))
+            assert delta.degree == p + 1 and delta.bits == want
+
+
 def test_sublevel_whole_and_empty():
     K = build([([0], 0.0), ([1], 0.0), ([2], 1.0), ([0, 1], 2.0)])
     assert sublevel(K, K.num_values - 1) == K

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import steenrips.simplicial as simplicial
 from steenrips.cohomology import cohomology_basis, is_coboundary
 from steenrips.errors import NotACocycleError, ValidationError
 from steenrips.simplicial import (
@@ -93,6 +94,19 @@ def test_sq_requires_cocycle():
     not_cocycle = cochain_from_simplices(K, 0, [[0]])
     with pytest.raises(NotACocycleError):
         sq(1, not_cocycle)
+
+
+def test_sq_checks_its_input_without_building_delta(monkeypatch):
+    K = rp2_complex()
+    sigma = cohomology_basis(K, 1).cocycles[0]
+
+    def refuse(K, p):
+        raise AssertionError("coboundary columns were built")
+
+    monkeypatch.setattr(simplicial, "coboundary_columns", refuse)
+    assert not sq(1, sigma).is_zero
+    with pytest.raises(NotACocycleError):
+        sq(1, Cochain(K, 1, 1))
 
 
 def test_sq0_is_identity_on_classes():
