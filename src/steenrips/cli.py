@@ -24,7 +24,7 @@ from .distances import bottleneck, gh_lower_bound
 from .errors import InternalInvariantError, ValidationError
 from .metric import (
     FiniteMetricSpace,
-    _barcode_scale,
+    _vr_for_degrees,
     circle_grid,
     gluing_wedge,
     linf_product,
@@ -116,7 +116,7 @@ def _load_space(args) -> FiniteMetricSpace:
 
 def _filtration_from_args(args, top_degree: int | None):
     """The complex to read barcodes in degrees <= top_degree from; a
-    metric's VR scale is cut where those stay exact."""
+    metric's VR complex is cut where those stay exact."""
     if getattr(args, "complex", None):
         with open(args.complex) as fh:
             return load_complex(fh)
@@ -125,9 +125,7 @@ def _filtration_from_args(args, top_degree: int | None):
     if args.max_dim is None or args.max_scale is None:
         raise ValidationError("--max-dim and --max-scale are mandatory for VR input")
     X = _load_space(args)
-    return vr_filtration(X, args.max_dim,
-                         _barcode_scale(X, top_degree, args.max_dim,
-                                        args.max_scale))
+    return _vr_for_degrees(X, top_degree, args.max_dim, args.max_scale)
 
 
 def _add_input_options(p: argparse.ArgumentParser) -> None:

@@ -163,7 +163,10 @@ class CohomologyReduction:
     basis of H^p there.  Only the bars keep their companions: once delta_p
     is reduced its table is masked to the rows, and in the top degree,
     where delta_p is zero, z is the unit cochain of sigma and is stored as
-    None.  ``operations`` memoises the (image, kernel) barcodes of each
+    None.  The top degree of a complex from the metric paths instead
+    holds the bars of the VR coboundary into the (top+1)-simplices that
+    were never built, with an empty table (``metric._reduce_top_degree``).
+    ``operations`` memoises the (image, kernel) barcodes of each
     operation.  The object holds no reference to its complex, so the two
     are freed together by reference counting.
     """

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cohomology import Barcode, persistent_barcode
 from .errors import InternalInvariantError, ValidationError
-from .metric import FiniteMetricSpace, _barcode_scale, vr_filtration
+from .metric import FiniteMetricSpace, _vr_for_degrees
 from .operations import Operation, image_barcode
 
 INF = math.inf
@@ -170,7 +170,7 @@ def bottleneck_oracle(A: Barcode, B: Barcode, degree: int) -> float:
 def _invariant_barcodes(X: FiniteMetricSpace, degrees: list[int],
                         ops: list[Operation], max_dim: int, max_scale: float):
     top = max([*degrees, *(op.target_degree for op in ops)], default=0)
-    K = vr_filtration(X, max_dim, _barcode_scale(X, top, max_dim, max_scale))
+    K = _vr_for_degrees(X, top, max_dim, max_scale)
     homology = persistent_barcode(K, max(degrees, default=0))
     images = {op: image_barcode(K, op) for op in ops}
     return homology, images

@@ -12,11 +12,14 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import TextIO
 
 import numpy as np
 
+from .cohomology import INF, reduction
 from .errors import InternalInvariantError, MetricError, ValidationError
+from .gf2 import PivotTable
 from .simplicial import FilteredComplex
 
 _TOL = 1e-9
@@ -160,25 +163,108 @@ def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> Filte
     return FilteredComplex(simplices, values)
 
 
-def _barcode_scale(X: FiniteMetricSpace, top_degree: int, max_dim: int,
-                   max_scale: float) -> float:
-    """VR scale at which the barcodes in degrees <= top_degree are exact.
+def _vr_for_degrees(X: FiniteMetricSpace, top: int, max_dim: int,
+                    max_scale: float) -> FilteredComplex:
+    """The complex from which the metric paths read barcodes in degrees
+    <= top, and image and kernel barcodes of operations into them: those
+    of vr_filtration(X, max_dim, max_scale), which it is when top ==
+    max_dim (and for one point).
 
-    Let r_enc = min_x max_y d(x, y), the enclosing radius.  From r_enc on,
-    VR_r is a cone on any x attaining it, so below max_dim every bar but
-    the essential H0 bar has died by r_enc, and the filtration cut at
-    min(max_scale, r_enc) has the same barcodes there, and the same
-    image and kernel barcodes for operations into those degrees (Ripser
-    uses the same threshold).  The max_dim-skeleton of a cone has
-    cohomology in degree max_dim, so the caller's scale is kept when
-    top_degree >= max_dim, and for one point, whose r_enc is 0.  r_enc is
-    read from the mirrored upper triangle d[u, v], u < v, which is what
-    vr_filtration reads: validation lets d[v, u] differ by up to _TOL.
+    Below max_dim two savings leave those barcodes exact.  Let r_enc =
+    min_x max_y d(x, y), the enclosing radius.  From r_enc on, VR_r is a
+    cone on any x attaining it, so every bar but the essential H0 bar has
+    died by r_enc, and the scale is cut at min(max_scale, r_enc) (Ripser
+    uses the same threshold).  And the complex is built to dimension top
+    only: its (top+1)-simplices would serve only as the rows of
+    delta_top, whose reduction is read from the metric instead
+    (:func:`_reduce_top_degree`).  Distances are the mirrored upper
+    triangle d[u, v], u < v, which is what vr_filtration reads:
+    validation lets d[v, u] differ by up to _TOL.
     """
-    if top_degree >= max_dim or X.n == 1:
-        return max_scale
+    if not 0 <= top <= max_dim:
+        raise ValidationError(f"degree {top} is outside 0..max_dim ({max_dim})")
+    if top == max_dim or X.n == 1:
+        return vr_filtration(X, max_dim, max_scale)
     upper = np.triu(X.d, 1)
-    return min(max_scale, float((upper + upper.T).max(axis=1).min()))
+    d = upper + upper.T
+    scale = min(max_scale, float(d.max(axis=1).min()))
+    K = vr_filtration(X, top, scale)
+    if K.dimension == top:
+        _reduce_top_degree(K, d, scale)
+    return K
+
+
+def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
+    """Reduce delta_p of K's top degree p as if K held the (p+1)-simplices
+    of VR at this scale, and store its bars in the cohomology reduction.
+
+    The cofacet sigma + {v} of a p-simplex sigma enters at the IEEE max
+    of value(sigma) and d[u, v], u in sigma, if that is <= scale.  After
+    the delta_{p-1} pivots are cleared, the column of sigma is apparent
+    (Bauer, "Ripser", 2021) when its earliest cofacet tau, the least by
+    (value, v), has sigma as its latest facet: every other facet
+    tau - {x} has a smaller value, or an equal one and x > v.  It keeps
+    the pivot tau unreduced, and its companion is the unit cochain.  The
+    few columns left are reduced in reverse order as sets of (value,
+    vertices) keys; a pivot tau is owned by its apparent facet, which is
+    later than the column, or by a column reduced before.  So the bars
+    and companions are those of the explicit reduction.  K has no rows
+    for delta_p, so its table stays empty.
+    """
+    p = K.dimension
+    red = reduction(K)
+    cleared = list(red.degree(K, p - 1)[0].columns) if p else []
+    simplices, index, values = K.dim_simplices[p], K.dim_index[p], K.dim_values[p]
+    S = np.array(simplices).reshape(len(simplices), p + 1)
+    vals = np.array(values)
+    rows = np.arange(len(S))
+    cof = np.repeat(vals[:, None], d.shape[0], axis=1)
+    for i in range(p + 1):
+        np.maximum(cof, d[S[:, i]], out=cof)
+    cof[rows[:, None], S] = INF
+    cof[cof > scale] = INF
+    v = cof.argmin(axis=1)
+    death = cof[rows, v]
+    T = np.column_stack([S, v])
+    apparent = death < INF
+    for x in range(p + 1):
+        facet = np.zeros(len(S))
+        for a, b in combinations([i for i in range(p + 2) if i != x], 2):
+            np.maximum(facet, d[T[:, a], T[:, b]], out=facet)
+        apparent &= (facet < vals) | ((facet == vals) & (S[:, x] > v))
+    apparent[cleared] = False
+    long = np.flatnonzero(apparent & (vals < death))
+    bars = list(zip(long.tolist(), death[long].tolist(), [None] * len(long)))
+    left = ~apparent
+    left[cleared] = False
+    v = v.tolist()
+
+    def cofacets(j: int) -> set:
+        ws = np.flatnonzero(cof[j] < INF)
+        return {(c, tuple(sorted(simplices[j] + (w,))))
+                for w, c in zip(ws.tolist(), cof[j, ws].tolist())}
+
+    pivots: dict = {}
+    for s in np.flatnonzero(left)[::-1].tolist():
+        col, z = cofacets(s), 1 << s
+        while col:
+            tau = min(col)
+            if tau in pivots:
+                add, y = pivots[tau]
+            else:
+                j = max(index[f] for f in combinations(tau[1], p + 1))
+                if not (apparent[j] and sum(tau[1]) - sum(simplices[j]) == v[j]):
+                    pivots[tau] = col, z
+                    break
+                add, y = cofacets(j), 1 << j
+            col ^= add
+            z ^= y
+        end = tau[0] if col else INF
+        if values[s] < end:
+            bars.append((s, end, z))
+    bars.sort(key=lambda bar: -bar[0])
+    red.tables.append(PivotTable())
+    red.bars.append(bars)
 
 
 def gluing_wedge(X: FiniteMetricSpace, x0: int, Y: FiniteMetricSpace, y0: int) -> FiniteMetricSpace:

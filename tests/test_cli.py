@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from steenrips import cli
+from steenrips import cli, metric
 from steenrips.cli import main
 from steenrips.metric import vr_filtration
 from steenrips.simplicial import dump_complex, rp2_complex
@@ -78,22 +78,24 @@ def test_vr_and_complex_input(circle_file, tmp_path, capsys):
 
 
 def test_metric_barcodes_equal_complex_barcodes(tmp_path, monkeypatch):
-    """Below --max-dim the barcode commands cut a metric's VR scale at its
-    enclosing radius; their JSON stays that of the full VR complex."""
-    scales = []
+    """Below --max-dim the barcode commands cut a metric's VR complex at
+    its enclosing radius and at the top degree they read; their JSON stays
+    that of the full VR complex."""
+    built = []
 
     def spy(X, max_dim, max_scale):
-        scales.append(max_scale)
+        built.append((max_dim, max_scale))
         return vr_filtration(X, max_dim, max_scale)
 
     monkeypatch.setattr(cli, "vr_filtration", spy)
+    monkeypatch.setattr(metric, "vr_filtration", spy)
     dmat, cplx = tmp_path / "rp.dmat", tmp_path / "rp.cplx"
     # a seeded sample whose Sq^1 image barcode is not empty
     assert main(["make", "rp", "--count", "28", "--seed", "3",
                  "--out", str(dmat)]) == 0
     caps = ["--max-dim", "3", "--max-scale", "4"]
     assert main(["vr", "--input", str(dmat), *caps, "--out", str(cplx)]) == 0
-    assert scales == [4.0]
+    assert built == [(3, 4.0)]
     for i, argv in enumerate([
         ["barcode", "--degree", "1"],
         ["image-barcode", "--op", "sq:1", "--source-degree", "1"],
@@ -104,11 +106,13 @@ def test_metric_barcodes_equal_complex_barcodes(tmp_path, monkeypatch):
         assert main(argv + ["--complex", str(cplx), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert json.loads(a.read_text())["bars"]
-    assert len(scales) == 4 and scales[1] == scales[2] == scales[3] < 4.0
-    # the default top degree is --max-dim, which keeps the scale
+    # built to the top degree read, at the enclosing radius
+    assert [dim for dim, _ in built] == [3, 1, 2, 2]
+    assert built[1][1] == built[2][1] == built[3][1] < 4.0
+    # the default top degree is --max-dim, which keeps scale and dimension
     assert main(["barcode", "--input", str(dmat), *caps,
                  "--out", str(tmp_path / "all.json")]) == 0
-    assert scales[4] == 4.0
+    assert built[4] == (3, 4.0)
 
 
 def test_image_barcode_rp2(tmp_path, capsys):
@@ -289,10 +293,24 @@ def test_bad_op_spec(tmp_path, capsys):
     ["vr", "--max-dim", "1", "--max-scale", "1", "--out", "{c}.out"],
     ["gh-bound", "--a", "{neg}", "--b", "{c}", "--max-dim", "1",
      "--max-scale", "1"],
+    ["gh-bound", "--a", "{c}", "--b", "{c}", "--degrees", "0,5",
+     "--max-dim", "2", "--max-scale", "1"],
+    ["image-barcode", "--input", "{c}", "--max-dim", "2", "--max-scale", "1",
+     "--op", "sq:1", "--source-degree", "2"],
+    ["kernel-barcode", "--input", "{c}", "--max-dim", "1", "--max-scale", "1",
+     "--op", "sq:1", "--source-degree", "1"],
+    ["barcode", "--input", "{c}", "--max-dim", "1", "--max-scale", "1",
+     "--degree", "3"],
+    ["barcode", "--input", "{c}", "--max-dim", "1", "--max-scale", "0"],
+    ["bottleneck", "--a", "{c}", "--b", "{c}", "--degree", "0"],
+    ["make", "circle", "--count", "1", "--out", "{c}.out"],
 ], ids=["negative-seed", "negative-trials", "zero-trials", "degrees-not-int",
         "negative-degree", "bad-source-degree", "bad-op", "negative-source-degree",
         "wedge-without-b", "product-without-a", "vr-without-input",
-        "negative-point-count"])
+        "negative-point-count", "degree-above-max-dim",
+        "image-target-above-max-dim", "kernel-target-above-max-dim",
+        "barcode-degree-above-max-dim", "nonpositive-scale",
+        "bottleneck-not-json", "one-point-circle"])
 def test_bad_arguments_exit_2(circle_file, capsys, argv):
     negative = circle_file.with_name("negative.dmat")
     negative.write_text("-1 5\n")

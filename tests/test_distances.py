@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steenrips import distances
+from steenrips import metric
 from steenrips.cohomology import Bar, Barcode, persistent_barcode
 from steenrips.distances import (
     _costs,
@@ -18,9 +18,10 @@ from steenrips.distances import (
     gh_lower_bound,
     stability_check,
 )
+from steenrips.errors import ValidationError
 from steenrips.metric import (
     FiniteMetricSpace,
-    _barcode_scale,
+    _vr_for_degrees,
     circle_grid,
     vr_filtration,
 )
@@ -231,27 +232,30 @@ def test_enclosing_radius_cap_is_exact(max_dim):
         X = _lower_skewed(random_bounded_metric(rng, int(rng.integers(5, 10))))
         scale = X.diameter() + 1e-9
         K = vr_filtration(X, max_dim, scale)
-        capped = _barcode_scale(X, max_dim - 1, max_dim, scale)
-        assert capped == _enclosing_radius(X) < scale
-        C = vr_filtration(X, max_dim, capped)
+        C = _vr_for_degrees(X, max_dim - 1, max_dim, scale)
+        assert max(C.values) <= _enclosing_radius(X) < scale
         assert (persistent_barcode(C, max_dim - 1)
                 == persistent_barcode(K, max_dim - 1))
         assert image_barcode(C, op) == image_barcode(K, op)
         assert kernel_barcode(C, op) == kernel_barcode(K, op)
-        # degree max_dim keeps the caller's scale
-        assert _barcode_scale(X, max_dim, max_dim, scale) == scale
+        # degree max_dim keeps the caller's scale and dimension
+        assert _vr_for_degrees(X, max_dim, max_dim, scale) == K
         homology, _ = _invariant_barcodes(X, [max_dim], [], max_dim, scale)
         assert homology == persistent_barcode(K, max_dim)
 
 
 def test_cap_reaches_vr_filtration(monkeypatch):
-    scales = []
+    """Below max_dim, VR is built at the enclosing radius to the top
+    degree read, with no simplex above it; at max_dim, to max_dim at the
+    caller's scale."""
+    built = []
 
     def spy(X, max_dim, max_scale):
-        scales.append(max_scale)
-        return vr_filtration(X, max_dim, max_scale)
+        K = vr_filtration(X, max_dim, max_scale)
+        built.append((max_dim, max_scale, K.dimension))
+        return K
 
-    monkeypatch.setattr(distances, "vr_filtration", spy)
+    monkeypatch.setattr(metric, "vr_filtration", spy)
     rng = np.random.default_rng(223)
     X, Y = random_metric_space(rng, 8), random_metric_space(rng, 9)
     scale = max(X.diameter(), Y.diameter())
@@ -259,14 +263,31 @@ def test_cap_reaches_vr_filtration(monkeypatch):
     assert max(radii) < scale
     sq1 = [Operation.sq(1, 1)]
     gh_lower_bound(X, Y, [0, 1, 2], sq1, 3, scale)
-    assert scales == radii
-    scales.clear()
+    assert built == [(2, r, 2) for r in radii]
+    built.clear()
     gh_lower_bound(X, Y, [0, 1, 2, 3], sq1, 3, scale)
-    assert scales == [scale, scale]
-    scales.clear()
+    assert built == [(3, scale, 3), (3, scale, 3)]
+    built.clear()
     low = min(radii) / 2
-    gh_lower_bound(X, Y, [0, 1, 2], sq1, 3, low)
-    assert scales == [low, low]
+    gh_lower_bound(X, Y, [0, 1], [], 3, low)
+    assert [b[:2] for b in built] == [(1, low), (1, low)]
+    assert all(b[2] <= 1 for b in built)
+
+
+def test_metric_paths_reject_degrees_above_max_dim():
+    """A degree or operation target above max_dim has no barcode in the
+    complex; it is an error, not an empty barcode or a d_B of 0."""
+    rng = np.random.default_rng(227)
+    X, Y = random_metric_space(rng, 6), random_metric_space(rng, 7)
+    with pytest.raises(ValidationError, match="max_dim"):
+        gh_lower_bound(X, Y, [0, 5], [], 2, 1.0)
+    with pytest.raises(ValidationError, match="max_dim"):
+        gh_lower_bound(X, Y, [0], [Operation.sq(1, 2)], 2, 1.0)
+    with pytest.raises(ValidationError, match="max_dim"):
+        stability_check(X, 0.01, 1, 0, Operation.identity(1), 3, 2)
+    report = gh_lower_bound(X, Y, [0, 2], [Operation.sq(1, 1)], 2, 1.0)
+    assert [e["invariant"] for e in report["per_invariant"]] == [
+        "H0", "H2", "imgSq1@deg2"]
 
 
 def test_gh_bound_one_point_spaces():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from steenrips.errors import MetricError, ValidationError
+from steenrips.cohomology import persistent_barcode
 from steenrips.metric import (
     FiniteMetricSpace,
     GroupAction,
+    _vr_for_degrees,
     antipodal_action,
     circle_grid,
     gluing_wedge,
@@ -23,10 +25,12 @@ from steenrips.metric import (
     vr_filtration,
 )
 from steenrips import simplicial
+from steenrips.operations import Operation, image_barcode, kernel_barcode
 from steenrips.simplicial import build
 from steenrips.synthetic import random_bounded_metric, random_metric_space
 
 import io
+import json
 from itertools import combinations
 
 
@@ -132,6 +136,54 @@ def _tied_metric(rng, n):
         return FiniteMetricSpace(np.round(random_bounded_metric(rng, n, 1.0, 2.0).d, 1))
     cells = rng.choice(25, size=n, replace=False)
     return metric_from_points(np.stack([cells // 5, cells % 5], axis=1))
+
+
+def _barcode_json(K, top, ops):
+    return json.dumps(
+        [persistent_barcode(K, top).to_json_dict()]
+        + [f(K, op).to_json_dict(op.name) for op in ops
+           for f in (image_barcode, kernel_barcode)])
+
+
+@pytest.mark.parametrize("top", [0, 1, 2])
+def test_vr_for_degrees_matches_full_complex(top):
+    """Below max_dim the complex is built to dimension top, and the
+    reduction of delta_top is read from the metric.  The barcode and the
+    image and kernel barcodes of id and Sq0 at degree top and of Sq1 into
+    it are byte-identical to those of vr_filtration(X, max_dim, scale).
+    The metrics are random, tied (so apparent pairs rest on the
+    tie-breaks), and random with the lower triangle 5e-10 below the
+    upper, which vr_filtration never reads."""
+    rng = np.random.default_rng(307 + top)
+    ops = [Operation.identity(top), Operation.sq(0, top)]
+    if top:
+        ops += [Operation.sq(1, top - 1), Operation.identity(top - 1)]
+    for case in range(90):
+        n = int(rng.integers(4, 10))
+        if case % 3 == 0:
+            X = random_metric_space(rng, n)
+        elif case % 3 == 1:
+            X = _tied_metric(rng, n)
+        else:
+            d = random_bounded_metric(rng, n).d.copy()
+            d[np.tril_indices(n, -1)] -= 5e-10
+            X = FiniteMetricSpace(d)
+        off = X.d[~np.eye(n, dtype=bool)]
+        scale = [X.diameter() + 1e-9, float(rng.choice(off))][case % 2]
+        max_dim = top + 1 + case % 2
+        K = _vr_for_degrees(X, top, max_dim, scale)
+        assert K.dimension <= top
+        full = vr_filtration(X, max_dim, scale)
+        assert _barcode_json(K, top, ops) == _barcode_json(full, top, ops)
+
+
+def test_vr_for_degrees_at_max_dim_and_above():
+    rng = np.random.default_rng(317)
+    X = random_metric_space(rng, 7)
+    assert _vr_for_degrees(X, 2, 2, 0.9) == vr_filtration(X, 2, 0.9)
+    for top in (3, -1):
+        with pytest.raises(ValidationError, match="max_dim"):
+            _vr_for_degrees(X, top, 2, 0.9)
 
 
 def test_vr_equals_build_of_same_pairs(monkeypatch):
