@@ -134,7 +134,8 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metric", default="euclidean",
                    help="metric for --points: euclidean | sphere:RADIUS")
     p.add_argument("--complex", help="filtered-complex text file (skips VR)")
-    p.add_argument("--max-dim", type=int, help="VR dimension cap (mandatory)")
+    p.add_argument("--max-dim", type=int,
+                   help="VR dimension; degrees read must be below it")
     p.add_argument("--max-scale", type=float, help="VR scale cap (mandatory)")
 
 
@@ -202,11 +203,11 @@ def cmd_vr(args) -> int:
 
 def cmd_barcode(args) -> int:
     top = args.degree if args.max_degree is None else args.max_degree
-    K = _filtration_from_args(args, args.max_dim if top is None else top)
-    max_degree = args.max_degree
-    if max_degree is None:
-        max_degree = args.degree if args.degree is not None else max(K.dimension, 0)
-    bc = persistent_barcode(K, max_degree, reduced=args.reduced)
+    if top is None and args.complex is None and args.max_dim is not None:
+        top = args.max_dim - 1
+    K = _filtration_from_args(args, top)
+    bc = persistent_barcode(K, max(K.dimension, 0) if top is None else top,
+                            reduced=args.reduced)
     _finish_barcode(bc, "id", args)
     return 0
 
@@ -343,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated homology degrees")
     p.add_argument("--op", action="append",
                    help="operation with source degree, e.g. sq:1@1 (repeatable)")
-    p.add_argument("--max-dim", type=int, required=True)
+    p.add_argument("--max-dim", type=int, required=True,
+                   help="VR dimension; degrees read must be below it")
     p.add_argument("--max-scale", type=float, required=True)
     p.add_argument("--out")
     p.add_argument("--force", action="store_true")

@@ -23,13 +23,14 @@ def _low(bits: int) -> int:
 class PivotTable:
     """Incremental column elimination with lowest-set-bit pivots.
 
-    ``reduce`` is the one elimination loop of the package.  Inserted
-    columns are reduced against the stored ones; a nonzero residual is
-    stored under its pivot.  ``columns`` maps each pivot to its stored
-    column: the stored columns always have pairwise distinct lowest set
-    bits and span the same space as everything inserted so far.  A table
-    may start from a copy of such a mapping, e.g. another table's
-    ``columns``.
+    ``reduce`` eliminates for every explicit complex; only the top degree
+    of a metric path has a loop of its own (``metric._reduce_top_degree``).
+    Inserted columns are reduced against the stored ones; a nonzero
+    residual is stored under its pivot.  ``columns`` maps each pivot to
+    its stored column: the stored columns always have pairwise distinct
+    lowest set bits and span the same space as everything inserted so
+    far.  A table may start from a copy of such a mapping, e.g. another
+    table's ``columns``.
     """
 
     __slots__ = ("columns",)

@@ -166,28 +166,26 @@ def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> Filte
 def _vr_for_degrees(X: FiniteMetricSpace, top: int, max_dim: int,
                     max_scale: float) -> FilteredComplex:
     """The complex from which the metric paths read barcodes in degrees
-    <= top, and image and kernel barcodes of operations into them: those
-    of vr_filtration(X, max_dim, max_scale), which it is when top ==
-    max_dim (and for one point).
+    <= top < max_dim, and image and kernel barcodes of operations into
+    them: those of vr_filtration(X, max_dim, max_scale).
 
-    Below max_dim two savings leave those barcodes exact.  Let r_enc =
-    min_x max_y d(x, y), the enclosing radius.  From r_enc on, VR_r is a
-    cone on any x attaining it, so every bar but the essential H0 bar has
-    died by r_enc, and the scale is cut at min(max_scale, r_enc) (Ripser
-    uses the same threshold).  And the complex is built to dimension top
-    only: its (top+1)-simplices would serve only as the rows of
-    delta_top, whose reduction is read from the metric instead
+    Two savings leave those barcodes exact.  Let r_enc = min_x max_y
+    d(x, y), the enclosing radius.  From r_enc on, VR_r is a cone on any
+    x attaining it, so every bar but the essential H0 bar has died by
+    r_enc, and the scale is cut at min(max_scale, r_enc) (Ripser uses the
+    same threshold; one point keeps max_scale).  And the complex is built
+    to dimension top only: its (top+1)-simplices would serve only as the
+    rows of delta_top, whose reduction is read from the metric instead
     (:func:`_reduce_top_degree`).  Distances are the mirrored upper
     triangle d[u, v], u < v, which is what vr_filtration reads:
     validation lets d[v, u] differ by up to _TOL.
     """
-    if not 0 <= top <= max_dim:
-        raise ValidationError(f"degree {top} is outside 0..max_dim ({max_dim})")
-    if top == max_dim or X.n == 1:
-        return vr_filtration(X, max_dim, max_scale)
+    if not 0 <= top < max_dim:
+        raise ValidationError(f"degree {top} is outside 0..{max_dim - 1}: degrees "
+                              f"read must be below max_dim ({max_dim})")
     upper = np.triu(X.d, 1)
     d = upper + upper.T
-    scale = min(max_scale, float(d.max(axis=1).min()))
+    scale = min(max_scale, float(d.max(axis=1).min())) if X.n > 1 else max_scale
     K = vr_filtration(X, top, scale)
     if K.dimension == top:
         _reduce_top_degree(K, d, scale)

@@ -17,9 +17,14 @@ from .cohomology import (
     is_coboundary,
     persistent_barcode,
 )
-from .distances import bottleneck, bottleneck_oracle, stability_check
+from .distances import (
+    _invariant_barcodes,
+    bottleneck,
+    bottleneck_oracle,
+    stability_check,
+)
 from .metric import circle_grid, gluing_wedge, linf_product, vr_filtration
-from .operations import Operation, image_barcode
+from .operations import Operation
 from .simplicial import Cochain, coboundary, rp2_complex
 from .steenrod import cup_i, sq
 from .synthetic import (
@@ -65,14 +70,11 @@ def verify_wedge(seed: int = 0, trials: int = 20) -> dict:
         y0 = int(rng.integers(0, ny))
         W = gluing_wedge(X, x0, Y, y0)
         scale = W.diameter() + 1e-9
-        KX = vr_filtration(X, 3, scale)
-        KY = vr_filtration(Y, 3, scale)
-        KW = vr_filtration(W, 3, scale)
+        (hx, ix), (hy, iy), (hw, iw) = (
+            _invariant_barcodes(Z, [0, 1, 2], [op], 3, scale) for Z in (X, Y, W))
         ok = True
         detail = None
-        hw = persistent_barcode(KW, 2)
-        expected = _wedge_expected(persistent_barcode(KX, 2),
-                                   persistent_barcode(KY, 2))
+        expected = _wedge_expected(hx, hy)
         for deg in (0, 1, 2):
             if hw.in_degree(deg) != expected.in_degree(deg):
                 ok, detail = False, {
@@ -82,12 +84,11 @@ def verify_wedge(seed: int = 0, trials: int = 20) -> dict:
                 }
                 break
         if ok:
-            iw = image_barcode(KW, op)
-            iexp = image_barcode(KX, op).union(image_barcode(KY, op))
-            if iw != iexp:
+            iexp = ix[op].union(iy[op])
+            if iw[op] != iexp:
                 ok, detail = False, {
                     "invariant": "imgSq1",
-                    "wedge": iw.to_json_dict("Sq1"),
+                    "wedge": iw[op].to_json_dict("Sq1"),
                     "expected": iexp.to_json_dict("Sq1"),
                 }
         checks.append({"name": f"pair-{trial}", "passed": ok,

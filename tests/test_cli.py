@@ -106,13 +106,19 @@ def test_metric_barcodes_equal_complex_barcodes(tmp_path, monkeypatch):
         assert main(argv + ["--complex", str(cplx), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert json.loads(a.read_text())["bars"]
+    # the default top degree is --max-dim - 1
+    a, b = tmp_path / "metric-all.json", tmp_path / "complex-all.json"
+    assert main(["barcode", "--input", str(dmat), *caps, "--out", str(a)]) == 0
+    assert main(["barcode", "--complex", str(cplx), "--max-degree", "2",
+                 "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
     # built to the top degree read, at the enclosing radius
-    assert [dim for dim, _ in built] == [3, 1, 2, 2]
-    assert built[1][1] == built[2][1] == built[3][1] < 4.0
-    # the default top degree is --max-dim, which keeps scale and dimension
+    assert [dim for dim, _ in built] == [3, 1, 2, 2, 2]
+    assert built[1][1] == built[2][1] == built[3][1] == built[4][1] < 4.0
+    # a top degree at --max-dim exits 2 before any complex is built
     assert main(["barcode", "--input", str(dmat), *caps,
-                 "--out", str(tmp_path / "all.json")]) == 0
-    assert built[4] == (3, 4.0)
+                 "--max-degree", "3"]) == 2
+    assert len(built) == 5
 
 
 def test_image_barcode_rp2(tmp_path, capsys):
@@ -227,7 +233,7 @@ def test_gh_bound_command(circle_file, tmp_path, capsys):
     code, data = run_json(capsys, [
         "gh-bound", "--a", str(circle_file), "--b", str(circle_file),
         "--degrees", "0,1", "--op", "sq:1@1",
-        "--max-dim", "2", "--max-scale", "2.5",
+        "--max-dim", "3", "--max-scale", "2.5",
     ])
     assert code == 0
     assert data["gh_lower_bound"] == 0.0
@@ -274,44 +280,67 @@ def test_bad_op_spec(tmp_path, capsys):
                  "--op", "cup:1", "--source-degree", "1"]) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "wedge", "--seed", "-1"],
-    ["verify", "stability", "--trials", "-3"],
-    ["verify", "stability", "--trials", "0"],
-    ["gh-bound", "--a", "{c}", "--b", "{c}", "--degrees", "x",
-     "--max-dim", "1", "--max-scale", "1"],
-    ["gh-bound", "--a", "{c}", "--b", "{c}", "--degrees", "0,-1",
-     "--max-dim", "1", "--max-scale", "1"],
-    ["gh-bound", "--a", "{c}", "--b", "{c}", "--op", "sq:1@x",
-     "--max-dim", "1", "--max-scale", "1"],
-    ["image-barcode", "--input", "{c}", "--max-dim", "1", "--max-scale", "1",
-     "--op", "cup:1", "--source-degree", "1"],
-    ["kernel-barcode", "--input", "{c}", "--max-dim", "1", "--max-scale", "1",
-     "--op", "id", "--source-degree", "-1"],
-    ["make", "wedge", "--a", "{c}", "--out", "{c}.out"],
-    ["make", "product", "--b", "{c}", "--out", "{c}.out"],
-    ["vr", "--max-dim", "1", "--max-scale", "1", "--out", "{c}.out"],
-    ["gh-bound", "--a", "{neg}", "--b", "{c}", "--max-dim", "1",
-     "--max-scale", "1"],
-    ["gh-bound", "--a", "{c}", "--b", "{c}", "--degrees", "0,5",
-     "--max-dim", "2", "--max-scale", "1"],
-    ["image-barcode", "--input", "{c}", "--max-dim", "2", "--max-scale", "1",
-     "--op", "sq:1", "--source-degree", "2"],
-    ["kernel-barcode", "--input", "{c}", "--max-dim", "1", "--max-scale", "1",
-     "--op", "sq:1", "--source-degree", "1"],
-    ["barcode", "--input", "{c}", "--max-dim", "1", "--max-scale", "1",
-     "--degree", "3"],
-    ["barcode", "--input", "{c}", "--max-dim", "1", "--max-scale", "0"],
-    ["bottleneck", "--a", "{c}", "--b", "{c}", "--degree", "0"],
-    ["make", "circle", "--count", "1", "--out", "{c}.out"],
-], ids=["negative-seed", "negative-trials", "zero-trials", "degrees-not-int",
-        "negative-degree", "bad-source-degree", "bad-op", "negative-source-degree",
-        "wedge-without-b", "product-without-a", "vr-without-input",
-        "negative-point-count", "degree-above-max-dim",
-        "image-target-above-max-dim", "kernel-target-above-max-dim",
-        "barcode-degree-above-max-dim", "nonpositive-scale",
-        "bottleneck-not-json", "one-point-circle"])
-def test_bad_arguments_exit_2(circle_file, capsys, argv):
+@pytest.mark.parametrize("argv, fragment", [
+    pytest.param(["verify", "wedge", "--seed", "-1"],
+                 "--seed must be nonnegative", id="negative-seed"),
+    pytest.param(["verify", "stability", "--trials", "-3"],
+                 "--trials must be at least 1", id="negative-trials"),
+    pytest.param(["verify", "stability", "--trials", "0"],
+                 "--trials must be at least 1", id="zero-trials"),
+    pytest.param(["gh-bound", "--a", "{c}", "--b", "{c}", "--degrees", "x",
+                  "--max-dim", "1", "--max-scale", "1"],
+                 "bad --degrees 'x'", id="degrees-not-int"),
+    pytest.param(["gh-bound", "--a", "{c}", "--b", "{c}", "--degrees", "0,-1",
+                  "--max-dim", "1", "--max-scale", "1"],
+                 "bad --degrees '0,-1'", id="negative-degree"),
+    pytest.param(["gh-bound", "--a", "{c}", "--b", "{c}", "--op", "sq:1@x",
+                  "--max-dim", "1", "--max-scale", "1"],
+                 "bad source degree in 'sq:1@x'", id="bad-source-degree"),
+    pytest.param(["image-barcode", "--input", "{c}", "--max-dim", "1",
+                  "--max-scale", "1", "--op", "cup:1", "--source-degree", "1"],
+                 "unknown operation spec 'cup:1'", id="bad-op"),
+    pytest.param(["kernel-barcode", "--input", "{c}", "--max-dim", "1",
+                  "--max-scale", "1", "--op", "id", "--source-degree", "-1"],
+                 "source degree must be nonnegative", id="negative-source-degree"),
+    pytest.param(["make", "wedge", "--a", "{c}", "--out", "{c}.out"],
+                 "make wedge needs --a and --b", id="wedge-without-b"),
+    pytest.param(["make", "product", "--b", "{c}", "--out", "{c}.out"],
+                 "make product needs --a and --b", id="product-without-a"),
+    pytest.param(["vr", "--max-dim", "1", "--max-scale", "1", "--out", "{c}.out"],
+                 "need --input or --points", id="vr-without-input"),
+    pytest.param(["gh-bound", "--a", "{neg}", "--b", "{c}", "--max-dim", "1",
+                  "--max-scale", "1"],
+                 "point count -1 is negative", id="negative-point-count"),
+    pytest.param(["gh-bound", "--a", "{c}", "--b", "{c}", "--degrees", "0,5",
+                  "--max-dim", "2", "--max-scale", "1"],
+                 "degree 5 is outside 0..1", id="degree-above-max-dim"),
+    pytest.param(["gh-bound", "--a", "{c}", "--b", "{c}", "--degrees", "0,1",
+                  "--max-dim", "1", "--max-scale", "1"],
+                 "degree 1 is outside 0..0", id="degree-at-max-dim"),
+    pytest.param(["image-barcode", "--input", "{c}", "--max-dim", "2",
+                  "--max-scale", "1", "--op", "sq:1", "--source-degree", "2"],
+                 "degree 3 is outside 0..1", id="image-target-above-max-dim"),
+    pytest.param(["image-barcode", "--input", "{c}", "--max-dim", "2",
+                  "--max-scale", "1", "--op", "sq:1", "--source-degree", "1"],
+                 "degree 2 is outside 0..1", id="image-target-at-max-dim"),
+    pytest.param(["kernel-barcode", "--input", "{c}", "--max-dim", "1",
+                  "--max-scale", "1", "--op", "sq:1", "--source-degree", "1"],
+                 "degree 2 is outside 0..0", id="kernel-target-above-max-dim"),
+    pytest.param(["barcode", "--input", "{c}", "--max-dim", "1", "--max-scale", "1",
+                  "--degree", "3"],
+                 "degree 3 is outside 0..0", id="barcode-degree-above-max-dim"),
+    pytest.param(["barcode", "--input", "{c}", "--max-dim", "2", "--max-scale", "1",
+                  "--degree", "2"],
+                 "degree 2 is outside 0..1", id="barcode-degree-at-max-dim"),
+    pytest.param(["barcode", "--input", "{c}", "--max-dim", "1", "--max-scale", "0"],
+                 "max_scale must be positive", id="nonpositive-scale"),
+    pytest.param(["bottleneck", "--a", "{c}", "--b", "{c}", "--degree", "0"],
+                 "malformed barcode JSON", id="bottleneck-not-json"),
+    pytest.param(["make", "circle", "--count", "1", "--out", "{c}.out"],
+                 "need at least two sample points", id="one-point-circle"),
+])
+def test_bad_arguments_exit_2(circle_file, capsys, argv, fragment):
+    """Each case exits 2 with its own message, not an earlier error."""
     negative = circle_file.with_name("negative.dmat")
     negative.write_text("-1 5\n")
     code = main([a.replace("{c}", str(circle_file)).replace("{neg}", str(negative))
@@ -319,4 +348,5 @@ def test_bad_arguments_exit_2(circle_file, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")
+    assert fragment in err
     assert "Traceback" not in err

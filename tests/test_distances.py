@@ -238,16 +238,16 @@ def test_enclosing_radius_cap_is_exact(max_dim):
                 == persistent_barcode(K, max_dim - 1))
         assert image_barcode(C, op) == image_barcode(K, op)
         assert kernel_barcode(C, op) == kernel_barcode(K, op)
-        # degree max_dim keeps the caller's scale and dimension
-        assert _vr_for_degrees(X, max_dim, max_dim, scale) == K
-        homology, _ = _invariant_barcodes(X, [max_dim], [], max_dim, scale)
-        assert homology == persistent_barcode(K, max_dim)
+        # degree max_dim is not read: the skeleton's top barcode is not exact
+        with pytest.raises(ValidationError, match="max_dim"):
+            _vr_for_degrees(X, max_dim, max_dim, scale)
+        with pytest.raises(ValidationError, match="max_dim"):
+            _invariant_barcodes(X, [max_dim], [], max_dim, scale)
 
 
 def test_cap_reaches_vr_filtration(monkeypatch):
-    """Below max_dim, VR is built at the enclosing radius to the top
-    degree read, with no simplex above it; at max_dim, to max_dim at the
-    caller's scale."""
+    """VR is built at the enclosing radius to the top degree read, with
+    no simplex above it; a top degree at max_dim builds nothing."""
     built = []
 
     def spy(X, max_dim, max_scale):
@@ -265,8 +265,12 @@ def test_cap_reaches_vr_filtration(monkeypatch):
     gh_lower_bound(X, Y, [0, 1, 2], sq1, 3, scale)
     assert built == [(2, r, 2) for r in radii]
     built.clear()
-    gh_lower_bound(X, Y, [0, 1, 2, 3], sq1, 3, scale)
-    assert built == [(3, scale, 3), (3, scale, 3)]
+    with pytest.raises(ValidationError, match="max_dim"):
+        gh_lower_bound(X, Y, [0, 1, 2, 3], sq1, 3, scale)
+    assert built == []
+    gh_lower_bound(X, Y, [0, 1, 2, 3], sq1, 4, scale)
+    assert [b[:2] for b in built] == [(3, r) for r in radii]
+    assert all(b[2] <= 3 for b in built)
     built.clear()
     low = min(radii) / 2
     gh_lower_bound(X, Y, [0, 1], [], 3, low)
@@ -275,19 +279,35 @@ def test_cap_reaches_vr_filtration(monkeypatch):
 
 
 def test_metric_paths_reject_degrees_above_max_dim():
-    """A degree or operation target above max_dim has no barcode in the
-    complex; it is an error, not an empty barcode or a d_B of 0."""
+    """A degree or operation target at or above max_dim has no exact
+    barcode in VR to dimension max_dim; it is an error, not an empty
+    barcode, a skeleton's barcode or a d_B of 0."""
     rng = np.random.default_rng(227)
     X, Y = random_metric_space(rng, 6), random_metric_space(rng, 7)
-    with pytest.raises(ValidationError, match="max_dim"):
-        gh_lower_bound(X, Y, [0, 5], [], 2, 1.0)
-    with pytest.raises(ValidationError, match="max_dim"):
-        gh_lower_bound(X, Y, [0], [Operation.sq(1, 2)], 2, 1.0)
-    with pytest.raises(ValidationError, match="max_dim"):
-        stability_check(X, 0.01, 1, 0, Operation.identity(1), 3, 2)
-    report = gh_lower_bound(X, Y, [0, 2], [Operation.sq(1, 1)], 2, 1.0)
+    for degrees, ops in (([0, 5], []), ([0], [Operation.sq(1, 2)]),
+                         ([0, 2], []), ([0], [Operation.sq(1, 1)])):
+        with pytest.raises(ValidationError, match="max_dim"):
+            gh_lower_bound(X, Y, degrees, ops, 2, 1.0)
+    for op, degree in ((Operation.identity(1), 3), (Operation.identity(2), 1),
+                       (Operation.sq(1, 1), 1)):
+        with pytest.raises(ValidationError, match="max_dim"):
+            stability_check(X, 0.01, 1, 0, op, degree, 2)
+    report = gh_lower_bound(X, Y, [0, 2], [Operation.sq(1, 1)], 3, 1.0)
     assert [e["invariant"] for e in report["per_invariant"]] == [
         "H0", "H2", "imgSq1@deg2"]
+
+
+def test_gh_bound_between_circles_reads_no_skeleton():
+    """H1 of the 1-skeleton, where every cycle of the two circle grids
+    lives forever, would give a bound of inf: max_dim 1 is an error, and
+    max_dim 2 and 3 give one finite report."""
+    X, Y = circle_grid(10), circle_grid(12)
+    diam = max(X.diameter(), Y.diameter())
+    with pytest.raises(ValidationError, match="max_dim"):
+        gh_lower_bound(X, Y, [0, 1], [], 1, diam)
+    reports = [gh_lower_bound(X, Y, [0, 1], [], m, diam) for m in (2, 3)]
+    assert reports[0] == reports[1]
+    assert math.isfinite(reports[0]["gh_lower_bound"])
 
 
 def test_gh_bound_one_point_spaces():

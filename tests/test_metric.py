@@ -178,12 +178,15 @@ def test_vr_for_degrees_matches_full_complex(top):
 
 
 def test_vr_for_degrees_at_max_dim_and_above():
+    """Only degrees below max_dim are read: H^max_dim of the
+    max_dim-skeleton is not a VR invariant.  One point keeps max_scale."""
     rng = np.random.default_rng(317)
     X = random_metric_space(rng, 7)
-    assert _vr_for_degrees(X, 2, 2, 0.9) == vr_filtration(X, 2, 0.9)
-    for top in (3, -1):
+    for top in (2, 3, -1):
         with pytest.raises(ValidationError, match="max_dim"):
             _vr_for_degrees(X, top, 2, 0.9)
+    P = FiniteMetricSpace([[0.0]])
+    assert _vr_for_degrees(P, 0, 1, 0.9) == vr_filtration(P, 1, 0.9)
 
 
 def test_vr_equals_build_of_same_pairs(monkeypatch):
