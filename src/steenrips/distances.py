@@ -181,6 +181,8 @@ def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace,
                    max_dim: int, max_scale: float) -> dict:
     """Per-invariant bottleneck distances and the Gromov-Hausdorff lower
     bound max(d_B) / 2, with the invariant achieving it."""
+    if not degrees and not ops:
+        raise ValidationError("no invariants requested")
     hom_x, img_x = _invariant_barcodes(X, degrees, ops, max_dim, max_scale)
     hom_y, img_y = _invariant_barcodes(Y, degrees, ops, max_dim, max_scale)
     per_invariant = []
@@ -194,8 +196,6 @@ def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace,
             "invariant": f"img{op.name}@deg{op.target_degree}",
             "d_B": bottleneck(img_x[op], img_y[op], op.target_degree),
         })
-    if not per_invariant:
-        raise ValidationError("no invariants requested")
     best = max(per_invariant, key=lambda e: e["d_B"])
     return {
         "per_invariant": per_invariant,

@@ -1,9 +1,14 @@
 """Finite metric spaces, metric constructions and Vietoris-Rips expansion.
 
-Distances live in plain numpy float64 matrices.  Validation is strict:
-symmetry, zero diagonal, positivity and the triangle inequality are
-checked to 1e-9 and violations are hard errors, because the downstream
-decomposition and stability theorems assume metrics.
+Distances live in plain numpy float64 matrices.  A matrix from outside
+is checked for symmetry, zero diagonal, positivity and the triangle
+inequality to 1e-9, and violations are hard errors, because the
+downstream decomposition and stability theorems assume metrics.  The
+constructors here and in :mod:`steenrips.synthetic` round exact metrics
+and skip only the O(n^3) triangle check.  Rounding can break the
+inequality by more than 1e-9 (nearly collinear points with coordinates
+near 1e8); that is accepted, since VR expansion, barcodes and bottleneck
+distances need only a symmetric matrix.
 """
 
 from __future__ import annotations
@@ -26,11 +31,26 @@ _TOL = 1e-9
 
 
 class FiniteMetricSpace:
-    """Symmetric distance matrix with zero diagonal and triangle inequality."""
+    """Symmetric distance matrix with zero diagonal and triangle inequality.
+
+    ``FiniteMetricSpace(d)`` runs every check, so :func:`load_distance_matrix`
+    and ``stability_check``'s perturbed matrices do.  The constructors call
+    ``_trusted``, which skips the triangle check (see the module docstring).
+    """
 
     __slots__ = ("n", "d")
 
     def __init__(self, d):
+        self._load(d)
+        _check_triangle(self.d)
+
+    @classmethod
+    def _trusted(cls, d) -> FiniteMetricSpace:
+        X = cls.__new__(cls)
+        X._load(d)
+        return X
+
+    def _load(self, d) -> None:
         d = np.asarray(d, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise MetricError("distance matrix must be square")
@@ -46,16 +66,6 @@ class FiniteMetricSpace:
         off = d[~np.eye(n, dtype=bool)]
         if off.size and off.min() <= 0.0:
             raise MetricError("distinct points at non-positive distance")
-        # d(x,y) <= d(x,z) + d(z,y) for all z, within tolerance; one row
-        # of slack at a time keeps the check in O(n^2) memory
-        slack = np.empty_like(d)
-        for i in range(n):
-            slack[i] = (d[i] + d).min(axis=1)
-        if (d > slack + _TOL).any():
-            i, j = np.unravel_index(np.argmax(d - slack), d.shape)
-            raise MetricError(
-                f"triangle inequality fails at points ({i}, {j})"
-            )
         d = d.copy()
         d.flags.writeable = False
         self.n = n
@@ -66,6 +76,17 @@ class FiniteMetricSpace:
 
     def __len__(self) -> int:
         return self.n
+
+
+def _check_triangle(d: np.ndarray) -> None:
+    """d(x,y) <= d(x,z) + d(z,y) for all z, within tolerance; one row of
+    slack at a time keeps the check in O(n^2) memory."""
+    slack = np.empty_like(d)
+    for i in range(d.shape[0]):
+        slack[i] = (d[i] + d).min(axis=1)
+    if (d > slack + _TOL).any():
+        i, j = np.unravel_index(np.argmax(d - slack), d.shape)
+        raise MetricError(f"triangle inequality fails at points ({i}, {j})")
 
 
 @dataclass(frozen=True)
@@ -279,7 +300,7 @@ def gluing_wedge(X: FiniteMetricSpace, x0: int, Y: FiniteMetricSpace, y0: int) -
     cross = X.d[:, x0][:, None] + Y.d[y0, keep][None, :]
     d[:X.n, X.n:] = cross
     d[X.n:, :X.n] = cross.T
-    return FiniteMetricSpace(d)
+    return FiniteMetricSpace._trusted(d)
 
 
 def linf_product(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> FiniteMetricSpace:
@@ -289,7 +310,7 @@ def linf_product(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> FiniteMetricSpac
     """
     dx = np.kron(X.d, np.ones((Y.n, Y.n)))
     dy = np.kron(np.ones((X.n, X.n)), Y.d)
-    return FiniteMetricSpace(np.maximum(dx, dy))
+    return FiniteMetricSpace._trusted(np.maximum(dx, dy))
 
 
 def quotient_metric(X: FiniteMetricSpace, action: GroupAction) -> FiniteMetricSpace:
@@ -305,7 +326,7 @@ def quotient_metric(X: FiniteMetricSpace, action: GroupAction) -> FiniteMetricSp
             val = min(float(X.d[ra, y]) for y in orbits[b])
             d[a, b] = d[b, a] = val
     try:
-        return FiniteMetricSpace(d)
+        return FiniteMetricSpace._trusted(d)
     except MetricError as exc:
         # cannot happen for a proper isometric action
         raise InternalInvariantError(f"quotient is not a metric: {exc}") from exc
@@ -341,20 +362,16 @@ def sphere_sample(n: int, radius: float, count: int, seed: int = 0,
     d = radius * np.arccos(cosines)
     np.fill_diagonal(d, 0.0)
     d = np.minimum(d, d.T)
-    return FiniteMetricSpace(d)
+    return FiniteMetricSpace._trusted(d)
 
 
 def circle_grid(count: int, radius: float = 1.0) -> FiniteMetricSpace:
     """count equally spaced points on a circle, geodesic distances."""
     if count < 2:
         raise ValidationError("need at least two grid points")
-    d = np.zeros((count, count))
     step = 2.0 * math.pi * radius / count
-    for i in range(count):
-        for j in range(i + 1, count):
-            m = min(j - i, count - (j - i))
-            d[i, j] = d[j, i] = step * m
-    return FiniteMetricSpace(d)
+    k = np.abs(np.subtract.outer(np.arange(count), np.arange(count)))
+    return FiniteMetricSpace._trusted(step * np.minimum(k, count - k))
 
 
 def projective_sample(dim: int, count: int, seed: int = 0,
@@ -423,7 +440,7 @@ def metric_from_points(points: np.ndarray, kind: str = "euclidean") -> FiniteMet
     pts = np.asarray(points, dtype=np.float64)
     if kind == "euclidean":
         diff = pts[:, None, :] - pts[None, :, :]
-        return FiniteMetricSpace(np.sqrt((diff ** 2).sum(axis=2)))
+        return FiniteMetricSpace._trusted(np.sqrt((diff ** 2).sum(axis=2)))
     if kind.startswith("sphere:"):
         try:
             radius = float(kind.split(":", 1)[1])
@@ -437,5 +454,5 @@ def metric_from_points(points: np.ndarray, kind: str = "euclidean") -> FiniteMet
         unit = pts / norms[:, None]
         d = radius * np.arccos(np.clip(unit @ unit.T, -1.0, 1.0))
         np.fill_diagonal(d, 0.0)
-        return FiniteMetricSpace(np.minimum(d, d.T))
+        return FiniteMetricSpace._trusted(np.minimum(d, d.T))
     raise ValidationError(f"unknown metric kind {kind!r}")

@@ -16,7 +16,7 @@ def random_metric_space(rng: np.random.Generator, n_points: int,
     """Euclidean distances of uniform points in a square (always a metric)."""
     pts = rng.uniform(0.0, side, size=(n_points, 2))
     diff = pts[:, None, :] - pts[None, :, :]
-    return FiniteMetricSpace(np.sqrt((diff ** 2).sum(axis=2)))
+    return FiniteMetricSpace._trusted(np.sqrt((diff ** 2).sum(axis=2)))
 
 
 def random_bounded_metric(rng: np.random.Generator, n_points: int,
@@ -31,7 +31,7 @@ def random_bounded_metric(rng: np.random.Generator, n_points: int,
         raise ValueError("need low < high <= 2*low for an unconditional metric")
     d = rng.uniform(low, high, size=(n_points, n_points))
     d = np.triu(d, 1)
-    return FiniteMetricSpace(d + d.T)
+    return FiniteMetricSpace._trusted(d + d.T)
 
 
 def random_filtered_complex(rng: np.random.Generator, max_vertices: int = 6,

@@ -317,6 +317,9 @@ def test_bad_op_spec(tmp_path, capsys):
     pytest.param(["gh-bound", "--a", "{c}", "--b", "{c}", "--degrees", "0,1",
                   "--max-dim", "1", "--max-scale", "1"],
                  "degree 1 is outside 0..0", id="degree-at-max-dim"),
+    pytest.param(["gh-bound", "--a", "{c}", "--b", "{c}", "--degrees", "",
+                  "--max-dim", "0", "--max-scale", "1"],
+                 "no invariants requested", id="no-invariants"),
     pytest.param(["image-barcode", "--input", "{c}", "--max-dim", "2",
                   "--max-scale", "1", "--op", "sq:1", "--source-degree", "2"],
                  "degree 3 is outside 0..1", id="image-target-above-max-dim"),

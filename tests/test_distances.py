@@ -278,6 +278,17 @@ def test_cap_reaches_vr_filtration(monkeypatch):
     assert all(b[2] <= 1 for b in built)
 
 
+def test_no_invariants_builds_nothing(monkeypatch):
+    """Empty degrees and operations are refused before any VR is built,
+    whatever max_dim."""
+    built = []
+    monkeypatch.setattr(metric, "vr_filtration", lambda *args: built.append(args))
+    X = circle_grid(6)
+    for max_dim in (0, 2):
+        with pytest.raises(ValidationError, match="no invariants requested"):
+            gh_lower_bound(X, X, [], [], max_dim, 10.0)
+    assert built == []
+
 def test_metric_paths_reject_degrees_above_max_dim():
     """A degree or operation target at or above max_dim has no exact
     barcode in VR to dimension max_dim; it is an error, not an empty

@@ -4,7 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from steenrips.cli import main
+from steenrips.distances import stability_check
 from steenrips.errors import MetricError, ValidationError
 from steenrips.cohomology import persistent_barcode
 from steenrips.metric import (
@@ -24,7 +28,7 @@ from steenrips.metric import (
     sphere_sample,
     vr_filtration,
 )
-from steenrips import simplicial
+from steenrips import metric, simplicial
 from steenrips.operations import Operation, image_barcode, kernel_barcode
 from steenrips.simplicial import build
 from steenrips.synthetic import random_bounded_metric, random_metric_space
@@ -359,3 +363,144 @@ def test_points_csv_euclidean_and_sphere():
         metric_from_points(on_sphere * 1.1, "sphere:2")
     with pytest.raises(ValidationError):
         metric_from_points(pts, "hyperbolic")
+
+
+# -- trusted constructors ---------------------------------------------------
+
+coords = st.integers(-1000, 1000).map(lambda k: k / 100)
+radii = st.floats(0.1, 10.0)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _clouds(max_points):
+    return st.integers(1, 3).flatmap(lambda dim: st.lists(
+        st.tuples(*[coords] * dim), min_size=2, max_size=max_points,
+        unique=True).map(np.array))
+
+
+def _sphere_clouds(max_points):
+    """(points, R): one integer direction per ray, scaled to radius R.
+    Two directions are >= 3e-3 rad apart, so arccos rounding stays far
+    below the 1e-9 tolerance."""
+    directions = st.integers(2, 3).flatmap(lambda dim: st.lists(
+        st.tuples(*[st.integers(-10, 10)] * dim).filter(any),
+        min_size=2, max_size=max_points,
+        unique_by=lambda v: tuple(c // math.gcd(*v) for c in v)))
+
+    def on_sphere(args):
+        v, radius = np.array(args[0], dtype=float), args[1]
+        return v * (radius / np.linalg.norm(v, axis=1))[:, None], radius
+
+    return st.tuples(directions, radii).map(on_sphere)
+
+
+def _bounded(args):
+    seed, n, low, ratio = args
+    return random_bounded_metric(np.random.default_rng(seed), n, low, low * ratio)
+
+
+@st.composite
+def _sphere_samples(draw, max_points):
+    closed = draw(st.booleans())
+    count = draw(st.integers(2, max_points // 2 if closed else max_points))
+    return sphere_sample(draw(st.integers(1, 3)), draw(radii), count,
+                         draw(seeds), antipodal_closure=closed)
+
+
+def _spaces(max_points):
+    """Spaces from the constructors that take no space."""
+    n = st.integers(2, max_points)
+    return st.one_of(
+        _clouds(max_points).map(metric_from_points),
+        _sphere_clouds(max_points).map(
+            lambda a: metric_from_points(a[0], f"sphere:{a[1]!r}")),
+        _sphere_samples(max_points),
+        st.builds(circle_grid, n, radii),
+        st.builds(lambda dim, count, seed, radius:
+                  projective_sample(dim, count, seed, radius),
+                  st.integers(1, 3), n, seeds, radii),
+        st.builds(lambda seed, count, side:
+                  random_metric_space(np.random.default_rng(seed), count, side),
+                  seeds, n, radii),
+        st.tuples(seeds, n, radii, st.floats(1.01, 2.0)).map(_bounded),
+    )
+
+
+@st.composite
+def _wedges(draw):
+    X, Y = draw(_spaces(20)), draw(_spaces(20))
+    return gluing_wedge(X, draw(st.integers(0, X.n - 1)),
+                        Y, draw(st.integers(0, Y.n - 1)))
+
+
+@st.composite
+def _quotients(draw):
+    """A circle grid by rotations and a reflection, or any space by the
+    trivial action."""
+    if draw(st.booleans()):
+        X = draw(_spaces(40))
+        return quotient_metric(X, GroupAction(X, (tuple(range(X.n)),)))
+    count = draw(st.integers(2, 40))
+    X = circle_grid(count, draw(radii))
+    shift = draw(st.integers(0, count - 1))
+    gens = [tuple((i + shift) % count for i in range(count))]
+    if draw(st.booleans()):
+        gens.append(tuple(-i % count for i in range(count)))
+    return quotient_metric(X, GroupAction(X, tuple(gens)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_spaces(40), _wedges(),
+                 st.builds(linf_product, _spaces(6), _spaces(6)), _quotients()))
+def test_constructors_pass_the_full_check(X):
+    """At ordinary scales every trusted constructor's matrix is a metric
+    to the tolerance, and the full check keeps its bytes."""
+    assert X.d.dtype == np.float64 and not X.d.flags.writeable
+    assert FiniteMetricSpace(X.d).d.tobytes() == X.d.tobytes()
+
+
+class _Checked(Exception):
+    pass
+
+
+def test_only_outside_matrices_reach_the_triangle_check(monkeypatch, tmp_path):
+    def checked(d):
+        raise _Checked
+
+    monkeypatch.setattr(metric, "_check_triangle", checked)
+    rng = np.random.default_rng(43)
+    pts = rng.uniform(-1.0, 1.0, size=(12, 3))
+    on_sphere = 2.0 * pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    c = circle_grid(6, 1.0)
+    S = sphere_sample(2, 2.0, 5, seed=1, antipodal_closure=True)
+    spaces = [
+        metric_from_points(pts), metric_from_points(on_sphere, "sphere:2"), S,
+        c, gluing_wedge(c, 0, S, 3), linf_product(c, S),
+        quotient_metric(S, antipodal_action(S)), projective_sample(2, 8, seed=1),
+        random_metric_space(rng, 7), random_bounded_metric(rng, 7),
+    ]
+    assert all(isinstance(X, FiniteMetricSpace) for X in spaces)
+    with pytest.raises(_Checked):
+        FiniteMetricSpace(c.d)
+    buf = io.StringIO()
+    save_distance_matrix(c, buf)
+    with pytest.raises(_Checked):
+        load_distance_matrix(buf.getvalue())
+    path = tmp_path / "c.dmat"
+    path.write_text(buf.getvalue())
+    with pytest.raises(_Checked):
+        main(["barcode", "--input", str(path), "--max-dim", "2", "--max-scale", "3"])
+    with pytest.raises(_Checked):
+        stability_check(c, 0.01, 1, 0, Operation.sq(1, 0), 0, 2)
+
+
+def test_rounding_can_break_a_constructed_metric():
+    """Nearly collinear points near 1e8: the Euclidean matrix is the
+    rounded value of a metric and is accepted, though rounding breaks
+    the triangle inequality by more than the tolerance."""
+    rng = np.random.default_rng(47)
+    t = rng.uniform(0.0, 1.0, 40)
+    pts = (np.outer(t, [1.0, 2.0, -1.0]) + [3.0, 7.0, 1.0]) * 1e7
+    X = metric_from_points(pts + 1e-5 * rng.standard_normal((40, 3)))
+    with pytest.raises(MetricError, match="triangle inequality"):
+        FiniteMetricSpace(X.d)
