@@ -20,11 +20,10 @@ from pathlib import Path
 
 from .cohomology import Barcode, persistent_barcode
 from .diagrams import write_csv, write_svg
-from .distances import bottleneck, gh_lower_bound
+from .distances import _vr_for_degrees, bottleneck, gh_lower_bound
 from .errors import InternalInvariantError, ValidationError
 from .metric import (
     FiniteMetricSpace,
-    _vr_for_degrees,
     circle_grid,
     gluing_wedge,
     linf_product,

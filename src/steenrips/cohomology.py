@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ValidationError
 from .gf2 import PivotTable
@@ -165,7 +168,7 @@ class CohomologyReduction:
     where delta_p is zero, z is the unit cochain of sigma and is stored as
     None.  The top degree of a complex from the metric paths instead
     holds the bars of the VR coboundary into the (top+1)-simplices that
-    were never built, with an empty table (``metric._reduce_top_degree``).
+    were never built, with an empty table (:func:`_reduce_top_degree`).
     ``operations`` memoises the (image, kernel) barcodes of each
     operation.  The object holds no reference to its complex, so the two
     are freed together by reference counting.
@@ -215,6 +218,80 @@ class CohomologyReduction:
         if not 0 <= p <= K.dimension:
             return PivotTable()
         return PivotTable(self.degree(K, p)[0].columns)
+
+
+def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
+    """Reduce delta_p of K's top degree p as if K held the (p+1)-simplices
+    of VR of the distance matrix d at this scale, and store its bars in
+    the cohomology reduction.
+
+    The cofacet sigma + {v} of a p-simplex sigma enters at the IEEE max
+    of value(sigma) and d[u, v], u in sigma, if that is <= scale.  After
+    the delta_{p-1} pivots are cleared, the column of sigma is apparent
+    (Bauer, "Ripser", 2021) when its earliest cofacet tau, the least by
+    (value, v), has sigma as its latest facet: every other facet
+    tau - {x} has a smaller value, or an equal one and x > v.  It keeps
+    the pivot tau unreduced, and its companion is the unit cochain.  The
+    few columns left are reduced in reverse order as sets of (value,
+    vertices) keys; a pivot tau is owned by its apparent facet, which is
+    later than the column, or by a column reduced before.  So the bars
+    and companions are those of the explicit reduction.  K has no rows
+    for delta_p, so its table stays empty.
+    """
+    p = K.dimension
+    red = reduction(K)
+    cleared = list(red.degree(K, p - 1)[0].columns) if p else []
+    simplices, index, values = K.dim_simplices[p], K.dim_index[p], K.dim_values[p]
+    S = np.array(simplices).reshape(len(simplices), p + 1)
+    vals = np.array(values)
+    rows = np.arange(len(S))
+    cof = np.repeat(vals[:, None], d.shape[0], axis=1)
+    for i in range(p + 1):
+        np.maximum(cof, d[S[:, i]], out=cof)
+    cof[rows[:, None], S] = INF
+    cof[cof > scale] = INF
+    v = cof.argmin(axis=1)
+    death = cof[rows, v]
+    T = np.column_stack([S, v])
+    apparent = death < INF
+    for x in range(p + 1):
+        facet = np.zeros(len(S))
+        for a, b in combinations([i for i in range(p + 2) if i != x], 2):
+            np.maximum(facet, d[T[:, a], T[:, b]], out=facet)
+        apparent &= (facet < vals) | ((facet == vals) & (S[:, x] > v))
+    apparent[cleared] = False
+    long = np.flatnonzero(apparent & (vals < death))
+    bars = list(zip(long.tolist(), death[long].tolist(), [None] * len(long)))
+    left = ~apparent
+    left[cleared] = False
+    v = v.tolist()
+
+    def cofacets(j: int) -> set:
+        ws = np.flatnonzero(cof[j] < INF)
+        return {(c, tuple(sorted(simplices[j] + (w,))))
+                for w, c in zip(ws.tolist(), cof[j, ws].tolist())}
+
+    pivots: dict = {}
+    for s in np.flatnonzero(left)[::-1].tolist():
+        col, z = cofacets(s), 1 << s
+        while col:
+            tau = min(col)
+            if tau in pivots:
+                add, y = pivots[tau]
+            else:
+                j = max(index[f] for f in combinations(tau[1], p + 1))
+                if not (apparent[j] and sum(tau[1]) - sum(simplices[j]) == v[j]):
+                    pivots[tau] = col, z
+                    break
+                add, y = cofacets(j), 1 << j
+            col ^= add
+            z ^= y
+        end = tau[0] if col else INF
+        if values[s] < end:
+            bars.append((s, end, z))
+    bars.sort(key=lambda bar: -bar[0])
+    red.tables.append(PivotTable())
+    red.bars.append(bars)
 
 
 def reduction(K: FilteredComplex) -> CohomologyReduction:

@@ -20,10 +20,11 @@ import math
 
 import numpy as np
 
-from .cohomology import Barcode, persistent_barcode
+from .cohomology import Barcode, _reduce_top_degree, persistent_barcode
 from .errors import InternalInvariantError, ValidationError
-from .metric import FiniteMetricSpace, _vr_for_degrees
+from .metric import FiniteMetricSpace, _symmetric, vr_filtration
 from .operations import Operation, image_barcode
+from .simplicial import FilteredComplex
 
 INF = math.inf
 
@@ -167,6 +168,31 @@ def bottleneck_oracle(A: Barcode, B: Barcode, degree: int) -> float:
     return best
 
 
+def _vr_for_degrees(X: FiniteMetricSpace, top: int, max_dim: int,
+                    max_scale: float) -> FilteredComplex:
+    """The complex from which the metric paths read barcodes in degrees
+    <= top < max_dim, and image and kernel barcodes of operations into
+    them: those of vr_filtration(X, max_dim, max_scale).
+
+    Two savings leave those barcodes exact.  Let r_enc = min_x max_y
+    d(x, y), the enclosing radius.  From r_enc on, VR_r is a cone on any
+    x attaining it, so every bar but the essential H0 bar has died by
+    r_enc, and the scale is cut at min(max_scale, r_enc) (Ripser uses the
+    same threshold; one point keeps max_scale).  And the complex is built
+    to dimension top only: its (top+1)-simplices would serve only as the
+    rows of delta_top, whose reduction is read from the metric instead
+    (:func:`steenrips.cohomology._reduce_top_degree`).
+    """
+    if not 0 <= top < max_dim:
+        raise ValidationError(f"degree {top} is outside 0..{max_dim - 1}: degrees "
+                              f"read must be below max_dim ({max_dim})")
+    scale = min(max_scale, float(X.d.max(axis=1).min())) if X.n > 1 else max_scale
+    K = vr_filtration(X, top, scale)
+    if K.dimension == top:
+        _reduce_top_degree(K, X.d, scale)
+    return K
+
+
 def _invariant_barcodes(X: FiniteMetricSpace, degrees: list[int],
                         ops: list[Operation], max_dim: int, max_scale: float):
     top = max([*degrees, *(op.target_degree for op in ops)], default=0)
@@ -225,9 +251,7 @@ def stability_check(X: FiniteMetricSpace, delta: float, trials: int,
     for trial in range(trials):
         pert = None
         for _ in range(100):
-            noise = rng.uniform(-delta, delta, size=(X.n, X.n))
-            noise = np.triu(noise, 1)
-            noise = noise + noise.T
+            noise = _symmetric(rng.uniform(-delta, delta, size=(X.n, X.n)))
             try:
                 pert = FiniteMetricSpace(X.d + noise)
                 break

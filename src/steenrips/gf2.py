@@ -24,7 +24,8 @@ class PivotTable:
     """Incremental column elimination with lowest-set-bit pivots.
 
     ``reduce`` eliminates for every explicit complex; only the top degree
-    of a metric path has a loop of its own (``metric._reduce_top_degree``).
+    of a metric path has a loop of its own
+    (``cohomology._reduce_top_degree``).
     Inserted columns are reduced against the stored ones; a nonzero
     residual is stored under its pivot.  ``columns`` maps each pivot to
     its stored column: the stored columns always have pairwise distinct

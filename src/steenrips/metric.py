@@ -3,7 +3,9 @@
 Distances live in plain numpy float64 matrices.  A matrix from outside
 is checked for symmetry, zero diagonal, positivity and the triangle
 inequality to 1e-9, and violations are hard errors, because the
-downstream decomposition and stability theorems assume metrics.  The
+downstream decomposition and stability theorems assume metrics.  A space
+stores the upper triangle mirrored with a zero diagonal, so asymmetry
+within 1e-9 resolves to the upper triangle for every reader.  The
 constructors here and in :mod:`steenrips.synthetic` round exact metrics
 and skip only the O(n^3) triangle check.  Rounding can break the
 inequality by more than 1e-9 (nearly collinear points with coordinates
@@ -17,14 +19,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import TextIO
 
 import numpy as np
 
-from .cohomology import INF, reduction
 from .errors import InternalInvariantError, MetricError, ValidationError
-from .gf2 import PivotTable
 from .simplicial import FilteredComplex
 
 _TOL = 1e-9
@@ -33,6 +32,8 @@ _TOL = 1e-9
 class FiniteMetricSpace:
     """Symmetric distance matrix with zero diagonal and triangle inequality.
 
+    ``d`` is the upper triangle of the given matrix mirrored with a zero
+    diagonal, read-only: asymmetry within 1e-9 resolves to the upper one.
     ``FiniteMetricSpace(d)`` runs every check, so :func:`load_distance_matrix`
     and ``stability_check``'s perturbed matrices do.  The constructors call
     ``_trusted``, which skips the triangle check (see the module docstring).
@@ -63,10 +64,9 @@ class FiniteMetricSpace:
             raise MetricError("diagonal must be zero")
         if np.abs(d - d.T).max(initial=0.0) > _TOL:
             raise MetricError("distance matrix must be symmetric")
-        off = d[~np.eye(n, dtype=bool)]
-        if off.size and off.min() <= 0.0:
+        if d[~np.eye(n, dtype=bool)].min(initial=math.inf) <= 0.0:
             raise MetricError("distinct points at non-positive distance")
-        d = d.copy()
+        d = _symmetric(d)
         d.flags.writeable = False
         self.n = n
         self.d = d
@@ -76,6 +76,12 @@ class FiniteMetricSpace:
 
     def __len__(self) -> int:
         return self.n
+
+
+def _symmetric(d: np.ndarray) -> np.ndarray:
+    """The strict upper triangle of d mirrored, with a zero diagonal."""
+    d = np.triu(d, 1)
+    return d + d.T
 
 
 def _check_triangle(d: np.ndarray) -> None:
@@ -152,8 +158,6 @@ def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> Filte
     d = X.d
     near: list[dict[int, float]] = []
     for v in range(X.n):
-        # always the upper-triangle entry d[u, v], u < v: validation lets
-        # d[u, v] and d[v, u] differ by up to _TOL
         column = d[:v, v]
         us = np.flatnonzero(column <= max_scale)
         near.append(dict(zip(us.tolist(), column[us].tolist())))
@@ -182,108 +186,6 @@ def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> Filte
     entries.sort()
     values, _, simplices = zip(*entries)
     return FilteredComplex(simplices, values)
-
-
-def _vr_for_degrees(X: FiniteMetricSpace, top: int, max_dim: int,
-                    max_scale: float) -> FilteredComplex:
-    """The complex from which the metric paths read barcodes in degrees
-    <= top < max_dim, and image and kernel barcodes of operations into
-    them: those of vr_filtration(X, max_dim, max_scale).
-
-    Two savings leave those barcodes exact.  Let r_enc = min_x max_y
-    d(x, y), the enclosing radius.  From r_enc on, VR_r is a cone on any
-    x attaining it, so every bar but the essential H0 bar has died by
-    r_enc, and the scale is cut at min(max_scale, r_enc) (Ripser uses the
-    same threshold; one point keeps max_scale).  And the complex is built
-    to dimension top only: its (top+1)-simplices would serve only as the
-    rows of delta_top, whose reduction is read from the metric instead
-    (:func:`_reduce_top_degree`).  Distances are the mirrored upper
-    triangle d[u, v], u < v, which is what vr_filtration reads:
-    validation lets d[v, u] differ by up to _TOL.
-    """
-    if not 0 <= top < max_dim:
-        raise ValidationError(f"degree {top} is outside 0..{max_dim - 1}: degrees "
-                              f"read must be below max_dim ({max_dim})")
-    upper = np.triu(X.d, 1)
-    d = upper + upper.T
-    scale = min(max_scale, float(d.max(axis=1).min())) if X.n > 1 else max_scale
-    K = vr_filtration(X, top, scale)
-    if K.dimension == top:
-        _reduce_top_degree(K, d, scale)
-    return K
-
-
-def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
-    """Reduce delta_p of K's top degree p as if K held the (p+1)-simplices
-    of VR at this scale, and store its bars in the cohomology reduction.
-
-    The cofacet sigma + {v} of a p-simplex sigma enters at the IEEE max
-    of value(sigma) and d[u, v], u in sigma, if that is <= scale.  After
-    the delta_{p-1} pivots are cleared, the column of sigma is apparent
-    (Bauer, "Ripser", 2021) when its earliest cofacet tau, the least by
-    (value, v), has sigma as its latest facet: every other facet
-    tau - {x} has a smaller value, or an equal one and x > v.  It keeps
-    the pivot tau unreduced, and its companion is the unit cochain.  The
-    few columns left are reduced in reverse order as sets of (value,
-    vertices) keys; a pivot tau is owned by its apparent facet, which is
-    later than the column, or by a column reduced before.  So the bars
-    and companions are those of the explicit reduction.  K has no rows
-    for delta_p, so its table stays empty.
-    """
-    p = K.dimension
-    red = reduction(K)
-    cleared = list(red.degree(K, p - 1)[0].columns) if p else []
-    simplices, index, values = K.dim_simplices[p], K.dim_index[p], K.dim_values[p]
-    S = np.array(simplices).reshape(len(simplices), p + 1)
-    vals = np.array(values)
-    rows = np.arange(len(S))
-    cof = np.repeat(vals[:, None], d.shape[0], axis=1)
-    for i in range(p + 1):
-        np.maximum(cof, d[S[:, i]], out=cof)
-    cof[rows[:, None], S] = INF
-    cof[cof > scale] = INF
-    v = cof.argmin(axis=1)
-    death = cof[rows, v]
-    T = np.column_stack([S, v])
-    apparent = death < INF
-    for x in range(p + 1):
-        facet = np.zeros(len(S))
-        for a, b in combinations([i for i in range(p + 2) if i != x], 2):
-            np.maximum(facet, d[T[:, a], T[:, b]], out=facet)
-        apparent &= (facet < vals) | ((facet == vals) & (S[:, x] > v))
-    apparent[cleared] = False
-    long = np.flatnonzero(apparent & (vals < death))
-    bars = list(zip(long.tolist(), death[long].tolist(), [None] * len(long)))
-    left = ~apparent
-    left[cleared] = False
-    v = v.tolist()
-
-    def cofacets(j: int) -> set:
-        ws = np.flatnonzero(cof[j] < INF)
-        return {(c, tuple(sorted(simplices[j] + (w,))))
-                for w, c in zip(ws.tolist(), cof[j, ws].tolist())}
-
-    pivots: dict = {}
-    for s in np.flatnonzero(left)[::-1].tolist():
-        col, z = cofacets(s), 1 << s
-        while col:
-            tau = min(col)
-            if tau in pivots:
-                add, y = pivots[tau]
-            else:
-                j = max(index[f] for f in combinations(tau[1], p + 1))
-                if not (apparent[j] and sum(tau[1]) - sum(simplices[j]) == v[j]):
-                    pivots[tau] = col, z
-                    break
-                add, y = cofacets(j), 1 << j
-            col ^= add
-            z ^= y
-        end = tau[0] if col else INF
-        if values[s] < end:
-            bars.append((s, end, z))
-    bars.sort(key=lambda bar: -bar[0])
-    red.tables.append(PivotTable())
-    red.bars.append(bars)
 
 
 def gluing_wedge(X: FiniteMetricSpace, x0: int, Y: FiniteMetricSpace, y0: int) -> FiniteMetricSpace:
@@ -358,10 +260,13 @@ def sphere_sample(n: int, radius: float, count: int, seed: int = 0,
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     if antipodal_closure:
         pts = np.vstack([pts, -pts])
-    cosines = np.clip(pts @ pts.T, -1.0, 1.0)
-    d = radius * np.arccos(cosines)
+    return _geodesic(pts, radius)
+
+
+def _geodesic(unit: np.ndarray, radius: float) -> FiniteMetricSpace:
+    """Great-circle distances radius * angle between unit vectors."""
+    d = radius * np.arccos(np.clip(unit @ unit.T, -1.0, 1.0))
     np.fill_diagonal(d, 0.0)
-    d = np.minimum(d, d.T)
     return FiniteMetricSpace._trusted(d)
 
 
@@ -451,8 +356,5 @@ def metric_from_points(points: np.ndarray, kind: str = "euclidean") -> FiniteMet
             raise ValidationError(
                 "points are not on the sphere of the requested radius"
             )
-        unit = pts / norms[:, None]
-        d = radius * np.arccos(np.clip(unit @ unit.T, -1.0, 1.0))
-        np.fill_diagonal(d, 0.0)
-        return FiniteMetricSpace._trusted(np.minimum(d, d.T))
+        return _geodesic(pts / norms[:, None], radius)
     raise ValidationError(f"unknown metric kind {kind!r}")

@@ -7,16 +7,13 @@ from itertools import combinations
 import numpy as np
 
 from .cohomology import Bar, Barcode
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, _symmetric, metric_from_points
 from .simplicial import FilteredComplex, build
 
 
-def random_metric_space(rng: np.random.Generator, n_points: int,
-                        side: float = 1.0) -> FiniteMetricSpace:
-    """Euclidean distances of uniform points in a square (always a metric)."""
-    pts = rng.uniform(0.0, side, size=(n_points, 2))
-    diff = pts[:, None, :] - pts[None, :, :]
-    return FiniteMetricSpace._trusted(np.sqrt((diff ** 2).sum(axis=2)))
+def random_metric_space(rng: np.random.Generator, n_points: int) -> FiniteMetricSpace:
+    """Euclidean distances of uniform points in the unit square."""
+    return metric_from_points(rng.uniform(0.0, 1.0, size=(n_points, 2)))
 
 
 def random_bounded_metric(rng: np.random.Generator, n_points: int,
@@ -30,23 +27,22 @@ def random_bounded_metric(rng: np.random.Generator, n_points: int,
     if not low < high <= 2 * low:
         raise ValueError("need low < high <= 2*low for an unconditional metric")
     d = rng.uniform(low, high, size=(n_points, n_points))
-    d = np.triu(d, 1)
-    return FiniteMetricSpace._trusted(d + d.T)
+    return FiniteMetricSpace._trusted(_symmetric(d))
 
 
-def random_filtered_complex(rng: np.random.Generator, max_vertices: int = 6,
-                            max_dim: int = 3, target_size: int = 25,
+def random_filtered_complex(rng: np.random.Generator, target_size: int = 25,
                             random_values: bool = True) -> FilteredComplex:
-    """Random filtered complex: random top simplices closed under faces,
-    face values forced below coface values."""
-    n = int(rng.integers(3, max_vertices + 1))
+    """Random filtered complex on 3 to 6 vertices: random top simplices of
+    dimension 1 to 3 closed under faces, face values forced below coface
+    values."""
+    n = int(rng.integers(3, 7))
     entries: dict[tuple[int, ...], float] = {}
     for v in range(n):
         entries[(v,)] = float(np.round(rng.uniform(0.0, 0.2), 3)) if random_values else 0.0
     attempts = 0
     while len(entries) < target_size and attempts < 8 * target_size:
         attempts += 1
-        dim = int(rng.integers(1, max_dim + 1))
+        dim = int(rng.integers(1, 4))
         if dim + 1 > n:
             continue
         verts = tuple(sorted(rng.choice(n, size=dim + 1, replace=False).tolist()))
@@ -73,14 +69,14 @@ def random_filtered_complex(rng: np.random.Generator, max_vertices: int = 6,
 
 
 def random_barcode(rng: np.random.Generator, max_bars: int = 6,
-                   degree: int = 1, value_range: float = 10.0,
                    p_infinite: float = 0.15) -> Barcode:
+    """Degree-0 bars born in [0, 10), finite ones at most 5 long."""
     bars = []
     for _ in range(int(rng.integers(0, max_bars + 1))):
-        birth = float(np.round(rng.uniform(0.0, value_range), 3))
+        birth = float(np.round(rng.uniform(0.0, 10.0), 3))
         if rng.uniform() < p_infinite:
-            bars.append(Bar(degree, birth, float("inf")))
+            bars.append(Bar(0, birth, float("inf")))
         else:
-            death = birth + float(np.round(rng.uniform(0.001, value_range / 2), 3))
-            bars.append(Bar(degree, birth, death))
+            death = birth + float(np.round(rng.uniform(0.001, 5.0), 3))
+            bars.append(Bar(0, birth, death))
     return Barcode(bars)

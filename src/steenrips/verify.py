@@ -253,8 +253,8 @@ def verify_bottleneck_oracle(seed: int = 0, trials: int = 200) -> dict:
     worst = None
     ok = True
     for t in range(trials):
-        a = random_barcode(rng, max_bars=6, degree=0)
-        b = random_barcode(rng, max_bars=6, degree=0)
+        a = random_barcode(rng, max_bars=6)
+        b = random_barcode(rng, max_bars=6)
         fast = bottleneck(a, b, 0)
         slow = bottleneck_oracle(a, b, 0)
         if fast != slow:

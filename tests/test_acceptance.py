@@ -115,8 +115,7 @@ def test_criterion_05_cup_i_coboundary_identity():
         rng = np.random.default_rng(2024)
         failures = 0
         for _ in range(50):
-            K = random_filtered_complex(rng, max_vertices=6, max_dim=3,
-                                        target_size=25)
+            K = random_filtered_complex(rng, target_size=25)
             for p in range(K.dimension + 1):
                 for q in range(K.dimension + 1):
                     for i in range(min(p, q) + 1):
@@ -146,8 +145,8 @@ def test_criterion_07_bottleneck_oracle():
     with criterion(7, "bottleneck equals exhaustive oracle", budget=5.0):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            a = random_barcode(rng, max_bars=6, degree=0, value_range=10.0)
-            b = random_barcode(rng, max_bars=6, degree=0, value_range=10.0)
+            a = random_barcode(rng, max_bars=6)
+            b = random_barcode(rng, max_bars=6)
             assert bottleneck(a, b, 0) == bottleneck_oracle(a, b, 0)
 
 

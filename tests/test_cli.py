@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from steenrips import cli, metric
+from steenrips import cli, distances
 from steenrips.cli import main
 from steenrips.metric import vr_filtration
 from steenrips.simplicial import dump_complex, rp2_complex
@@ -88,7 +88,7 @@ def test_metric_barcodes_equal_complex_barcodes(tmp_path, monkeypatch):
         return vr_filtration(X, max_dim, max_scale)
 
     monkeypatch.setattr(cli, "vr_filtration", spy)
-    monkeypatch.setattr(metric, "vr_filtration", spy)
+    monkeypatch.setattr(distances, "vr_filtration", spy)
     dmat, cplx = tmp_path / "rp.dmat", tmp_path / "rp.cplx"
     # a seeded sample whose Sq^1 image barcode is not empty
     assert main(["make", "rp", "--count", "28", "--seed", "3",

@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steenrips import metric
+from steenrips import distances
 from steenrips.cohomology import Bar, Barcode, persistent_barcode
 from steenrips.distances import (
     _costs,
     _feasible,
     _invariant_barcodes,
+    _vr_for_degrees,
     bottleneck,
     bottleneck_oracle,
     gh_lower_bound,
@@ -21,7 +22,6 @@ from steenrips.distances import (
 from steenrips.errors import ValidationError
 from steenrips.metric import (
     FiniteMetricSpace,
-    _vr_for_degrees,
     circle_grid,
     vr_filtration,
 )
@@ -80,8 +80,8 @@ def test_bottleneck_respects_degree():
 def test_oracle_equivalence_random():
     rng = np.random.default_rng(101)
     for _ in range(200):
-        a = random_barcode(rng, max_bars=6, degree=0)
-        b = random_barcode(rng, max_bars=6, degree=0)
+        a = random_barcode(rng, max_bars=6)
+        b = random_barcode(rng, max_bars=6)
         assert bottleneck(a, b, 0) == bottleneck_oracle(a, b, 0)
 
 
@@ -116,9 +116,9 @@ def test_oracle_size_limit():
 def test_bottleneck_pseudometric():
     rng = np.random.default_rng(103)
     for _ in range(40):
-        a = random_barcode(rng, max_bars=5, degree=0)
-        b = random_barcode(rng, max_bars=5, degree=0)
-        c = random_barcode(rng, max_bars=5, degree=0)
+        a = random_barcode(rng, max_bars=5)
+        b = random_barcode(rng, max_bars=5)
+        c = random_barcode(rng, max_bars=5)
         dab = bottleneck(a, b, 0)
         dba = bottleneck(b, a, 0)
         assert dab == dba
@@ -131,8 +131,8 @@ def test_bottleneck_pseudometric():
 def test_threshold_feasibility_monotone():
     rng = np.random.default_rng(105)
     for _ in range(25):
-        a = random_barcode(rng, max_bars=5, degree=0, p_infinite=0.0)
-        b = random_barcode(rng, max_bars=5, degree=0, p_infinite=0.0)
+        a = random_barcode(rng, max_bars=5, p_infinite=0.0)
+        b = random_barcode(rng, max_bars=5, p_infinite=0.0)
         fa, fb = a.expanded(0), b.expanded(0)
         costs = sorted({0.0}
                        | {(d - x) / 2 for x, d in fa + fb}
@@ -224,8 +224,8 @@ def _enclosing_radius(X):
 def test_enclosing_radius_cap_is_exact(max_dim):
     """Below max_dim the barcodes and the Sq^1 image and kernel barcodes
     of VR(X) cut at the enclosing radius are those of the full VR(X).
-    The lower triangle sits below the upper, so a radius read from whole
-    rows drops one of the centre's own edges and changes some of them."""
+    The given lower triangle sits below the upper; the space stores the
+    upper mirrored, so the radius is read from the entries VR reads."""
     rng = np.random.default_rng(211 + max_dim)
     op = Operation.sq(1, max_dim - 2)
     for _ in range(100):
@@ -255,7 +255,7 @@ def test_cap_reaches_vr_filtration(monkeypatch):
         built.append((max_dim, max_scale, K.dimension))
         return K
 
-    monkeypatch.setattr(metric, "vr_filtration", spy)
+    monkeypatch.setattr(distances, "vr_filtration", spy)
     rng = np.random.default_rng(223)
     X, Y = random_metric_space(rng, 8), random_metric_space(rng, 9)
     scale = max(X.diameter(), Y.diameter())
@@ -282,7 +282,7 @@ def test_no_invariants_builds_nothing(monkeypatch):
     """Empty degrees and operations are refused before any VR is built,
     whatever max_dim."""
     built = []
-    monkeypatch.setattr(metric, "vr_filtration", lambda *args: built.append(args))
+    monkeypatch.setattr(distances, "vr_filtration", lambda *args: built.append(args))
     X = circle_grid(6)
     for max_dim in (0, 2):
         with pytest.raises(ValidationError, match="no invariants requested"):

@@ -1,6 +1,8 @@
+import ast
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steenrips.cli import main
-from steenrips.distances import stability_check
+from steenrips.distances import _vr_for_degrees, gh_lower_bound, stability_check
 from steenrips.errors import MetricError, ValidationError
 from steenrips.cohomology import persistent_barcode
 from steenrips.metric import (
     FiniteMetricSpace,
     GroupAction,
-    _vr_for_degrees,
     antipodal_action,
     circle_grid,
     gluing_wedge,
@@ -157,7 +158,7 @@ def test_vr_for_degrees_matches_full_complex(top):
     it are byte-identical to those of vr_filtration(X, max_dim, scale).
     The metrics are random, tied (so apparent pairs rest on the
     tie-breaks), and random with the lower triangle 5e-10 below the
-    upper, which vr_filtration never reads."""
+    upper, which the space does not store."""
     rng = np.random.default_rng(307 + top)
     ops = [Operation.identity(top), Operation.sq(0, top)]
     if top:
@@ -191,6 +192,67 @@ def test_vr_for_degrees_at_max_dim_and_above():
             _vr_for_degrees(X, top, 2, 0.9)
     P = FiniteMetricSpace([[0.0]])
     assert _vr_for_degrees(P, 0, 1, 0.9) == vr_filtration(P, 1, 0.9)
+
+
+def _skewed(rng, n):
+    """A random metric with its lower triangle 5e-10 below the upper and
+    5e-10 on the diagonal, both within tolerance, and its mirrored upper
+    triangle."""
+    mirror = random_bounded_metric(rng, n).d.copy()
+    d = mirror.copy()
+    d[np.tril_indices(n, -1)] -= 5e-10
+    np.fill_diagonal(d, 5e-10)
+    return d, mirror
+
+
+def test_asymmetry_within_tolerance_reads_as_the_upper_triangle():
+    """A matrix asymmetric within tolerance is stored as its mirrored
+    upper triangle with exact zeros on the diagonal, so its metric-path
+    barcodes and GH bounds are those of the mirror."""
+    rng = np.random.default_rng(331)
+    ops = [Operation.sq(1, 1), Operation.identity(2)]
+    for _ in range(20):
+        n = int(rng.integers(4, 9))
+        d, mirror = _skewed(rng, n)
+        X, M = FiniteMetricSpace(d), FiniteMetricSpace(mirror)
+        assert X.d.tobytes() == mirror.tobytes()
+        scale = X.diameter() + 1e-9
+        assert (_barcode_json(_vr_for_degrees(X, 2, 3, scale), 2, ops)
+                == _barcode_json(_vr_for_degrees(M, 2, 3, scale), 2, ops))
+        Y = random_metric_space(rng, 6)
+        assert (gh_lower_bound(X, Y, [0, 1, 2], ops[:1], 3, scale)
+                == gh_lower_bound(M, Y, [0, 1, 2], ops[:1], 3, scale))
+
+
+def test_wedge_reads_one_triangle():
+    """The wedge of a matrix asymmetric within tolerance is the wedge of
+    its mirror, on either side and at every basepoint."""
+    rng = np.random.default_rng(337)
+    for _ in range(10):
+        n = int(rng.integers(3, 8))
+        d, mirror = _skewed(rng, n)
+        X, M = FiniteMetricSpace(d), FiniteMetricSpace(mirror)
+        Y = random_metric_space(rng, 4)
+        for x0 in range(n):
+            assert (gluing_wedge(X, x0, Y, 1).d.tobytes()
+                    == gluing_wedge(M, x0, Y, 1).d.tobytes())
+            assert (gluing_wedge(Y, 2, X, x0).d.tobytes()
+                    == gluing_wedge(Y, 2, M, x0).d.tobytes())
+
+
+def test_metric_imports_no_reduction():
+    """The reductions live in cohomology and gf2; metric imports from the
+    package only errors and simplicial."""
+    tree = ast.parse(Path(metric.__file__).read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.add(node.module or "")  # "from . import x" reads as ""
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [a.name for a in node.names])
+            package.update(m for m in names if m.split(".")[0] == "steenrips")
+    assert package == {"errors", "simplicial"}
 
 
 def test_vr_equals_build_of_same_pairs(monkeypatch):
@@ -419,9 +481,9 @@ def _spaces(max_points):
         st.builds(lambda dim, count, seed, radius:
                   projective_sample(dim, count, seed, radius),
                   st.integers(1, 3), n, seeds, radii),
-        st.builds(lambda seed, count, side:
-                  random_metric_space(np.random.default_rng(seed), count, side),
-                  seeds, n, radii),
+        st.builds(lambda seed, count:
+                  random_metric_space(np.random.default_rng(seed), count),
+                  seeds, n),
         st.tuples(seeds, n, radii, st.floats(1.01, 2.0)).map(_bounded),
     )
 

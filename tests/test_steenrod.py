@@ -69,8 +69,7 @@ def test_coboundary_identity_exhaustive():
     rng = np.random.default_rng(50)
     checked = 0
     for _ in range(50):
-        K = random_filtered_complex(rng, max_vertices=6, max_dim=3,
-                                    target_size=25)
+        K = random_filtered_complex(rng, target_size=25)
         for p in range(0, K.dimension + 1):
             for q in range(0, K.dimension + 1):
                 for i in range(0, min(p, q) + 1):
