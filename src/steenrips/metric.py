@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from itertools import chain
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -27,6 +28,8 @@ from .errors import InternalInvariantError, MetricError, ValidationError
 from .simplicial import FilteredComplex
 
 _TOL = 1e-9
+# most entries one block of vr_filtration or metric_from_points holds
+_BLOCK = 1 << 22
 
 
 class FiniteMetricSpace:
@@ -64,7 +67,7 @@ class FiniteMetricSpace:
             raise MetricError("diagonal must be zero")
         if np.abs(d - d.T).max(initial=0.0) > _TOL:
             raise MetricError("distance matrix must be symmetric")
-        if d[~np.eye(n, dtype=bool)].min(initial=math.inf) <= 0.0:
+        if d.min(initial=math.inf, where=~np.eye(n, dtype=bool)) <= 0.0:
             raise MetricError("distinct points at non-positive distance")
         d = _symmetric(d)
         d.flags.writeable = False
@@ -139,53 +142,82 @@ def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> Filte
 
     A simplex enters at its diameter (exact IEEE max of pairwise
     distances, vertices at 0).  The distance graph thresholded at
-    max_scale is read once into lower-neighbour maps ``near[v] =
-    {u: d[u, v]}``, u < v.  Expansion starts from each vertex v in
-    increasing order and prepends a common lower neighbour u of the
-    current simplex, depth first, so every clique of at most max_dim + 1
-    vertices is emitted exactly once, with increasing vertices.  Each
-    candidate u carries its largest distance to the current simplex, so
-    a diameter costs one comparison.  The (value, dimension, vertices)
-    entries are sorted once, which is the canonical order, and go to
-    FilteredComplex directly: they are duplicate-free, closed under
-    faces and monotone by construction, so :func:`build`'s validation
-    is skipped.
+    max_scale is read once into upper-neighbour lists (CSR arrays), and
+    the complex grows one dimension at a time as arrays of increasing
+    vertex rows: the cofaces of a k-simplex are its extensions by an
+    upper neighbour w of its last vertex that is adjacent to the other
+    vertices, so every clique of at most max_dim + 1 vertices is made
+    exactly once.  Candidates are screened in blocks of at most
+    ``_BLOCK``.  A coface's value is the elementwise maximum of the
+    simplex's value and the distances to w.  The rows of each dimension
+    come out in lexicographic order, so a stable sort by value orders
+    each dimension and a stable sort by value over all of them, in turn,
+    is the canonical order.  The complex is assembled directly: it is
+    duplicate-free, closed under faces and monotone by construction, so
+    :func:`build`'s validation is skipped.
     """
     if max_dim < 0:
         raise ValidationError("max_dim must be nonnegative")
     if not max_scale > 0:
         raise ValidationError("max_scale must be positive")
     d = X.d
-    near: list[dict[int, float]] = []
-    for v in range(X.n):
-        column = d[:v, v]
-        us = np.flatnonzero(column <= max_scale)
-        near.append(dict(zip(us.tolist(), column[us].tolist())))
-    entries: list[tuple[float, int, tuple[int, ...]]] = [
-        (0.0, 0, (v,)) for v in range(X.n)
-    ]
+    adj = d <= max_scale
+    # flat indices: a 2-d np.nonzero is several times slower
+    rows, cols = np.divmod(np.flatnonzero(adj), X.n)
+    above = cols > rows
+    upper = cols[above]
+    indptr = np.zeros(X.n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows[above], minlength=X.n), out=indptr[1:])
+    dims = [(np.arange(X.n)[:, None], np.zeros(X.n))]
+    for _ in range(max_dim):
+        S, V = _cofaces(*dims[-1], d, adj, indptr, upper)
+        if not len(V):
+            break
+        dims.append((S, V))
+    del adj
+    dim_simplices, dim_values = [], []
+    for S, V in dims:
+        order = np.argsort(V, kind="stable")
+        dim_simplices.append(tuple(zip(*S[order].T.tolist())))
+        dim_values.append(V[order])
+    values = np.concatenate(dim_values)
+    order = np.argsort(values, kind="stable")
+    pooled = list(chain.from_iterable(dim_simplices))
+    return FilteredComplex._from_dims(
+        tuple(map(pooled.__getitem__, order.tolist())),
+        tuple(values[order].tolist()),
+        tuple(dim_simplices),
+        tuple(tuple(vv.tolist()) for vv in dim_values),
+    )
 
-    def expand(simplex: tuple[int, ...], diam: float,
-               candidates: list[tuple[int, float]]):
-        dim = len(simplex)
-        for idx, (u, reach) in enumerate(candidates):
-            dd = reach if reach > diam else diam
-            face = (u,) + simplex
-            entries.append((dd, dim, face))
-            if dim < max_dim:
-                lower_u = near[u]
-                rest = [(w, r if r >= x else x) for w, r in candidates[:idx]
-                        if (x := lower_u.get(w)) is not None]
-                if rest:
-                    expand(face, dd, rest)
 
-    if max_dim >= 1:
-        for v in range(X.n):
-            if near[v]:
-                expand((v,), 0.0, list(near[v].items()))
-    entries.sort()
-    values, _, simplices = zip(*entries)
-    return FilteredComplex(simplices, values)
+def _cofaces(S: np.ndarray, V: np.ndarray, d: np.ndarray, adj: np.ndarray,
+             indptr: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (k+1)-simplex rows and values from the k-simplex rows S and
+    values V, both in lexicographic order.  Candidate c is upper
+    neighbour number c - ends[s] of simplex s's last vertex; at most
+    _BLOCK candidates are held at once."""
+    first = indptr[S[:, -1]]
+    ends = np.zeros(len(S) + 1, dtype=np.intp)
+    np.cumsum(indptr[S[:, -1] + 1] - first, out=ends[1:])
+    faces = [np.empty((0, S.shape[1] + 1), dtype=S.dtype)]
+    values = [np.empty(0)]
+    for a in range(0, int(ends[-1]), _BLOCK):
+        b = min(a + _BLOCK, int(ends[-1]))
+        s0 = np.searchsorted(ends, a, "right") - 1
+        s1 = np.searchsorted(ends, b, "left")
+        owner = np.repeat(np.arange(s0, s1), np.diff(np.clip(ends[s0:s1 + 1], a, b)))
+        w = upper[first[owner] + np.arange(a, b) - ends[owner]]
+        keep = np.ones(len(w), dtype=bool)
+        for col in S.T[:-1]:
+            keep &= adj[col[owner], w]
+        owner, w = owner[keep], w[keep]
+        value = V[owner]
+        for col in S.T:
+            np.maximum(value, d[col[owner], w], out=value)
+        faces.append(np.column_stack((S[owner], w)))
+        values.append(value)
+    return np.concatenate(faces), np.concatenate(values)
 
 
 def gluing_wedge(X: FiniteMetricSpace, x0: int, Y: FiniteMetricSpace, y0: int) -> FiniteMetricSpace:
@@ -344,8 +376,16 @@ def metric_from_points(points: np.ndarray, kind: str = "euclidean") -> FiniteMet
     """Build a metric from coordinates: ``euclidean`` or ``sphere:<radius>``."""
     pts = np.asarray(points, dtype=np.float64)
     if kind == "euclidean":
-        diff = pts[:, None, :] - pts[None, :, :]
-        return FiniteMetricSpace._trusted(np.sqrt((diff ** 2).sum(axis=2)))
+        # row blocks of the one-shot formula, same bytes, at most _BLOCK
+        # coordinate differences held at once
+        d = np.empty((len(pts), len(pts)))
+        step = max(1, _BLOCK // max(1, pts.size))
+        for a in range(0, len(pts), step):
+            diff = pts[a:a + step, None, :] - pts[None, :, :]
+            diff **= 2
+            np.sqrt(diff.sum(axis=2), out=d[a:a + step])
+            del diff
+        return FiniteMetricSpace._trusted(d)
     if kind.startswith("sphere:"):
         try:
             radius = float(kind.split(":", 1)[1])

@@ -47,9 +47,10 @@ class FilteredComplex:
     or directly by :func:`steenrips.metric.vr_filtration` and
     :func:`sublevel`, whose output is canonical by construction.  The
     constructor trusts its arguments to be sorted, duplicate-free, closed
-    under faces and monotone.  Instances are immutable but for
-    ``_reduction``, a cache of the cohomology reduction that
-    :mod:`steenrips.cohomology` builds on first use.
+    under faces and monotone, and partitions them by dimension;
+    ``_from_dims`` takes that partition ready-made.  Instances are
+    immutable but for ``_reduction``, a cache of the cohomology reduction
+    that :mod:`steenrips.cohomology` builds on first use.
     """
 
     __slots__ = (
@@ -63,22 +64,38 @@ class FilteredComplex:
     )
 
     def __init__(self, simplices: Sequence[Simplex], values: Sequence[float]):
-        self.simplices = tuple(simplices)
-        self.values = tuple(map(float, values))
-        top = max(map(len, self.simplices), default=0)
+        simplices = tuple(simplices)
+        values = tuple(map(float, values))
+        top = max(map(len, simplices), default=0)
         by_dim: list[list[Simplex]] = [[] for _ in range(top)]
         val_by_dim: list[list[float]] = [[] for _ in range(top)]
-        for s, v in zip(self.simplices, self.values):
+        for s, v in zip(simplices, values):
             p = len(s) - 1
             by_dim[p].append(s)
             val_by_dim[p].append(v)
-        self.dim_simplices = tuple(tuple(ss) for ss in by_dim)
-        self.dim_values = tuple(tuple(vv) for vv in val_by_dim)
+        self._assign(simplices, values, tuple(map(tuple, by_dim)),
+                     tuple(map(tuple, val_by_dim)))
+
+    @classmethod
+    def _from_dims(cls, simplices: tuple[Simplex, ...], values: tuple[float, ...],
+                   dim_simplices: tuple[tuple[Simplex, ...], ...],
+                   dim_values: tuple[tuple[float, ...], ...]) -> FilteredComplex:
+        """The complex with this canonical order and its partition by
+        dimension (tuples, float values, no empty dimension)."""
+        K = cls.__new__(cls)
+        K._assign(simplices, values, dim_simplices, dim_values)
+        return K
+
+    def _assign(self, simplices, values, dim_simplices, dim_values) -> None:
+        self.simplices = simplices
+        self.values = values
+        self.dim_simplices = dim_simplices
+        self.dim_values = dim_values
         self.dim_index = tuple(
-            dict(zip(ss, range(len(ss)))) for ss in self.dim_simplices
+            dict(zip(ss, range(len(ss)))) for ss in dim_simplices
         )
         # values are sorted, so first occurrences come in increasing order
-        self.distinct_values = tuple(dict.fromkeys(self.values))
+        self.distinct_values = tuple(dict.fromkeys(values))
         self._reduction = None
 
     # -- basic queries -------------------------------------------------
@@ -158,7 +175,13 @@ def sublevel(K: FilteredComplex, i: int) -> FilteredComplex:
         )
     t = K.distinct_values[i]
     n = bisect_right(K.values, t)
-    return FilteredComplex(K.simplices[:n], K.values[:n])
+    # a dimension with nothing at or below t has no cofaces there either
+    ends = [m for m in (bisect_right(vv, t) for vv in K.dim_values) if m]
+    return FilteredComplex._from_dims(
+        K.simplices[:n], K.values[:n],
+        tuple(ss[:m] for ss, m in zip(K.dim_simplices, ends)),
+        tuple(vv[:m] for vv, m in zip(K.dim_values, ends)),
+    )
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,34 @@ def test_triangle_check_memory_is_quadratic():
     assert peak < 50e6
 
 
+def test_euclidean_metric_memory_is_three_matrices():
+    # the one-shot formula holds the n x n x 2 differences and their
+    # squares at once: 5 matrices at the peak.  Row blocks leave the 3
+    # that _load's symmetry check and mirroring hold
+    pts = np.random.default_rng(0).uniform(size=(2000, 2))
+    tracemalloc.start()
+    try:
+        X = metric_from_points(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * X.d.nbytes
+
+
+def test_vr_memory_follows_neighbour_lists():
+    # 15,685 edges: a dense edges x points mask would take 63 MB, where
+    # the n x n adjacency is 16 MB
+    X = metric_from_points(np.random.default_rng(0).uniform(size=(4000, 2)))
+    tracemalloc.start()
+    try:
+        K = vr_filtration(X, 2, 0.025)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.n_simplices(1) == 15685
+    assert peak < 40e6
+
+
 def test_vr_three_points():
     K = vr_filtration(three_point_space(), 2, 2.0)
     assert len(K) == 7
@@ -105,7 +133,15 @@ def test_vr_below_minimum_distance():
     assert len(K) == 3 and K.dimension == 0
 
 
-def test_vr_matches_subset_enumeration():
+# block sizes for vr_filtration's coface candidates: 1 and 3 put block
+# boundaries inside one simplex's candidates, the default holds them all
+BLOCKS = pytest.mark.parametrize(
+    "block", [1, 3, metric._BLOCK], ids=["1", "3", "default"])
+
+
+@BLOCKS
+def test_vr_matches_subset_enumeration(monkeypatch, block):
+    monkeypatch.setattr(metric, "_BLOCK", block)
     rng = np.random.default_rng(6)
     for _ in range(10):
         X = random_metric_space(rng, int(rng.integers(3, 8)))
@@ -255,7 +291,9 @@ def test_metric_imports_no_reduction():
     assert package == {"errors", "simplicial"}
 
 
-def test_vr_equals_build_of_same_pairs(monkeypatch):
+@BLOCKS
+def test_vr_equals_build_of_same_pairs(monkeypatch, block):
+    monkeypatch.setattr(metric, "_BLOCK", block)
     calls = []
     original = simplicial.normalize_simplex
 

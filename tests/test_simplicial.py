@@ -153,12 +153,21 @@ def test_sublevel_triangle_vertices_only():
 
 
 def test_sublevel_nested():
+    """Sublevels grow with i, and each is the complex build makes of its
+    pairs, down to the per-dimension parts."""
     rng = np.random.default_rng(14)
     for _ in range(10):
         K = random_filtered_complex(rng)
         prev = set()
         for i in range(K.num_values):
-            cur = set(sublevel(K, i).simplices)
+            Ki = sublevel(K, i)
+            B = build(zip(Ki.simplices, Ki.values))
+            assert Ki == B
+            assert Ki.dim_simplices == B.dim_simplices
+            assert Ki.dim_values == B.dim_values
+            assert Ki.dim_index == B.dim_index
+            assert Ki.distinct_values == B.distinct_values
+            cur = set(Ki.simplices)
             assert prev <= cur
             prev = cur
 
