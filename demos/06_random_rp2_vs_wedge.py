@@ -13,10 +13,10 @@ it prints how often the imgSq1@deg2 bottleneck distance exceeds that of
 H0, of H1, of H2 and of all three.  It reports what it finds and
 asserts nothing.
 
-The barcodes are the ones ``gh_lower_bound`` compares (degrees 0-2 and
-Sq^1 from degree 1, max_dim 3): the complex is built to dimension 2 and
-H^2 takes its deaths from the metric, so a 60-orbit side takes well
-under a second.
+The barcodes come from ``rips_barcodes``, the call ``gh_lower_bound``
+makes for each side (degrees 0-2 and Sq^1 from degree 1): the complex
+is built to dimension 2 and H^2 takes its deaths from the metric, so a
+60-orbit side takes well under a second.
 """
 
 import math
@@ -29,9 +29,9 @@ from steenrips import (
     circle_grid,
     gluing_wedge,
     projective_sample,
+    rips_barcodes,
     sphere_sample,
 )
-from steenrips.distances import _invariant_barcodes
 
 SEEDS = (1, 2, 3, 4)
 DEGREES = [0, 1, 2]
@@ -65,11 +65,11 @@ for count in (30, 45, 60):
     for seed in SEEDS:
         rp = projective_sample(2, count, seed)
         scale = max(rp.diameter(), wedge.diameter()) + 1e-9
-        sides = [_invariant_barcodes(X, DEGREES, [SQ1], 3, scale)
+        sides = [rips_barcodes(X, max(DEGREES), [SQ1], scale)
                  for X in (rp, wedge)]
         (hom_rp, img_rp), (hom_w, img_w) = sides
         d_b = [bottleneck(hom_rp, hom_w, m) for m in DEGREES]
-        d_img = bottleneck(img_rp[SQ1], img_w[SQ1], SQ1.target_degree)
+        d_img = bottleneck(img_rp[SQ1][0], img_w[SQ1][0], SQ1.target_degree)
         for m in DEGREES:
             wins[m] += d_img > d_b[m]
         wins["all"] += d_img > max(d_b)

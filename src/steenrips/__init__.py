@@ -64,6 +64,7 @@ from .distances import (
     bottleneck,
     bottleneck_oracle,
     gh_lower_bound,
+    rips_barcodes,
     stability_check,
 )
 
@@ -111,6 +112,7 @@ __all__ = [
     "projective_sample",
     "quotient_metric",
     "rank",
+    "rips_barcodes",
     "rp2_complex",
     "save_distance_matrix",
     "sphere_sample",

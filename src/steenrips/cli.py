@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .cohomology import Barcode, persistent_barcode
 from .diagrams import write_csv, write_svg
-from .distances import _vr_for_degrees, bottleneck, gh_lower_bound
+from .distances import bottleneck, gh_lower_bound, rips_barcodes
 from .errors import InternalInvariantError, ValidationError
 from .metric import (
     FiniteMetricSpace,
@@ -113,18 +113,28 @@ def _load_space(args) -> FiniteMetricSpace:
     return _read_matrix(args.input)
 
 
-def _filtration_from_args(args, top_degree: int | None):
-    """The complex to read barcodes in degrees <= top_degree from; a
-    metric's VR complex is cut where those stay exact."""
-    if getattr(args, "complex", None):
+def _barcodes(args, max_degree: int | None, ops: list[Operation]):
+    """The barcode in degrees 0..max_degree and each operation's (image,
+    kernel) barcodes, of the --complex file's complex as it is or
+    rips_barcodes of a metric input.  There every degree read must be
+    below --max-dim; max_degree None reads every degree of the complex,
+    or every degree below --max-dim."""
+    if args.complex:
         with open(args.complex) as fh:
-            return load_complex(fh)
-    if args.input is None and getattr(args, "points", None) is None:
+            K = load_complex(fh)
+        top = max(K.dimension, 0) if max_degree is None else max_degree
+        return (persistent_barcode(K, top),
+                {op: (image_barcode(K, op), kernel_barcode(K, op)) for op in ops})
+    if args.input is None and args.points is None:
         raise ValidationError("need --input/--points with caps, or --complex")
     if args.max_dim is None or args.max_scale is None:
         raise ValidationError("--max-dim and --max-scale are mandatory for VR input")
-    X = _load_space(args)
-    return _vr_for_degrees(X, top_degree, args.max_dim, args.max_scale)
+    max_degree = args.max_dim - 1 if max_degree is None else max_degree
+    top = max([max_degree, *(op.target_degree for op in ops)])
+    if not 0 <= top < args.max_dim:
+        raise ValidationError(f"degree {top} is outside 0..{args.max_dim - 1}: "
+                              f"degrees read must be below --max-dim ({args.max_dim})")
+    return rips_barcodes(_load_space(args), max_degree, ops, args.max_scale)
 
 
 def _add_input_options(p: argparse.ArgumentParser) -> None:
@@ -202,19 +212,16 @@ def cmd_vr(args) -> int:
 
 def cmd_barcode(args) -> int:
     top = args.degree if args.max_degree is None else args.max_degree
-    if top is None and args.complex is None and args.max_dim is not None:
-        top = args.max_dim - 1
-    K = _filtration_from_args(args, top)
-    bc = persistent_barcode(K, max(K.dimension, 0) if top is None else top,
-                            reduced=args.reduced)
-    _finish_barcode(bc, "id", args)
+    if args.degree is not None and args.degree > top:
+        raise ValidationError(f"--degree {args.degree} is above --max-degree {top}")
+    bc = _barcodes(args, top, [])[0]
+    _finish_barcode(bc.reduced() if args.reduced else bc, "id", args)
     return 0
 
 
 def cmd_theta_barcode(args, kernel: bool) -> int:
     op = _parse_op(args.op, args.source_degree)
-    K = _filtration_from_args(args, op.target_degree)
-    bc = kernel_barcode(K, op) if kernel else image_barcode(K, op)
+    bc = _barcodes(args, 0, [op])[1][op][kernel]
     _finish_barcode(bc, op.name, args, u_scale=True)
     return 0
 

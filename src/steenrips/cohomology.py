@@ -111,6 +111,11 @@ class Barcode:
             raise ValidationError(f"bar {bar} not present")
         return Barcode(out)
 
+    def reduced(self) -> "Barcode":
+        """Without one infinite degree-0 bar, the earliest born, if any."""
+        essential = [b.birth for b in self.in_degree(0) if b.is_infinite]
+        return self.without_one(Bar(0, min(essential), INF)) if essential else self
+
     def to_json_dict(self, operation: str = "id", u_scale: bool = False) -> dict:
         bars = []
         for b in self.bars:
@@ -315,11 +320,7 @@ def persistent_barcode(K: FilteredComplex, max_degree: int,
     barcode = Barcode(Bar(p, K.dim_values[p][s], death)
                       for p in range(min(max_degree, K.dimension) + 1)
                       for s, death, _ in red.degree(K, p)[1])
-    if reduced:
-        essential = [b.birth for b in barcode.in_degree(0) if b.is_infinite]
-        if essential:
-            barcode = barcode.without_one(Bar(0, min(essential), INF))
-    return barcode
+    return barcode.reduced() if reduced else barcode
 
 
 def cohomology_basis(K: FilteredComplex, p: int) -> CohomologyBasis:

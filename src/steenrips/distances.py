@@ -23,8 +23,7 @@ import numpy as np
 from .cohomology import Barcode, _reduce_top_degree, persistent_barcode
 from .errors import InternalInvariantError, ValidationError
 from .metric import FiniteMetricSpace, _symmetric, vr_filtration
-from .operations import Operation, image_barcode
-from .simplicial import FilteredComplex
+from .operations import Operation, image_barcode, kernel_barcode
 
 INF = math.inf
 
@@ -168,49 +167,46 @@ def bottleneck_oracle(A: Barcode, B: Barcode, degree: int) -> float:
     return best
 
 
-def _vr_for_degrees(X: FiniteMetricSpace, top: int, max_dim: int,
-                    max_scale: float) -> FilteredComplex:
-    """The complex from which the metric paths read barcodes in degrees
-    <= top < max_dim, and image and kernel barcodes of operations into
-    them: those of vr_filtration(X, max_dim, max_scale).
+def rips_barcodes(X: FiniteMetricSpace, max_degree: int, ops: list[Operation],
+                  max_scale: float) -> tuple[Barcode, dict]:
+    """The barcode of VR(X) up to max_scale in degrees 0..max_degree, and
+    each operation's (image, kernel) barcodes: those of
+    vr_filtration(X, top + 1, max_scale), top the largest degree read.
 
-    Two savings leave those barcodes exact.  Let r_enc = min_x max_y
-    d(x, y), the enclosing radius.  From r_enc on, VR_r is a cone on any
-    x attaining it, so every bar but the essential H0 bar has died by
-    r_enc, and the scale is cut at min(max_scale, r_enc) (Ripser uses the
-    same threshold; one point keeps max_scale).  And the complex is built
-    to dimension top only: its (top+1)-simplices would serve only as the
+    Two savings leave them exact.  Let r_enc = min_x max_y d(x, y), the
+    enclosing radius.  From r_enc on, VR_r is a cone on any x attaining
+    it, so every bar but the essential H0 bar has died by r_enc, and the
+    scale is cut at min(max_scale, r_enc) (Ripser uses the same
+    threshold; one point keeps max_scale).  And the complex is built to
+    dimension top only: its (top+1)-simplices would serve only as the
     rows of delta_top, whose reduction is read from the metric instead
     (:func:`steenrips.cohomology._reduce_top_degree`).
     """
-    if not 0 <= top < max_dim:
-        raise ValidationError(f"degree {top} is outside 0..{max_dim - 1}: degrees "
-                              f"read must be below max_dim ({max_dim})")
+    if max_degree < 0:
+        raise ValidationError("max_degree must be nonnegative")
+    top = max([max_degree, *(op.target_degree for op in ops)])
     scale = min(max_scale, float(X.d.max(axis=1).min())) if X.n > 1 else max_scale
     K = vr_filtration(X, top, scale)
     if K.dimension == top:
         _reduce_top_degree(K, X.d, scale)
-    return K
-
-
-def _invariant_barcodes(X: FiniteMetricSpace, degrees: list[int],
-                        ops: list[Operation], max_dim: int, max_scale: float):
-    top = max([*degrees, *(op.target_degree for op in ops)], default=0)
-    K = _vr_for_degrees(X, top, max_dim, max_scale)
-    homology = persistent_barcode(K, max(degrees, default=0))
-    images = {op: image_barcode(K, op) for op in ops}
-    return homology, images
+    return (persistent_barcode(K, max_degree),
+            {op: (image_barcode(K, op), kernel_barcode(K, op)) for op in ops})
 
 
 def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace,
                    degrees: list[int], ops: list[Operation],
                    max_dim: int, max_scale: float) -> dict:
     """Per-invariant bottleneck distances and the Gromov-Hausdorff lower
-    bound max(d_B) / 2, with the invariant achieving it."""
+    bound max(d_B) / 2, with the invariant achieving it.  Every degree
+    compared must be below max_dim, as H^k of VR needs its (k+1)-simplices."""
     if not degrees and not ops:
         raise ValidationError("no invariants requested")
-    hom_x, img_x = _invariant_barcodes(X, degrees, ops, max_dim, max_scale)
-    hom_y, img_y = _invariant_barcodes(Y, degrees, ops, max_dim, max_scale)
+    top = max([*degrees, *(op.target_degree for op in ops)])
+    if not 0 <= top < max_dim:
+        raise ValidationError(f"degree {top} is outside 0..{max_dim - 1}: degrees "
+                              f"read must be below max_dim ({max_dim})")
+    hom_x, img_x = rips_barcodes(X, max(degrees, default=0), ops, max_scale)
+    hom_y, img_y = rips_barcodes(Y, max(degrees, default=0), ops, max_scale)
     per_invariant = []
     for m in degrees:
         per_invariant.append({
@@ -220,7 +216,7 @@ def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace,
     for op in ops:
         per_invariant.append({
             "invariant": f"img{op.name}@deg{op.target_degree}",
-            "d_B": bottleneck(img_x[op], img_y[op], op.target_degree),
+            "d_B": bottleneck(img_x[op][0], img_y[op][0], op.target_degree),
         })
     best = max(per_invariant, key=lambda e: e["d_B"])
     return {
@@ -231,8 +227,7 @@ def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace,
 
 
 def stability_check(X: FiniteMetricSpace, delta: float, trials: int,
-                    seed: int, op: Operation, degree: int,
-                    max_dim: int) -> dict:
+                    seed: int, op: Operation, degree: int) -> dict:
     """Perturb the metric by sup-norm <= delta and verify the stability
     inequality: every bottleneck distance must stay <= delta.  Each
     side's VR scale is its own enclosing radius, which leaves its
@@ -244,7 +239,7 @@ def stability_check(X: FiniteMetricSpace, delta: float, trials: int,
     if delta < 0:
         raise ValidationError("delta must be nonnegative")
     rng = np.random.default_rng(seed)
-    base_h, base_img = _invariant_barcodes(X, [degree], [op], max_dim, INF)
+    base_h, base_img = rips_barcodes(X, degree, [op], INF)
 
     results = []
     violations = []
@@ -261,9 +256,9 @@ def stability_check(X: FiniteMetricSpace, delta: float, trials: int,
             raise ValidationError(
                 "could not produce a valid perturbed metric after 100 tries"
             )
-        pert_h, pert_img = _invariant_barcodes(pert, [degree], [op], max_dim, INF)
+        pert_h, pert_img = rips_barcodes(pert, degree, [op], INF)
         d_h = bottleneck(base_h, pert_h, degree)
-        d_img = bottleneck(base_img[op], pert_img[op], op.target_degree)
+        d_img = bottleneck(base_img[op][0], pert_img[op][0], op.target_degree)
         results.append({"trial": trial, "d_B_homology": d_h, "d_B_image": d_img})
         tol = delta + 1e-12
         if d_h > tol or d_img > tol:

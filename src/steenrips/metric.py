@@ -65,11 +65,9 @@ class FiniteMetricSpace:
             raise MetricError("distances must be finite")
         if np.abs(np.diag(d)).max(initial=0.0) > _TOL:
             raise MetricError("diagonal must be zero")
-        if np.abs(d - d.T).max(initial=0.0) > _TOL:
-            raise MetricError("distance matrix must be symmetric")
         if d.min(initial=math.inf, where=~np.eye(n, dtype=bool)) <= 0.0:
             raise MetricError("distinct points at non-positive distance")
-        d = _symmetric(d)
+        d = _symmetric(d, _TOL)
         d.flags.writeable = False
         self.n = n
         self.d = d
@@ -81,10 +79,26 @@ class FiniteMetricSpace:
         return self.n
 
 
-def _symmetric(d: np.ndarray) -> np.ndarray:
-    """The strict upper triangle of d mirrored, with a zero diagonal."""
-    d = np.triu(d, 1)
-    return d + d.T
+def _symmetric(d: np.ndarray, tol: float = math.inf) -> np.ndarray:
+    """The strict upper triangle of d mirrored, with a zero diagonal; a
+    MetricError if some |d[i, j] - d[j, i]| exceeds tol.  Row blocks of
+    at most _BLOCK entries: each block of the output holds its rows'
+    asymmetry before their mirrored values, so beside the output only a
+    block's boolean mask is held."""
+    n = d.shape[0]
+    out = np.empty((n, n))
+    cols = np.arange(n)
+    step = max(1, _BLOCK // n)
+    for a in range(0, n, step):
+        block, mirror = out[a:a + step], d[:, a:a + step].T
+        np.subtract(d[a:a + step], mirror, out=block)
+        if np.abs(block, out=block).max(initial=0.0) > tol:
+            raise MetricError("distance matrix must be symmetric")
+        rows = cols[a:a + len(block)]
+        block[...] = d[a:a + step]
+        np.copyto(block, mirror, where=cols < rows[:, None])
+        block[rows - a, rows] = 0.0
+    return out
 
 
 def _check_triangle(d: np.ndarray) -> None:

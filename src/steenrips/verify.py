@@ -15,15 +15,9 @@ from .cohomology import (
     Barcode,
     cohomology_basis,
     is_coboundary,
-    persistent_barcode,
 )
-from .distances import (
-    _invariant_barcodes,
-    bottleneck,
-    bottleneck_oracle,
-    stability_check,
-)
-from .metric import circle_grid, gluing_wedge, linf_product, vr_filtration
+from .distances import bottleneck, bottleneck_oracle, rips_barcodes, stability_check
+from .metric import circle_grid, gluing_wedge, linf_product
 from .operations import Operation
 from .simplicial import Cochain, coboundary, rp2_complex
 from .steenrod import cup_i, sq
@@ -71,7 +65,7 @@ def verify_wedge(seed: int = 0, trials: int = 20) -> dict:
         W = gluing_wedge(X, x0, Y, y0)
         scale = W.diameter() + 1e-9
         (hx, ix), (hy, iy), (hw, iw) = (
-            _invariant_barcodes(Z, [0, 1, 2], [op], 3, scale) for Z in (X, Y, W))
+            rips_barcodes(Z, 2, [op], scale) for Z in (X, Y, W))
         ok = True
         detail = None
         expected = _wedge_expected(hx, hy)
@@ -84,11 +78,11 @@ def verify_wedge(seed: int = 0, trials: int = 20) -> dict:
                 }
                 break
         if ok:
-            iexp = ix[op].union(iy[op])
-            if iw[op] != iexp:
+            iexp = ix[op][0].union(iy[op][0])
+            if iw[op][0] != iexp:
                 ok, detail = False, {
                     "invariant": "imgSq1",
-                    "wedge": iw[op].to_json_dict("Sq1"),
+                    "wedge": iw[op][0].to_json_dict("Sq1"),
                     "expected": iexp.to_json_dict("Sq1"),
                 }
         checks.append({"name": f"pair-{trial}", "passed": ok,
@@ -110,13 +104,12 @@ def verify_product(seed: int = 0, trials: int = 2) -> dict:
     for name, X, Y in cases:
         P = linf_product(X, Y)
         scale = P.diameter() + 1e-9
-        KP = vr_filtration(P, 3, scale)
-        bp = persistent_barcode(KP, 2)
-        bx, by = (persistent_barcode(vr_filtration(Z, 3, scale), 2)
-                  for Z in (X, Y))
+        bp, bx, by = (rips_barcodes(Z, 2, [], scale)[0] for Z in (P, X, Y))
         ok, detail = True, None
-        # the Betti numbers of a sublevel complex are its alive counts
-        for t_val in KP.distinct_values:
+        # the Betti numbers of a sublevel complex are its alive counts,
+        # step functions that change only at the bars' endpoints
+        ends = {t for b in (*bp, *bx, *by) for t in (b.birth, b.death)}
+        for t_val in sorted(ends - {INF}):
             for m in (0, 1, 2):
                 expected = sum(bx.alive(i, t_val) * by.alive(m - i, t_val)
                                for i in range(m + 1))
@@ -139,7 +132,7 @@ def verify_stability(seed: int = 0, trials: int = 50) -> dict:
     rng = np.random.default_rng(seed)
     X = random_bounded_metric(rng, 12)
     report = stability_check(X, delta=0.05, trials=trials, seed=seed + 1,
-                             op=Operation.sq(1, 1), degree=1, max_dim=3)
+                             op=Operation.sq(1, 1), degree=1)
     violations = set(report["violations"])
     checks = [{
         "name": f"trial-{r['trial']}",

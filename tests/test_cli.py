@@ -121,6 +121,24 @@ def test_metric_barcodes_equal_complex_barcodes(tmp_path, monkeypatch):
     assert len(built) == 5
 
 
+def test_barcode_degree_above_max_degree_exits_2(tmp_path, capsys):
+    """The octahedron's one H2 bar: --degree above --max-degree is an
+    error on either input, not an empty barcode."""
+    pts, cplx = tmp_path / "octahedron.csv", tmp_path / "octahedron.cplx"
+    pts.write_text("1,0,0\n-1,0,0\n0,1,0\n0,-1,0\n0,0,1\n0,0,-1\n")
+    caps = ["--max-dim", "3", "--max-scale", "3"]
+    assert main(["vr", "--points", str(pts), *caps, "--out", str(cplx)]) == 0
+    for source in (["--points", str(pts), *caps], ["--complex", str(cplx)]):
+        code, data = run_json(capsys, ["barcode", *source, "--degree", "2"])
+        assert code == 0
+        assert [(b["degree"], b["birth"], b["death"]) for b in data["bars"]] == [
+            (2, pytest.approx(math.sqrt(2)), 2.0)]
+        assert main(["barcode", *source, "--degree", "2", "--max-degree", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--degree 2 is above --max-degree 1" in captured.err
+
+
 def test_image_barcode_rp2(tmp_path, capsys):
     cplx = tmp_path / "rp2.cplx"
     with open(cplx, "w") as fh:

@@ -12,11 +12,10 @@ from steenrips.cohomology import Bar, Barcode, persistent_barcode
 from steenrips.distances import (
     _costs,
     _feasible,
-    _invariant_barcodes,
-    _vr_for_degrees,
     bottleneck,
     bottleneck_oracle,
     gh_lower_bound,
+    rips_barcodes,
     stability_check,
 )
 from steenrips.errors import ValidationError
@@ -191,7 +190,7 @@ def test_stability_check_small():
     rng = np.random.default_rng(111)
     X = random_bounded_metric(rng, 8)
     report = stability_check(X, delta=0.04, trials=8, seed=5,
-                             op=Operation.sq(1, 1), degree=1, max_dim=3)
+                             op=Operation.sq(1, 1), degree=1)
     assert report["passed"]
     assert report["violations"] == []
     assert report["max_ratio"] <= 1.0 + 1e-9
@@ -202,7 +201,7 @@ def test_stability_zero_delta():
     rng = np.random.default_rng(113)
     X = random_metric_space(rng, 6)
     report = stability_check(X, delta=0.0, trials=2, seed=1,
-                             op=Operation.identity(1), degree=1, max_dim=2)
+                             op=Operation.identity(1), degree=1)
     assert report["passed"]
     assert all(r["d_B_homology"] == 0.0 for r in report["results"])
 
@@ -220,29 +219,30 @@ def _enclosing_radius(X):
                for x in range(X.n))
 
 
-@pytest.mark.parametrize("max_dim", [2, 3])
-def test_enclosing_radius_cap_is_exact(max_dim):
-    """Below max_dim the barcodes and the Sq^1 image and kernel barcodes
-    of VR(X) cut at the enclosing radius are those of the full VR(X).
+@pytest.mark.parametrize("dim", [2, 3])
+def test_enclosing_radius_cap_is_exact(dim, monkeypatch):
+    """Below dim the barcodes and the Sq^1 image and kernel barcodes of
+    VR(X) cut at the enclosing radius are those of the full VR(X).
     The given lower triangle sits below the upper; the space stores the
     upper mirrored, so the radius is read from the entries VR reads."""
-    rng = np.random.default_rng(211 + max_dim)
-    op = Operation.sq(1, max_dim - 2)
+    built = []
+
+    def spy(X, max_dim, max_scale):
+        K = vr_filtration(X, max_dim, max_scale)
+        built.append(K)
+        return K
+
+    monkeypatch.setattr(distances, "vr_filtration", spy)
+    rng = np.random.default_rng(211 + dim)
+    op = Operation.sq(1, dim - 2)
     for _ in range(100):
         X = _lower_skewed(random_bounded_metric(rng, int(rng.integers(5, 10))))
         scale = X.diameter() + 1e-9
-        K = vr_filtration(X, max_dim, scale)
-        C = _vr_for_degrees(X, max_dim - 1, max_dim, scale)
-        assert max(C.values) <= _enclosing_radius(X) < scale
-        assert (persistent_barcode(C, max_dim - 1)
-                == persistent_barcode(K, max_dim - 1))
-        assert image_barcode(C, op) == image_barcode(K, op)
-        assert kernel_barcode(C, op) == kernel_barcode(K, op)
-        # degree max_dim is not read: the skeleton's top barcode is not exact
-        with pytest.raises(ValidationError, match="max_dim"):
-            _vr_for_degrees(X, max_dim, max_dim, scale)
-        with pytest.raises(ValidationError, match="max_dim"):
-            _invariant_barcodes(X, [max_dim], [], max_dim, scale)
+        K = vr_filtration(X, dim, scale)
+        bc, images = rips_barcodes(X, dim - 1, [op], scale)
+        assert max(built.pop().values) <= _enclosing_radius(X) < scale
+        assert bc == persistent_barcode(K, dim - 1)
+        assert images[op] == (image_barcode(K, op), kernel_barcode(K, op))
 
 
 def test_cap_reaches_vr_filtration(monkeypatch):
@@ -299,10 +299,8 @@ def test_metric_paths_reject_degrees_above_max_dim():
                          ([0, 2], []), ([0], [Operation.sq(1, 1)])):
         with pytest.raises(ValidationError, match="max_dim"):
             gh_lower_bound(X, Y, degrees, ops, 2, 1.0)
-    for op, degree in ((Operation.identity(1), 3), (Operation.identity(2), 1),
-                       (Operation.sq(1, 1), 1)):
-        with pytest.raises(ValidationError, match="max_dim"):
-            stability_check(X, 0.01, 1, 0, op, degree, 2)
+    # stability_check reads its degrees from the metric, with no cap
+    assert stability_check(X, 0.01, 2, 0, Operation.identity(2), 2)["passed"]
     report = gh_lower_bound(X, Y, [0, 2], [Operation.sq(1, 1)], 3, 1.0)
     assert [e["invariant"] for e in report["per_invariant"]] == [
         "H0", "H2", "imgSq1@deg2"]

@@ -1,6 +1,8 @@
 """Cross-module checks pinned to the decomposition theorems."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -49,10 +51,30 @@ def test_cli_internal_invariant_exit_code(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise InternalInvariantError("negative multiplicity (simulated)")
 
-    monkeypatch.setattr(cli, "persistent_barcode", boom)
+    monkeypatch.setattr(cli, "rips_barcodes", boom)
     path = tmp_path / "c.dmat"
     assert main(["make", "circle", "--count", "6", "--grid",
                  "--out", str(path)]) == 0
     assert main(["barcode", "--input", str(path),
                  "--max-dim", "1", "--max-scale", "4.0"]) == 3
     assert "invariant" in capsys.readouterr().err
+
+
+def test_demos_import_no_private_name():
+    """The demos use the public API: no module or name they import from
+    steenrips starts with an underscore."""
+    demos = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+    private = []
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                module = node.module or ""
+                names = [module, *(f"{module}.{a.name}" for a in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            private += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] == "steenrips"
+                        and any(part.startswith("_") for part in name.split("."))]
+    assert demos and private == []

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steenrips.cli import main
-from steenrips.distances import _vr_for_degrees, gh_lower_bound, stability_check
+from steenrips.distances import gh_lower_bound, rips_barcodes, stability_check
 from steenrips.errors import MetricError, ValidationError
-from steenrips.cohomology import persistent_barcode
+from steenrips.cohomology import Barcode, persistent_barcode
 from steenrips.metric import (
     FiniteMetricSpace,
     GroupAction,
@@ -29,7 +29,7 @@ from steenrips.metric import (
     sphere_sample,
     vr_filtration,
 )
-from steenrips import metric, simplicial
+from steenrips import distances, metric, simplicial
 from steenrips.operations import Operation, image_barcode, kernel_barcode
 from steenrips.simplicial import build
 from steenrips.synthetic import random_bounded_metric, random_metric_space
@@ -96,8 +96,9 @@ def test_triangle_check_memory_is_quadratic():
 
 def test_euclidean_metric_memory_is_three_matrices():
     # the one-shot formula holds the n x n x 2 differences and their
-    # squares at once: 5 matrices at the peak.  Row blocks leave the 3
-    # that _load's symmetry check and mirroring hold
+    # squares at once: 5 matrices at the peak.  Row blocks leave the
+    # output beside one block of differences and their sums, or beside
+    # the stored mirror
     pts = np.random.default_rng(0).uniform(size=(2000, 2))
     tracemalloc.start()
     try:
@@ -106,6 +107,22 @@ def test_euclidean_metric_memory_is_three_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * X.d.nbytes
+
+
+def test_load_holds_the_output_and_a_mask():
+    # checking symmetry with abs(d - d.T) and mirroring with triu(d, 1)
+    # plus its transpose each held two n x n temporaries: +2.00 times the
+    # output.  Row blocks of the output hold the asymmetry, then the
+    # mirror, beside a block's boolean mask
+    d = np.array(metric_from_points(np.random.default_rng(0).uniform(size=(2000, 2))).d)
+    tracemalloc.start()
+    try:
+        X = FiniteMetricSpace._trusted(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.d.tobytes() == d.tobytes()
+    assert peak <= 1.25 * X.d.nbytes
 
 
 def test_vr_memory_follows_neighbour_lists():
@@ -179,22 +196,34 @@ def _tied_metric(rng, n):
     return metric_from_points(np.stack([cells // 5, cells % 5], axis=1))
 
 
-def _barcode_json(K, top, ops):
-    return json.dumps(
-        [persistent_barcode(K, top).to_json_dict()]
-        + [f(K, op).to_json_dict(op.name) for op in ops
-           for f in (image_barcode, kernel_barcode)])
+def _barcode_json(barcode, images, ops):
+    """A barcode, then each operation's image and kernel barcodes."""
+    return json.dumps([barcode.to_json_dict()]
+                      + [bc.to_json_dict(op.name) for op in ops for bc in images[op]])
+
+
+def _complex_json(K, top, ops):
+    return _barcode_json(persistent_barcode(K, top), {
+        op: (image_barcode(K, op), kernel_barcode(K, op)) for op in ops}, ops)
 
 
 @pytest.mark.parametrize("top", [0, 1, 2])
-def test_vr_for_degrees_matches_full_complex(top):
-    """Below max_dim the complex is built to dimension top, and the
-    reduction of delta_top is read from the metric.  The barcode and the
-    image and kernel barcodes of id and Sq0 at degree top and of Sq1 into
-    it are byte-identical to those of vr_filtration(X, max_dim, scale).
+def test_rips_barcodes_match_full_complex(top, monkeypatch):
+    """The complex is built to dimension top, and the reduction of
+    delta_top is read from the metric.  The barcode and the image and
+    kernel barcodes of id and Sq0 at degree top and of Sq1 into it are
+    byte-identical to those of vr_filtration(X, top + 1, scale).
     The metrics are random, tied (so apparent pairs rest on the
     tie-breaks), and random with the lower triangle 5e-10 below the
     upper, which the space does not store."""
+    built = []
+
+    def spy(X, max_dim, max_scale):
+        K = vr_filtration(X, max_dim, max_scale)
+        built.append(K.dimension)
+        return K
+
+    monkeypatch.setattr(distances, "vr_filtration", spy)
     rng = np.random.default_rng(307 + top)
     ops = [Operation.identity(top), Operation.sq(0, top)]
     if top:
@@ -211,23 +240,32 @@ def test_vr_for_degrees_matches_full_complex(top):
             X = FiniteMetricSpace(d)
         off = X.d[~np.eye(n, dtype=bool)]
         scale = [X.diameter() + 1e-9, float(rng.choice(off))][case % 2]
-        max_dim = top + 1 + case % 2
-        K = _vr_for_degrees(X, top, max_dim, scale)
-        assert K.dimension <= top
-        full = vr_filtration(X, max_dim, scale)
-        assert _barcode_json(K, top, ops) == _barcode_json(full, top, ops)
+        got = _barcode_json(*rips_barcodes(X, top, ops, scale), ops)
+        assert built.pop() <= top
+        full = vr_filtration(X, top + 1, scale)
+        assert got == _complex_json(full, top, ops)
 
 
-def test_vr_for_degrees_at_max_dim_and_above():
-    """Only degrees below max_dim are read: H^max_dim of the
-    max_dim-skeleton is not a VR invariant.  One point keeps max_scale."""
-    rng = np.random.default_rng(317)
-    X = random_metric_space(rng, 7)
-    for top in (2, 3, -1):
-        with pytest.raises(ValidationError, match="max_dim"):
-            _vr_for_degrees(X, top, 2, 0.9)
+def test_rips_barcodes_one_point_and_negative_degree(monkeypatch):
+    """One point has no enclosing radius and keeps max_scale; a negative
+    degree is an error."""
+    built = []
+
+    def spy(X, max_dim, max_scale):
+        built.append((max_dim, max_scale))
+        return vr_filtration(X, max_dim, max_scale)
+
+    monkeypatch.setattr(distances, "vr_filtration", spy)
     P = FiniteMetricSpace([[0.0]])
-    assert _vr_for_degrees(P, 0, 1, 0.9) == vr_filtration(P, 1, 0.9)
+    op = Operation.sq(1, 1)
+    bc, images = rips_barcodes(P, 0, [op], 0.9)
+    assert built == [(2, 0.9)]
+    assert bc == persistent_barcode(vr_filtration(P, 1, 0.9), 0)
+    assert images == {op: (Barcode(), Barcode())}
+    X = random_metric_space(np.random.default_rng(317), 7)
+    with pytest.raises(ValidationError, match="max_degree"):
+        rips_barcodes(X, -1, [], 0.9)
+    assert len(built) == 1
 
 
 def _skewed(rng, n):
@@ -253,11 +291,31 @@ def test_asymmetry_within_tolerance_reads_as_the_upper_triangle():
         X, M = FiniteMetricSpace(d), FiniteMetricSpace(mirror)
         assert X.d.tobytes() == mirror.tobytes()
         scale = X.diameter() + 1e-9
-        assert (_barcode_json(_vr_for_degrees(X, 2, 3, scale), 2, ops)
-                == _barcode_json(_vr_for_degrees(M, 2, 3, scale), 2, ops))
+        assert (_barcode_json(*rips_barcodes(X, 2, ops, scale), ops)
+                == _barcode_json(*rips_barcodes(M, 2, ops, scale), ops))
         Y = random_metric_space(rng, 6)
         assert (gh_lower_bound(X, Y, [0, 1, 2], ops[:1], 3, scale)
                 == gh_lower_bound(M, Y, [0, 1, 2], ops[:1], 3, scale))
+
+
+@BLOCKS
+def test_symmetric_in_row_blocks(monkeypatch, block):
+    """Whatever the block, the mirror is the bytes of np.triu(d, 1) plus
+    its transpose, and the symmetry check decides as abs(d - d.T) does."""
+    monkeypatch.setattr(metric, "_BLOCK", block)
+    rng = np.random.default_rng(349)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        d = rng.uniform(0.5, 1.0, size=(n, n))
+        lower = np.tril_indices(n, -1)
+        d[lower] = d.T[lower] + rng.uniform(-2e-9, 2e-9, len(lower[0]))
+        upper = np.triu(d, 1)
+        assert metric._symmetric(d).tobytes() == (upper + upper.T).tobytes()
+        if np.abs(d - d.T).max(initial=0.0) > 1e-9:
+            with pytest.raises(MetricError, match="symmetric"):
+                metric._symmetric(d, 1e-9)
+        else:
+            assert metric._symmetric(d, 1e-9).tobytes() == (upper + upper.T).tobytes()
 
 
 def test_wedge_reads_one_triangle():
@@ -591,7 +649,7 @@ def test_only_outside_matrices_reach_the_triangle_check(monkeypatch, tmp_path):
     with pytest.raises(_Checked):
         main(["barcode", "--input", str(path), "--max-dim", "2", "--max-scale", "3"])
     with pytest.raises(_Checked):
-        stability_check(c, 0.01, 1, 0, Operation.sq(1, 0), 0, 2)
+        stability_check(c, 0.01, 1, 0, Operation.sq(1, 0), 0)
 
 
 def test_rounding_can_break_a_constructed_metric():
