@@ -221,6 +221,11 @@ def cmd_barcode(args) -> int:
 
 def cmd_theta_barcode(args, kernel: bool) -> int:
     op = _parse_op(args.op, args.source_degree)
+    # an image lives in the target degree, a kernel in the source degree
+    own = op.source_degree if kernel else op.target_degree
+    if args.degree is not None and args.degree != own:
+        raise ValidationError(f"--degree {args.degree} is not {own}, the only "
+                              f"degree of this {'kernel' if kernel else 'image'} barcode")
     bc = _barcodes(args, 0, [op])[1][op][kernel]
     _finish_barcode(bc, op.name, args, u_scale=True)
     return 0

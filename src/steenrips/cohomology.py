@@ -306,21 +306,20 @@ def reduction(K: FilteredComplex) -> CohomologyReduction:
     return K._reduction
 
 
-def persistent_barcode(K: FilteredComplex, max_degree: int,
-                       reduced: bool = False) -> Barcode:
+def persistent_barcode(K: FilteredComplex, max_degree: int) -> Barcode:
     """Barcode of the filtration in degrees 0..max_degree.
 
     Read from the cohomology reduction of K; over a field the homology
     barcode coincides.  Zero-length pairs (birth value == death value)
-    are dropped.  With ``reduced`` one infinite degree-0 bar is removed.
+    are dropped.  :meth:`Barcode.reduced` removes one infinite degree-0
+    bar.
     """
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative")
     red = reduction(K)
-    barcode = Barcode(Bar(p, K.dim_values[p][s], death)
-                      for p in range(min(max_degree, K.dimension) + 1)
-                      for s, death, _ in red.degree(K, p)[1])
-    return barcode.reduced() if reduced else barcode
+    return Barcode(Bar(p, K.dim_values[p][s], death)
+                   for p in range(min(max_degree, K.dimension) + 1)
+                   for s, death, _ in red.degree(K, p)[1])
 
 
 def cohomology_basis(K: FilteredComplex, p: int) -> CohomologyBasis:

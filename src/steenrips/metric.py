@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import chain
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -165,10 +164,10 @@ def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> Filte
     ``_BLOCK``.  A coface's value is the elementwise maximum of the
     simplex's value and the distances to w.  The rows of each dimension
     come out in lexicographic order, so a stable sort by value orders
-    each dimension and a stable sort by value over all of them, in turn,
-    is the canonical order.  The complex is assembled directly: it is
-    duplicate-free, closed under faces and monotone by construction, so
-    :func:`build`'s validation is skipped.
+    each dimension by (value, vertices), the order the complex stores.
+    The complex is assembled directly: it is duplicate-free, closed under
+    faces and monotone by construction, so :func:`build`'s validation is
+    skipped.
     """
     if max_dim < 0:
         raise ValidationError("max_dim must be nonnegative")
@@ -193,16 +192,8 @@ def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> Filte
     for S, V in dims:
         order = np.argsort(V, kind="stable")
         dim_simplices.append(tuple(zip(*S[order].T.tolist())))
-        dim_values.append(V[order])
-    values = np.concatenate(dim_values)
-    order = np.argsort(values, kind="stable")
-    pooled = list(chain.from_iterable(dim_simplices))
-    return FilteredComplex._from_dims(
-        tuple(map(pooled.__getitem__, order.tolist())),
-        tuple(values[order].tolist()),
-        tuple(dim_simplices),
-        tuple(tuple(vv.tolist()) for vv in dim_values),
-    )
+        dim_values.append(V[order].tolist())
+    return FilteredComplex(dim_simplices, dim_values)
 
 
 def _cofaces(S: np.ndarray, V: np.ndarray, d: np.ndarray, adj: np.ndarray,

@@ -1,19 +1,21 @@
 """Simplicial complexes, filtrations, coboundaries and cochains.
 
-A filtered complex is stored in a single canonical order: simplices
-sorted by (filtration value, dimension, lexicographic vertices).  Faces
-always precede cofaces, and within every dimension the simplices appear
-in nondecreasing value order, so each sublevel set is a prefix of the
-canonical order in every dimension.  Cochains ride on that order: the
-support of a degree-p cochain is a bit-vector indexed by the p-simplices
-of its host complex.
+A filtered complex is stored one dimension at a time: the p-simplices
+sorted by (filtration value, lexicographic vertices), with their values.
+Within every dimension the simplices appear in nondecreasing value
+order, so each sublevel set is a prefix of every dimension.  The
+canonical order of the whole complex, by (filtration value, dimension,
+lexicographic vertices), in which faces always precede cofaces, is
+derived from those parts by a merge.  Cochains ride on the stored order:
+the support of a degree-p cochain is a bit-vector indexed by the
+p-simplices of its host complex.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable, Sequence, TextIO
 
 from .errors import (
@@ -41,21 +43,23 @@ def normalize_simplex(vertices: Iterable[int]) -> Simplex:
 
 
 class FilteredComplex:
-    """Finite filtered simplicial complex in canonical order.
+    """Finite filtered simplicial complex, stored one dimension at a time.
 
-    Built by :func:`build`, which validates and sorts arbitrary input,
-    or directly by :func:`steenrips.metric.vr_filtration` and
-    :func:`sublevel`, whose output is canonical by construction.  The
-    constructor trusts its arguments to be sorted, duplicate-free, closed
-    under faces and monotone, and partitions them by dimension;
-    ``_from_dims`` takes that partition ready-made.  Instances are
-    immutable but for ``_reduction``, a cache of the cohomology reduction
-    that :mod:`steenrips.cohomology` builds on first use.
+    ``dim_simplices[p]`` holds the p-simplices sorted by (value,
+    lexicographic vertices) and ``dim_values[p]`` their values; no
+    dimension is empty.  The canonical order of the whole complex, by
+    (value, dimension, lexicographic vertices), is derived from these
+    parts: ``simplices`` and ``values`` merge them on each read.  Built by
+    :func:`build`, which validates and sorts arbitrary input, or directly
+    by :func:`steenrips.metric.vr_filtration` and :func:`sublevel`, whose
+    output is sorted by construction.  The constructor trusts its
+    arguments to be sorted, duplicate-free, closed under faces and
+    monotone, with float values.  Instances are immutable but for ``_reduction``, a cache of
+    the cohomology reduction that :mod:`steenrips.cohomology` builds on
+    first use.
     """
 
     __slots__ = (
-        "simplices",
-        "values",
         "dim_simplices",
         "dim_values",
         "dim_index",
@@ -63,53 +67,43 @@ class FilteredComplex:
         "_reduction",
     )
 
-    def __init__(self, simplices: Sequence[Simplex], values: Sequence[float]):
-        simplices = tuple(simplices)
-        values = tuple(map(float, values))
-        top = max(map(len, simplices), default=0)
-        by_dim: list[list[Simplex]] = [[] for _ in range(top)]
-        val_by_dim: list[list[float]] = [[] for _ in range(top)]
-        for s, v in zip(simplices, values):
-            p = len(s) - 1
-            by_dim[p].append(s)
-            val_by_dim[p].append(v)
-        self._assign(simplices, values, tuple(map(tuple, by_dim)),
-                     tuple(map(tuple, val_by_dim)))
-
-    @classmethod
-    def _from_dims(cls, simplices: tuple[Simplex, ...], values: tuple[float, ...],
-                   dim_simplices: tuple[tuple[Simplex, ...], ...],
-                   dim_values: tuple[tuple[float, ...], ...]) -> FilteredComplex:
-        """The complex with this canonical order and its partition by
-        dimension (tuples, float values, no empty dimension)."""
-        K = cls.__new__(cls)
-        K._assign(simplices, values, dim_simplices, dim_values)
-        return K
-
-    def _assign(self, simplices, values, dim_simplices, dim_values) -> None:
-        self.simplices = simplices
-        self.values = values
-        self.dim_simplices = dim_simplices
-        self.dim_values = dim_values
+    def __init__(self, dim_simplices: Sequence[Sequence[Simplex]],
+                 dim_values: Sequence[Sequence[float]]):
+        self.dim_simplices = tuple(map(tuple, dim_simplices))
+        self.dim_values = tuple(map(tuple, dim_values))
         self.dim_index = tuple(
-            dict(zip(ss, range(len(ss)))) for ss in dim_simplices
+            dict(zip(ss, range(len(ss)))) for ss in self.dim_simplices
         )
-        # values are sorted, so first occurrences come in increasing order
-        self.distinct_values = tuple(dict.fromkeys(values))
+        self.distinct_values = tuple(sorted(set(chain.from_iterable(self.dim_values))))
         self._reduction = None
+
+    def _canonical(self) -> list[tuple[float, int, Simplex]]:
+        """(value, dimension, simplex) in canonical order.  Each dimension
+        is already sorted by (value, vertices), so the sort merges runs."""
+        return sorted(chain.from_iterable(
+            zip(vv, repeat(p), ss)
+            for p, (ss, vv) in enumerate(zip(self.dim_simplices, self.dim_values))))
+
+    @property
+    def simplices(self) -> tuple[Simplex, ...]:
+        return tuple(s for _, _, s in self._canonical())
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(v for v, _, _ in self._canonical())
 
     # -- basic queries -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return sum(map(len, self.dim_simplices))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FilteredComplex)
-                and self.simplices == other.simplices
-                and self.values == other.values)
+                and self.dim_simplices == other.dim_simplices
+                and self.dim_values == other.dim_values)
 
     def __hash__(self):
-        return hash((self.simplices, self.values))
+        return hash((self.dim_simplices, self.dim_values))
 
     @property
     def dimension(self) -> int:
@@ -164,7 +158,10 @@ def build(filtered_simplices: Iterable[tuple[Iterable[int], float]]) -> Filtered
                     f"face {facet} (value {entries[facet]}) enters after "
                     f"{s} (value {entries[s]})"
                 )
-    return FilteredComplex(order, [entries[s] for s in order])
+    dims: list[list[Simplex]] = [[] for _ in range(max(map(len, order), default=0))]
+    for s in order:
+        dims[len(s) - 1].append(s)
+    return FilteredComplex(dims, [[entries[s] for s in ss] for ss in dims])
 
 
 def sublevel(K: FilteredComplex, i: int) -> FilteredComplex:
@@ -174,14 +171,10 @@ def sublevel(K: FilteredComplex, i: int) -> FilteredComplex:
             f"filtration index {i} out of range [0, {K.num_values})"
         )
     t = K.distinct_values[i]
-    n = bisect_right(K.values, t)
     # a dimension with nothing at or below t has no cofaces there either
     ends = [m for m in (bisect_right(vv, t) for vv in K.dim_values) if m]
-    return FilteredComplex._from_dims(
-        K.simplices[:n], K.values[:n],
-        tuple(ss[:m] for ss, m in zip(K.dim_simplices, ends)),
-        tuple(vv[:m] for vv, m in zip(K.dim_values, ends)),
-    )
+    return FilteredComplex([ss[:m] for ss, m in zip(K.dim_simplices, ends)],
+                           [vv[:m] for vv, m in zip(K.dim_values, ends)])
 
 
 @dataclass(frozen=True)
@@ -341,5 +334,5 @@ def load_complex(source: TextIO | str) -> FilteredComplex:
 
 def dump_complex(K: FilteredComplex, stream: TextIO) -> None:
     """Write the canonical form of the text format (round-trips exactly)."""
-    for s, v in zip(K.simplices, K.values):
+    for v, _, s in K._canonical():
         stream.write(f"{v!r} " + " ".join(str(x) for x in s) + "\n")

@@ -137,10 +137,25 @@ def brute_barcode(K: FilteredComplex, max_degree: int) -> Barcode:
 
 
 def is_prefix_of(K: FilteredComplex, other: FilteredComplex) -> bool:
-    n = len(K.simplices)
-    return (n <= len(other.simplices)
-            and other.simplices[:n] == K.simplices
-            and other.values[:n] == K.values)
+    """K's canonical order is a prefix of other's, read from the
+    per-dimension parts: each dimension of K is a prefix of other's, and
+    the first simplex other adds in any dimension comes after K's last by
+    (value, dimension, vertices)."""
+    mine, my_values = K.dim_simplices, K.dim_values
+    if not mine:
+        return True
+    if len(mine) > len(other.dim_simplices):
+        return False
+    last = max((vv[-1], p, ss[-1]) for p, (ss, vv) in enumerate(zip(mine, my_values)))
+    for p, (ss, vv) in enumerate(zip(other.dim_simplices, other.dim_values)):
+        n = 0
+        if p < len(mine):
+            n = len(mine[p])
+            if ss[:n] != mine[p] or vv[:n] != my_values[p]:
+                return False
+        if n < len(ss) and (vv[n], p, ss[n]) < last:
+            return False
+    return True
 
 
 def restrict_cochain(c: Cochain, K_i: FilteredComplex) -> Cochain:

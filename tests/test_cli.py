@@ -139,6 +139,37 @@ def test_barcode_degree_above_max_degree_exits_2(tmp_path, capsys):
         assert "--degree 2 is above --max-degree 1" in captured.err
 
 
+def test_theta_barcode_degree_other_than_its_own_exits_2(tmp_path, monkeypatch, capsys):
+    """An image barcode lives only in the operation's target degree and a
+    kernel barcode only in its source degree: any other --degree exits 2
+    on either input before a complex is built, not with an empty barcode."""
+    built = []
+
+    def spy(X, max_dim, max_scale):
+        built.append(max_dim)
+        return vr_filtration(X, max_dim, max_scale)
+
+    monkeypatch.setattr(cli, "vr_filtration", spy)
+    monkeypatch.setattr(distances, "vr_filtration", spy)
+    dmat, cplx = tmp_path / "rp.dmat", tmp_path / "rp.cplx"
+    assert main(["make", "rp", "--count", "28", "--seed", "3",
+                 "--out", str(dmat)]) == 0
+    caps = ["--max-dim", "3", "--max-scale", "4"]
+    assert main(["vr", "--input", str(dmat), *caps, "--out", str(cplx)]) == 0
+    op = ["--op", "sq:1", "--source-degree", "1"]
+    for source in (["--input", str(dmat), *caps], ["--complex", str(cplx)]):
+        for name, own, other in (("image-barcode", 2, 1), ("kernel-barcode", 1, 2)):
+            code, data = run_json(capsys, [name, *source, *op, "--degree", str(own)])
+            assert code == 0
+            assert data["bars"] and {b["degree"] for b in data["bars"]} == {own}
+            n_built = len(built)
+            assert main([name, *source, *op, "--degree", str(other)]) == 2
+            assert len(built) == n_built
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"--degree {other} is not {own}" in captured.err
+
+
 def test_image_barcode_rp2(tmp_path, capsys):
     cplx = tmp_path / "rp2.cplx"
     with open(cplx, "w") as fh:

@@ -80,7 +80,7 @@ def test_four_point_circle_barcode():
 def test_reduced_flag_drops_one_component_bar():
     K = build([([0], 0.0), ([1], 0.0)])
     assert len(persistent_barcode(K, 0)) == 2
-    assert len(persistent_barcode(K, 0, reduced=True)) == 1
+    assert len(persistent_barcode(K, 0).reduced()) == 1
 
 
 def test_barcode_against_brute_force():

@@ -11,8 +11,10 @@ from steenrips.errors import (
     ValidationError,
 )
 from steenrips.gf2 import rank
+from steenrips.metric import metric_from_points, vr_filtration
 from steenrips.simplicial import (
     Cochain,
+    FilteredComplex,
     build,
     coboundary,
     coboundary_matrix,
@@ -76,6 +78,34 @@ def test_canonical_order_total():
         perm = rng.permutation(len(entries))
         K2 = build([(list(entries[i][0]), entries[i][1]) for i in perm])
         assert K == K2
+
+
+def test_one_constructor_rebuilds_from_per_dimension_parts():
+    """A complex is its per-dimension parts: rebuilt from them it is equal
+    in every view, and its canonical order is derived from them."""
+    rng = np.random.default_rng(7)
+    # an integer grid ties many VR values across dimensions
+    grid = metric_from_points(np.array([(i, j) for i in range(3) for j in range(3)]))
+    G = vr_filtration(grid, 3, 2.0)
+    pairs = [([0], 0.0), ([2], 0.0), ([1], 1.0), ([0, 2], 1.0), ([1, 2], 1.0),
+             ([0, 1], 2.0), ([0, 1, 2], 2.0), ([3], 2.0)]
+    rng.shuffle(pairs)
+    for K in (build(pairs), random_filtered_complex(rng, target_size=30), build([]),
+              G, sublevel(G, G.num_values // 2), sublevel(G, 0)):
+        R = FilteredComplex(K.dim_simplices, K.dim_values)
+        assert R == K and hash(R) == hash(K) and len(R) == len(K)
+        assert R.simplices == K.simplices and R.values == K.values
+        assert R.distinct_values == K.distinct_values
+        a, b = io.StringIO(), io.StringIO()
+        dump_complex(K, a)
+        dump_complex(R, b)
+        assert a.getvalue() == b.getvalue()
+        canonical = sorted((v, len(s) - 1, s) for ss, vv in zip(K.dim_simplices, K.dim_values)
+                           for s, v in zip(ss, vv))
+        assert K.simplices == tuple(s for _, _, s in canonical)
+        assert K.values == tuple(v for v, _, _ in canonical)
+        assert len(K) == len(canonical)
+        assert K.distinct_values == tuple(sorted(set(K.values)))
 
 
 def test_faces_precede_cofaces():
