@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
 
 from .errors import ValidationError
-from .gf2 import PivotTable
-from .simplicial import Cochain, FilteredComplex, coboundary_columns
+from .gf2 import PivotTable, pack
+from .metric import _BLOCK
+from .simplicial import Cochain, FilteredComplex
 
 INF = math.inf
 
@@ -157,32 +159,41 @@ class CohomologyBasis:
 
 class CohomologyReduction:
     """The coboundaries delta_0, delta_1, ... of one complex, reduced
-    lazily, one degree at a time.
+    lazily, one degree at a time, without building their columns.
 
-    delta_p is reduced in reverse canonical order, each column augmented
-    with its unit bit above the rows, after clearing the p-simplices that
-    are pivots of delta_{p-1}: their columns would reduce to zero, so the
-    top simplices are never columns (Bauer, "Ripser", 2021).  A column of
-    sigma that keeps a lowest row tau gives the bar [value sigma, value
-    tau) of H^p, one that reduces to zero gives [value sigma, inf).  The
-    companion z left above the rows is supported on sigma and later
-    simplices, so it restricts to 0 below the birth and to a cocycle below
-    the death; the representatives of the bars alive at a value form a
-    basis of H^p there.  Only the bars keep their companions: once delta_p
-    is reduced its table is masked to the rows, and in the top degree,
-    where delta_p is zero, z is the unit cochain of sigma and is stored as
-    None.  The top degree of a complex from the metric paths instead
-    holds the bars of the VR coboundary into the (top+1)-simplices that
-    were never built, with an empty table (:func:`_reduce_top_degree`).
-    ``operations`` memoises the (image, kernel) barcodes of each
-    operation.  The object holds no reference to its complex, so the two
-    are freed together by reference counting.
+    delta_p is reduced as a dense elimination would reduce it: in reverse
+    canonical order, each column augmented with its unit bit above the
+    rows, after clearing the p-simplices that are pivots of
+    delta_{p-1}, whose columns would reduce to zero (Bauer, "Ripser",
+    2021).  A column of sigma that keeps a lowest row tau gives the bar
+    [value sigma, value tau) of H^p, one that reduces to zero gives
+    [value sigma, inf).  Most columns are settled without a reduction.
+    The column of sigma is apparent when its earliest cofacet tau has
+    sigma as its latest facet: no later column reaches row tau, so it
+    keeps the pivot tau unreduced.  A column without cofacets is zero.
+    The few columns left are reduced as sparse columns by the one sparse
+    loop, :func:`_reduce_columns`, which the top degree of the metric
+    paths shares.  The companion z of a bar is supported on sigma and
+    later simplices, so it restricts to 0 below the birth and to a
+    cocycle below the death; the representatives of the bars alive at a
+    value form a basis of H^p there.  z is None where it is the unit
+    cochain of sigma: for apparent bars and columns without cofacets, so
+    for every bar of the top degree.  ``tables[p]`` is reduced delta_p
+    and ``pivot_rows[p]`` its pivots, increasing; a dense column of it is
+    built only when an insertion reaches its pivot.  The top degree of a
+    complex from the metric paths instead holds the bars of the VR
+    coboundary into the (top+1)-simplices that were never built, with an
+    empty table (:func:`_reduce_top_degree`).  ``operations`` memoises
+    the (image, kernel) barcodes of each operation.  The object holds no
+    reference to its complex, so the two are freed together by reference
+    counting.
     """
 
-    __slots__ = ("tables", "bars", "operations")
+    __slots__ = ("tables", "pivot_rows", "bars", "operations")
 
     def __init__(self):
         self.tables: list[PivotTable] = []
+        self.pivot_rows: list[np.ndarray] = []
         self.bars: list[list[tuple[int, float, int | None]]] = []
         self.operations: dict = {}
 
@@ -192,29 +203,10 @@ class CohomologyReduction:
         index, death, z) in reverse order of birth index (z None for the
         unit cochain of the birth simplex); 0 <= p <= dim(K)."""
         for q in range(len(self.tables), p + 1):
-            cleared = self.tables[q - 1].columns if q else {}
-            rows = K.n_simplices(q + 1)
-            values = K.dim_values[q]
-            values_up = K.dim_values[q + 1] if rows else ()
-            table, bars = PivotTable(), []
-            cols = coboundary_columns(K, q)
-            for s in cleared:  # would reduce to zero: free them now
-                cols[s] = 0
-            while cols:
-                # popping consumes delta_q as it is reduced, so the
-                # matrix and its reduction are never held at once
-                col = cols.pop()
-                s = len(cols)
-                if s in cleared:
-                    continue
-                tau, z = table.insert_augmented(col | 1 << (rows + s), rows)
-                death = INF if tau is None else values_up[tau]
-                if values[s] < death:
-                    bars.append((s, death, z if rows else None))
-            mask = (1 << rows) - 1
-            for tau in table.columns:
-                table.columns[tau] &= mask
+            table, pivot_rows, bars = _reduce_degree(
+                K, q, self.pivot_rows[q - 1] if q else [])
             self.tables.append(table)
+            self.pivot_rows.append(pivot_rows)
             self.bars.append(bars)
         return self.tables[p], self.bars[p]
 
@@ -222,7 +214,124 @@ class CohomologyReduction:
         """A copy of reduced delta_p (empty outside degrees 0..dim)."""
         if not 0 <= p <= K.dimension:
             return PivotTable()
-        return PivotTable(self.degree(K, p)[0].columns)
+        table = self.degree(K, p)[0]
+        return PivotTable(table.columns, table.build)
+
+
+def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]
+                   ) -> tuple[PivotTable, np.ndarray, list]:
+    """Reduce delta_q of K with the columns ``cleared`` skipped: its table,
+    its pivots in increasing order and its bars (see
+    :class:`CohomologyReduction`)."""
+    n, rows = K.n_simplices(q), K.n_simplices(q + 1)
+    values_up = K.dim_values[q + 1] if rows else ()
+    facets = _facets(K, q) if rows else np.empty((0, q + 2), dtype=np.intp)
+    # the cofacets of column s, increasing: cof[ptr[s]:ptr[s + 1]], sorted
+    # as the keys column * rows + row
+    cof = np.sort(facets.ravel() * rows + np.arange(facets.size) // (q + 2)) % rows
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(facets.ravel(), minlength=n), out=ptr[1:])
+    # earliest cofacets; row `rows`, with no latest facet, where there is none
+    first = np.append(cof, rows)[ptr[:-1]]
+    first[ptr[1:] == ptr[:-1]] = rows
+    left = np.ones(n, dtype=bool)
+    left[cleared] = False
+    apparent = left & (np.append(facets.max(axis=1), -1)[first] == np.arange(n))
+    settled = left & (apparent | (first == rows))
+    left &= ~settled
+    owner = dict(zip(first[apparent].tolist(), np.flatnonzero(apparent).tolist()))
+
+    def cofacets(j: int) -> set:
+        return set(cof[ptr[j]:ptr[j + 1]].tolist())
+
+    bars, pivots = _reduce_columns(np.flatnonzero(left)[::-1].tolist(), K.dim_values[q],
+                                   cofacets, owner.get, values_up.__getitem__)
+    death = np.append(values_up, INF)[first]
+    unit = np.flatnonzero(settled & (np.array(K.dim_values[q]) < death))[::-1]
+    bars += zip(unit.tolist(), death[unit].tolist(), [None] * len(unit))
+    bars.sort(key=lambda bar: -bar[0])
+    reduced = {tau: col for tau, (col, _) in pivots.items()}
+
+    def build(tau: int) -> int | None:
+        """Dense column of pivot tau: the reduced sparse column that kept
+        it, or the coboundary of its apparent owner; None if tau is no
+        pivot."""
+        col = reduced.get(tau)
+        if col is None:
+            j = owner.get(tau)
+            if j is None:
+                return None
+            col = cofacets(j)
+        return pack(col)
+
+    return (PivotTable(build=build),
+            np.union1d(first[apparent], np.fromiter(reduced, dtype=np.intp)), bars)
+
+
+def _facets(K: FilteredComplex, q: int) -> np.ndarray:
+    """Row tau, column x: the index among the q-simplices of the
+    (q+1)-simplex tau without its vertex number x.
+
+    Exact for every vertex id: ids are replaced by their positions among
+    the vertices, and rows are matched one vertex at a time, each prefix
+    coded by its rank among the q-simplices' prefixes, so no code
+    reaches (number of q-simplices) x (number of vertices)."""
+    position = {v: i for i, (v,) in enumerate(K.dim_simplices[0])}
+
+    def positions(p: int) -> np.ndarray:
+        ss = K.dim_simplices[p]
+        return np.fromiter(map(position.__getitem__, chain.from_iterable(ss)),
+                           dtype=np.intp, count=len(ss) * (p + 1)).reshape(len(ss), p + 1)
+
+    S, T = positions(q), positions(q + 1)
+
+    def vertex(c: int) -> np.ndarray:
+        """Vertex c of each facet: the facet without vertex x skips it."""
+        return T[:, [c + (c >= x) for x in range(q + 2)]]
+
+    code, facet_code = S[:, 0], vertex(0)
+    for c in range(1, q + 1):
+        keys = np.concatenate([code * len(position) + S[:, c],
+                               (facet_code * len(position) + vertex(c)).ravel()])
+        rank = np.unique(keys, return_inverse=True)[1]
+        code, facet_code = rank[:len(S)], rank[len(S):].reshape(len(T), q + 2)
+    index = np.empty(len(S), dtype=np.intp)
+    index[code] = np.arange(len(S))
+    return index[facet_code]
+
+
+def _reduce_columns(columns: list[int], values, cofacets, apparent_owner,
+                    value_up) -> tuple[list, dict]:
+    """The sparse loop: reduce the columns, given in reverse order, of a
+    coboundary whose apparent columns are left unreduced.
+
+    ``cofacets(j)`` is the set of rows of column j, rows compared as they
+    are ordered, ``value_up(tau)`` the value of row tau, and
+    ``apparent_owner(tau)`` the apparent column whose pivot is tau, or
+    None.  A pivot tau is owned by its apparent column, which is later
+    than any column reaching it, or by a column reduced before, so each
+    column is reduced as in the dense reduction.  Returns the bars (s,
+    death, z) of the columns, z their companion, and the pivots reached,
+    tau -> (reduced column, z)."""
+    bars, pivots = [], {}
+    for s in columns:
+        col, z = cofacets(s), 1 << s
+        while col:
+            tau = min(col)
+            if tau in pivots:
+                add, y = pivots[tau]
+            else:
+                j = apparent_owner(tau)
+                if j is None:
+                    pivots[tau] = col, z
+                    break
+                add, y = cofacets(j), 1 << j
+            col ^= add
+            z ^= y
+        end = value_up(tau) if col else INF
+        if values[s] < end:
+            bars.append((s, end, z))
+    return bars, pivots
 
 
 def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
@@ -231,32 +340,47 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
     the cohomology reduction.
 
     The cofacet sigma + {v} of a p-simplex sigma enters at the IEEE max
-    of value(sigma) and d[u, v], u in sigma, if that is <= scale.  After
-    the delta_{p-1} pivots are cleared, the column of sigma is apparent
-    (Bauer, "Ripser", 2021) when its earliest cofacet tau, the least by
-    (value, v), has sigma as its latest facet: every other facet
-    tau - {x} has a smaller value, or an equal one and x > v.  It keeps
-    the pivot tau unreduced, and its companion is the unit cochain.  The
-    few columns left are reduced in reverse order as sets of (value,
-    vertices) keys; a pivot tau is owned by its apparent facet, which is
-    later than the column, or by a column reduced before.  So the bars
-    and companions are those of the explicit reduction.  K has no rows
-    for delta_p, so its table stays empty.
+    of value(sigma) and d[u, v], u in sigma, if that is <= scale.  These
+    values are computed for blocks of at most ``_BLOCK`` (sigma, v)
+    pairs, and again for one sigma outside the last block whenever the
+    sparse loop needs its cofacets.  After the delta_{p-1} pivots are
+    cleared, the column of sigma is apparent when its earliest cofacet
+    tau, the least by (value, v), has sigma as its latest facet: every
+    other facet tau - {x} has a smaller value, or an equal one and x > v.
+    It keeps the pivot tau unreduced, and its companion is the unit
+    cochain.  The few columns left go through the sparse loop
+    :func:`_reduce_columns` with rows keyed (value, vertices), the order
+    of the (p+1)-simplices, so the bars and companions are those of the
+    explicit reduction.  K has no rows for delta_p, so its table stays
+    empty.
     """
     p = K.dimension
     red = reduction(K)
-    cleared = list(red.degree(K, p - 1)[0].columns) if p else []
+    if p:
+        red.degree(K, p - 1)
+    cleared = red.pivot_rows[p - 1] if p else []
     simplices, index, values = K.dim_simplices[p], K.dim_index[p], K.dim_values[p]
     S = np.array(simplices).reshape(len(simplices), p + 1)
     vals = np.array(values)
-    rows = np.arange(len(S))
-    cof = np.repeat(vals[:, None], d.shape[0], axis=1)
-    for i in range(p + 1):
-        np.maximum(cof, d[S[:, i]], out=cof)
-    cof[rows[:, None], S] = INF
-    cof[cof > scale] = INF
-    v = cof.argmin(axis=1)
-    death = cof[rows, v]
+
+    def cofacet_values(block: slice) -> np.ndarray:
+        """value(sigma + {v}) for the sigma of the block and every vertex
+        v, inf where that is no cofacet within the scale."""
+        cof = np.repeat(vals[block, None], d.shape[0], axis=1)
+        for i in range(p + 1):
+            np.maximum(cof, d[S[block, i]], out=cof)
+        cof[np.arange(len(cof))[:, None], S[block]] = INF
+        cof[cof > scale] = INF
+        return cof
+
+    v = np.empty(len(S), dtype=np.intp)
+    death = np.empty(len(S))
+    step = max(1, _BLOCK // d.shape[0])
+    for last in range(0, len(S), step):
+        block = None  # freed before the next one is made
+        block = cofacet_values(slice(last, last + step))
+        v[last:last + step] = block.argmin(axis=1)
+        death[last:last + step] = block[np.arange(len(block)), v[last:last + step]]
     T = np.column_stack([S, v])
     apparent = death < INF
     for x in range(p + 1):
@@ -266,36 +390,29 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
         apparent &= (facet < vals) | ((facet == vals) & (S[:, x] > v))
     apparent[cleared] = False
     long = np.flatnonzero(apparent & (vals < death))
-    bars = list(zip(long.tolist(), death[long].tolist(), [None] * len(long)))
     left = ~apparent
     left[cleared] = False
     v = v.tolist()
 
     def cofacets(j: int) -> set:
-        ws = np.flatnonzero(cof[j] < INF)
+        # the last block is kept, other rows are computed again
+        cof = block[j - last] if j >= last else cofacet_values(slice(j, j + 1))[0]
+        ws = np.flatnonzero(cof < INF)
         return {(c, tuple(sorted(simplices[j] + (w,))))
-                for w, c in zip(ws.tolist(), cof[j, ws].tolist())}
+                for w, c in zip(ws.tolist(), cof[ws].tolist())}
 
-    pivots: dict = {}
-    for s in np.flatnonzero(left)[::-1].tolist():
-        col, z = cofacets(s), 1 << s
-        while col:
-            tau = min(col)
-            if tau in pivots:
-                add, y = pivots[tau]
-            else:
-                j = max(index[f] for f in combinations(tau[1], p + 1))
-                if not (apparent[j] and sum(tau[1]) - sum(simplices[j]) == v[j]):
-                    pivots[tau] = col, z
-                    break
-                add, y = cofacets(j), 1 << j
-            col ^= add
-            z ^= y
-        end = tau[0] if col else INF
-        if values[s] < end:
-            bars.append((s, end, z))
+    def apparent_owner(tau: tuple) -> int | None:
+        j = max(index[f] for f in combinations(tau[1], p + 1))
+        if apparent[j] and sum(tau[1]) - sum(simplices[j]) == v[j]:
+            return j
+        return None
+
+    bars, _ = _reduce_columns(np.flatnonzero(left)[::-1].tolist(), values,
+                              cofacets, apparent_owner, itemgetter(0))
+    bars += zip(long.tolist(), death[long].tolist(), [None] * len(long))
     bars.sort(key=lambda bar: -bar[0])
     red.tables.append(PivotTable())
+    red.pivot_rows.append(np.empty(0, dtype=np.intp))
     red.bars.append(bars)
 
 

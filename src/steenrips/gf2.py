@@ -7,12 +7,15 @@ speed without any per-entry Python loop.
 
 Elimination is by columns, pivot = lowest set bit of the (partially
 reduced) column.  Pivoting is deterministic, so reduced forms and ranks
-are reproducible bit-for-bit.
+are reproducible bit-for-bit.  A table may hold pivots whose columns are
+not built: the cohomology reduction finds its pivots sparsely, and an
+int as wide as its last row is built only for a pivot that an insertion
+reaches.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 def _low(bits: int) -> int:
@@ -20,24 +23,41 @@ def _low(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
+def _unbuilt(pivot: int) -> None:
+    return None
+
+
+def pack(rows: Iterable[int]) -> int:
+    """The bit-vector with exactly the given (distinct) rows set."""
+    bits = 0
+    # last row first: bits takes its final size at its first row
+    for row in sorted(rows, reverse=True):
+        bits |= 1 << row
+    return bits
+
+
 class PivotTable:
     """Incremental column elimination with lowest-set-bit pivots.
 
-    ``reduce`` eliminates for every explicit complex; only the top degree
-    of a metric path has a loop of its own
-    (``cohomology._reduce_top_degree``).
     Inserted columns are reduced against the stored ones; a nonzero
     residual is stored under its pivot.  ``columns`` maps each pivot to
     its stored column: the stored columns always have pairwise distinct
     lowest set bits and span the same space as everything inserted so
-    far.  A table may start from a copy of such a mapping, e.g. another
-    table's ``columns``.
+    far.  ``build(p)`` gives the column of a pivot p that is not in
+    ``columns`` yet, or None when p is no such pivot; a reduction that
+    reaches p stores it.  So a table whose pivots were found sparsely
+    (the cohomology reduction's, which reduces every degree in one
+    sparse loop) builds a dense column only where an insertion reaches
+    its pivot.  A table may start from a copy of another's ``columns``
+    and its ``build``.  ``len`` counts the stored columns.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "build")
 
-    def __init__(self, columns: dict[int, int] | None = None):
+    def __init__(self, columns: dict[int, int] | None = None,
+                 build: Callable[[int], int | None] = _unbuilt):
         self.columns: dict[int, int] = dict(columns or {})
+        self.build = build
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -45,9 +65,13 @@ class PivotTable:
     def reduce(self, bits: int) -> int:
         cols = self.columns
         while bits:
-            col = cols.get((bits & -bits).bit_length() - 1)
+            low = (bits & -bits).bit_length() - 1
+            col = cols.get(low)
             if col is None:
-                break
+                col = self.build(low)
+                if col is None:
+                    break
+                cols[low] = col
             bits ^= col
         return bits
 

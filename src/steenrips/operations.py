@@ -33,8 +33,9 @@ The pass has three steps.
 In both modules r(i, j) is then the number of bars alive at v_i and
 v_j.  Tests pin both barcodes to the literal per-pair ranks of the
 reference implementations in tests/oracles.py.  The delta_{m-1} and
-delta_{ell-1} pivots are copies of the reduction's tables, and both
-barcodes are memoised with the reduction.
+delta_{ell-1} pivots are copies of the reduction's tables, which build
+a pivot's column only when an insertion reaches it, and both barcodes
+are memoised with the reduction.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 
 Everything here goes through homology-side cycle/boundary spaces, or
 through explicit sublevel complexes and restriction, and plain rank
-computations; no column-reduction pairing, and nothing reads the
-cohomology reduction that the production barcodes and bases come from.
-Slow but first-principles.
+computations; nothing reads the cohomology reduction that the
+production barcodes and bases come from.  Slow but first-principles.
+The one column-reduction pairing here, :func:`dense_reduction`, is the
+dense elimination that the sparse reduction replaced; it pins that
+reduction's bars, companions and pivot columns.
 """
 
 from __future__ import annotations
@@ -240,3 +242,34 @@ def cup_i_oracle(alpha: Cochain, beta: Cochain, i: int) -> Cochain:
         if total % 2:
             supported.append(sigma)
     return cochain_from_simplices(K, n, supported)
+
+
+def dense_reduction(K: FilteredComplex, p: int) -> tuple[list, list]:
+    """delta_0..delta_p reduced with every column built: each degree's
+    pivot columns (pivot -> column masked to the rows) and its bars (birth
+    index, death, companion z) in reverse order of birth index.
+
+    Columns are reduced in reverse order, each augmented with its unit bit
+    above the rows, after clearing the pivots of the degree below, and z
+    is None in the top degree (no rows)."""
+    tables, all_bars = [], []
+    for q in range(p + 1):
+        cleared = tables[q - 1] if q else {}
+        rows = K.n_simplices(q + 1)
+        values = K.dim_values[q]
+        values_up = K.dim_values[q + 1] if rows else ()
+        table, bars = PivotTable(), []
+        cols = coboundary_columns(K, q)
+        while cols:
+            col = cols.pop()
+            s = len(cols)
+            if s in cleared:
+                continue
+            tau, z = table.insert_augmented(col | 1 << (rows + s), rows)
+            death = math.inf if tau is None else values_up[tau]
+            if values[s] < death:
+                bars.append((s, death, z if rows else None))
+        mask = (1 << rows) - 1
+        tables.append({tau: col & mask for tau, col in table.columns.items()})
+        all_bars.append(bars)
+    return tables, all_bars

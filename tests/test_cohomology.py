@@ -1,19 +1,26 @@
 import math
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steenrips
+from steenrips import distances
 from steenrips.cohomology import (
     Bar,
     Barcode,
     cohomology_basis,
+    is_coboundary,
     persistent_barcode,
+    reduction,
 )
 from steenrips.errors import ValidationError
 from steenrips.metric import circle_grid, projective_sample, vr_filtration
 from steenrips.simplicial import (
+    Cochain,
+    FilteredComplex,
     build,
     coboundary,
     coboundary_columns,
@@ -25,6 +32,7 @@ from steenrips.synthetic import random_filtered_complex
 from oracles import (
     brute_barcode,
     brute_betti,
+    dense_reduction,
     oracle_cohomology_basis,
     quotient_rank,
 )
@@ -193,3 +201,76 @@ def test_top_degree_memory_is_linear():
     n_top = K.n_simplices(K.dimension)
     assert n_top == 12650 and len(bc.in_degree(3)) > n_top // 2
     assert retained < 200 * n_top
+
+
+def _workload_complexes(monkeypatch) -> list[FilteredComplex]:
+    """The complexes that the job of each benchmark workload builds on its
+    first instance at seed 1, copied without their reductions."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmarks"))
+    import workloads
+
+    built = []
+
+    def spy(X, max_dim, max_scale):
+        built.append(vr_filtration(X, max_dim, max_scale))
+        return built[-1]
+
+    monkeypatch.setattr(steenrips, "vr_filtration", spy)
+    monkeypatch.setattr(distances, "vr_filtration", spy)
+    for wl in workloads.WORKLOADS.values():
+        wl.job(wl.make_inputs(1)[0])
+    assert len(built) == 5  # one rp2-sq1 complex, two per gh and cloud job
+    return [FilteredComplex(K.dim_simplices, K.dim_values) for K in built]
+
+
+@pytest.mark.parametrize("source", ["random", "tied", "rp2", "workloads"])
+def test_sparse_reduction_matches_dense_oracle(source, monkeypatch):
+    """In every degree the bars, companions (None is the unit cochain),
+    pivots and pivot columns equal those of the dense reduction, whether a
+    column is built by ``build`` or by a reduction that reaches it."""
+    rng = np.random.default_rng(41)
+    complexes = {
+        "random": lambda: [random_filtered_complex(rng, target_size=24) for _ in range(30)],
+        "tied": lambda: [random_filtered_complex(rng, target_size=24, random_values=False)
+                         for _ in range(30)],
+        "rp2": lambda: [rp2_complex()],
+        "workloads": lambda: _workload_complexes(monkeypatch),
+    }[source]()
+    for K in complexes:
+        tables, bars = dense_reduction(K, K.dimension)
+        red = reduction(K)
+        for p in range(K.dimension + 1):
+            table, got = red.degree(K, p)
+            assert ([(s, d, 1 << s if z is None else z) for s, d, z in got]
+                    == [(s, d, 1 << s if z is None else z) for s, d, z in bars[p]])
+            assert red.pivot_rows[p].tolist() == sorted(tables[p])
+            assert not table.columns
+            # a coboundary of delta_p's pivot columns is one; reducing it
+            # builds the columns it reaches into the table
+            for tau in list(tables[p])[::3]:
+                c = Cochain(K, p + 1, tables[p][tau])
+                assert is_coboundary(c)
+            assert all(tables[p][tau] == col for tau, col in table.columns.items())
+            for tau in range(K.n_simplices(p + 1) + 2):  # and the unit bits above
+                assert table.build(tau) == tables[p].get(tau)
+
+
+def test_facet_lookup_is_exact_for_any_vertex_ids():
+    """Vertex ids near 2**40 or beyond int64, and a 12-simplex on 30
+    vertices, whose vertex rows as base-30 numbers pass 2**63, give the
+    brute-force bars."""
+    rng = np.random.default_rng(43)
+    complexes = []
+    for offset in (2**40, 2**64):
+        for _ in range(6):
+            K = random_filtered_complex(rng, target_size=20)
+            complexes.append(build([([offset + 977 * v for v in s], value)
+                                    for s, value in zip(K.simplices, K.values)]))
+    top = (0, 2, 3, 5, 8, 11, 13, 17, 19, 22, 23, 27, 29)
+    # the boundary of the 12-simplex enters at 0, the simplex at 1
+    simplices = [((v,), 0.0) for v in range(30)]
+    simplices += [(f, 0.0) for k in range(2, 13) for f in combinations(top, k)]
+    complexes.append(build(simplices + [(top, 1.0)]))
+    for K in complexes:
+        assert persistent_barcode(K, K.dimension) == brute_barcode(K, K.dimension)
+    assert persistent_barcode(complexes[-1], 12).in_degree(11) == Barcode([Bar(11, 0.0, 1.0)])

@@ -29,7 +29,7 @@ from steenrips.metric import (
     sphere_sample,
     vr_filtration,
 )
-from steenrips import distances, metric, simplicial
+from steenrips import cohomology, distances, metric, simplicial
 from steenrips.operations import Operation, image_barcode, kernel_barcode
 from steenrips.simplicial import build
 from steenrips.synthetic import random_bounded_metric, random_metric_space
@@ -244,6 +244,39 @@ def test_rips_barcodes_match_full_complex(top, monkeypatch):
         assert built.pop() <= top
         full = vr_filtration(X, top + 1, scale)
         assert got == _complex_json(full, top, ops)
+
+
+@pytest.mark.parametrize("block", [1, 20])
+def test_top_degree_row_blocks_change_no_bar(block, monkeypatch):
+    """Blocks of one row, or of a few, give the bytes of one block."""
+    rng = np.random.default_rng(331)
+    ops = [Operation.identity(2), Operation.sq(1, 1)]
+    cases = []
+    for case in range(12):
+        n = int(rng.integers(5, 10))
+        X = random_metric_space(rng, n) if case % 2 else _tied_metric(rng, n)
+        cases.append((X, X.diameter() + 1e-9))
+    expected = [_barcode_json(*rips_barcodes(X, 2, ops, s), ops) for X, s in cases]
+    monkeypatch.setattr(cohomology, "_BLOCK", block)
+    assert [_barcode_json(*rips_barcodes(X, 2, ops, s), ops) for X, s in cases] == expected
+
+
+def test_top_degree_memory_is_two_row_blocks():
+    """The top degree's cofacet values are computed in row blocks of at
+    most _BLOCK entries.  On 2,000 points at scale 0.04 (9,838 edges) the
+    whole edges x points matrix of them and its temporaries peaked at
+    300 MB; a block and one temporary take 64 MB."""
+    X = metric_from_points(np.random.default_rng(0).uniform(size=(2000, 2)))
+    K = vr_filtration(X, 1, 0.04)
+    cohomology.reduction(K).degree(K, 0)
+    tracemalloc.start()
+    try:
+        cohomology._reduce_top_degree(K, X.d, 0.04)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.n_simplices(1) == 9838
+    assert peak < 3 * 8 * metric._BLOCK
 
 
 def test_rips_barcodes_one_point_and_negative_degree(monkeypatch):

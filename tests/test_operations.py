@@ -172,16 +172,16 @@ def test_one_sq_evaluation_per_cohomology_bar(cup_bits_calls):
 
 
 def test_barcode_image_kernel_share_one_reduction(cup_bits_calls, monkeypatch):
-    """Separate barcode, image and kernel calls on one complex build each
-    coboundary once and evaluate Sq1 once per H^1 bar."""
+    """Separate barcode, image and kernel calls on one complex find the
+    cofacets of each degree once and evaluate Sq1 once per H^1 bar."""
     built = []
-    columns = cohomology.coboundary_columns
+    facets = cohomology._facets
 
     def counting(K, p):
         built.append(p)
-        return columns(K, p)
+        return facets(K, p)
 
-    monkeypatch.setattr(cohomology, "coboundary_columns", counting)
+    monkeypatch.setattr(cohomology, "_facets", counting)
     K = vr_filtration(projective_sample(2, 20, seed=1), 3, 2.3)
     op = Operation.sq(1, 1)
     bc = persistent_barcode(K, 2)
@@ -190,6 +190,24 @@ def test_barcode_image_kernel_share_one_reduction(cup_bits_calls, monkeypatch):
     assert len(cup_bits_calls) == len(bc.in_degree(1)) == 6
     assert img == image_barcode(K, op) and ker == kernel_barcode(K, op)
     assert len(cup_bits_calls) == 6 and sorted(built) == [0, 1, 2]
+
+
+def test_dense_columns_only_where_an_insertion_reaches(monkeypatch):
+    """The barcode builds no dense column; the image barcode builds only
+    the delta_1 and delta_0 pivot columns that its insertions reach."""
+    built = []
+    pack = cohomology.pack
+
+    def counting(rows):
+        built.append(rows)
+        return pack(rows)
+
+    monkeypatch.setattr(cohomology, "pack", counting)
+    K = vr_filtration(projective_sample(2, 20, seed=1), 3, 2.3)
+    persistent_barcode(K, 2)
+    assert built == []
+    image_barcode(K, Operation.sq(1, 1))
+    assert 0 < len(built) < len(cohomology.reduction(K).pivot_rows[1])
 
 
 def test_tied_values_match_literal_ops():
