@@ -129,6 +129,9 @@ def _barcodes(args, max_degree: int | None, ops: list[Operation]):
         raise ValidationError("need --input/--points with caps, or --complex")
     if args.max_dim is None or args.max_scale is None:
         raise ValidationError("--max-dim and --max-scale are mandatory for VR input")
+    if args.max_dim < 1:
+        raise ValidationError(f"--max-dim must be at least 1, got {args.max_dim}: "
+                              "degree 0 is read from the edges")
     max_degree = args.max_dim - 1 if max_degree is None else max_degree
     top = max([max_degree, *(op.target_degree for op in ops)])
     if not 0 <= top < args.max_dim:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from operator import itemgetter
 from typing import Iterable
 
@@ -272,18 +272,13 @@ def _facets(K: FilteredComplex, q: int) -> np.ndarray:
     """Row tau, column x: the index among the q-simplices of the
     (q+1)-simplex tau without its vertex number x.
 
-    Exact for every vertex id: ids are replaced by their positions among
-    the vertices, and rows are matched one vertex at a time, each prefix
-    coded by its rank among the q-simplices' prefixes, so no code
-    reaches (number of q-simplices) x (number of vertices)."""
-    position = {v: i for i, (v,) in enumerate(K.dim_simplices[0])}
-
-    def positions(p: int) -> np.ndarray:
-        ss = K.dim_simplices[p]
-        return np.fromiter(map(position.__getitem__, chain.from_iterable(ss)),
-                           dtype=np.intp, count=len(ss) * (p + 1)).reshape(len(ss), p + 1)
-
-    S, T = positions(q), positions(q + 1)
+    Exact for every vertex id: it reads the vertex rows, which hold
+    positions among the vertices, not ids, and matches rows one vertex
+    at a time, each prefix coded by its rank among the q-simplices'
+    prefixes, so no code reaches (number of q-simplices) x (number of
+    vertices)."""
+    S, T = K.dim_rows[q], K.dim_rows[q + 1]
+    n = K.n_simplices(0)
 
     def vertex(c: int) -> np.ndarray:
         """Vertex c of each facet: the facet without vertex x skips it."""
@@ -291,8 +286,7 @@ def _facets(K: FilteredComplex, q: int) -> np.ndarray:
 
     code, facet_code = S[:, 0], vertex(0)
     for c in range(1, q + 1):
-        keys = np.concatenate([code * len(position) + S[:, c],
-                               (facet_code * len(position) + vertex(c)).ravel()])
+        keys = np.concatenate([code * n + S[:, c], (facet_code * n + vertex(c)).ravel()])
         rank = np.unique(keys, return_inverse=True)[1]
         code, facet_code = rank[:len(S)], rank[len(S):].reshape(len(T), q + 2)
     index = np.empty(len(S), dtype=np.intp)
@@ -340,7 +334,9 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
     the cohomology reduction.
 
     The cofacet sigma + {v} of a p-simplex sigma enters at the IEEE max
-    of value(sigma) and d[u, v], u in sigma, if that is <= scale.  These
+    of value(sigma) and d[u, v], u in sigma, if that is <= scale.  Rows of
+    d are indexed by K's vertex rows, which is valid because the
+    0-simplices of a VR complex are the points 0..n-1 in order.  These
     values are computed for blocks of at most ``_BLOCK`` (sigma, v)
     pairs, and again for one sigma outside the last block whenever the
     sparse loop needs its cofacets.  After the delta_{p-1} pivots are
@@ -359,8 +355,7 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
     if p:
         red.degree(K, p - 1)
     cleared = red.pivot_rows[p - 1] if p else []
-    simplices, index, values = K.dim_simplices[p], K.dim_index[p], K.dim_values[p]
-    S = np.array(simplices).reshape(len(simplices), p + 1)
+    S, values = K.dim_rows[p], K.dim_values[p]
     vals = np.array(values)
 
     def cofacet_values(block: slice) -> np.ndarray:
@@ -394,16 +389,20 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
     left[cleared] = False
     v = v.tolist()
 
+    # the sparse loop keys its rows by vertex tuples: K derives its
+    # p-simplices' tuples and index when the loop first reaches a column
+    simplices, index = K.dim_simplices, K.dim_index
+
     def cofacets(j: int) -> set:
         # the last block is kept, other rows are computed again
         cof = block[j - last] if j >= last else cofacet_values(slice(j, j + 1))[0]
         ws = np.flatnonzero(cof < INF)
-        return {(c, tuple(sorted(simplices[j] + (w,))))
+        return {(c, tuple(sorted(simplices[p][j] + (w,))))
                 for w, c in zip(ws.tolist(), cof[ws].tolist())}
 
     def apparent_owner(tau: tuple) -> int | None:
-        j = max(index[f] for f in combinations(tau[1], p + 1))
-        if apparent[j] and sum(tau[1]) - sum(simplices[j]) == v[j]:
+        j = max(map(index[p].__getitem__, combinations(tau[1], p + 1)))
+        if apparent[j] and sum(tau[1]) - sum(simplices[p][j]) == v[j]:
             return j
         return None
 

@@ -201,6 +201,9 @@ def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace,
     compared must be below max_dim, as H^k of VR needs its (k+1)-simplices."""
     if not degrees and not ops:
         raise ValidationError("no invariants requested")
+    if max_dim < 1:
+        raise ValidationError(f"max_dim must be at least 1, got {max_dim}: "
+                              "degree 0 is read from the edges")
     top = max([*degrees, *(op.target_degree for op in ops)])
     if not 0 <= top < max_dim:
         raise ValidationError(f"degree {top} is outside 0..{max_dim - 1}: degrees "

@@ -165,9 +165,11 @@ def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> Filte
     simplex's value and the distances to w.  The rows of each dimension
     come out in lexicographic order, so a stable sort by value orders
     each dimension by (value, vertices), the order the complex stores.
-    The complex is assembled directly: it is duplicate-free, closed under
-    faces and monotone by construction, so :func:`build`'s validation is
-    skipped.
+    The complex is assembled from these rows directly: the 0-simplices
+    are the points 0..n-1 in order, so a point's index is its position
+    and its id, and no vertex tuple is made.  It is duplicate-free,
+    closed under faces and monotone by construction, so :func:`build`'s
+    validation is skipped.
     """
     if max_dim < 0:
         raise ValidationError("max_dim must be nonnegative")
@@ -188,12 +190,12 @@ def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> Filte
             break
         dims.append((S, V))
     del adj
-    dim_simplices, dim_values = [], []
+    dim_rows, dim_values = [], []
     for S, V in dims:
         order = np.argsort(V, kind="stable")
-        dim_simplices.append(tuple(zip(*S[order].T.tolist())))
+        dim_rows.append(S[order])
         dim_values.append(V[order].tolist())
-    return FilteredComplex(dim_simplices, dim_values)
+    return FilteredComplex._from_rows(tuple(range(X.n)), dim_rows, dim_values)
 
 
 def _cofaces(S: np.ndarray, V: np.ndarray, d: np.ndarray, adj: np.ndarray,

@@ -1,22 +1,31 @@
 """Simplicial complexes, filtrations, coboundaries and cochains.
 
 A filtered complex is stored one dimension at a time: the p-simplices
-sorted by (filtration value, lexicographic vertices), with their values.
-Within every dimension the simplices appear in nondecreasing value
-order, so each sublevel set is a prefix of every dimension.  The
-canonical order of the whole complex, by (filtration value, dimension,
-lexicographic vertices), in which faces always precede cofaces, is
-derived from those parts by a merge.  Cochains ride on the stored order:
-the support of a degree-p cochain is a bit-vector indexed by the
-p-simplices of its host complex.
+sorted by (filtration value, lexicographic vertices), as one integer
+array of vertex rows, with their values.  A row holds the positions of
+its vertices among the 0-simplices, so any vertex ids fit it.  Within
+every dimension the simplices appear in nondecreasing value order, so
+each sublevel set is a prefix of every dimension.  The vertex tuples,
+their index dicts and the distinct values are derived from the rows and
+values on first read and then kept; a complex built from tuples keeps
+them.  The canonical order of the whole complex, by (filtration value,
+dimension, lexicographic vertices), in which faces always precede
+cofaces, is derived from those parts by a merge.  Cochains ride on the
+stored order: the support of a degree-p cochain is a bit-vector indexed
+by the p-simplices of its host complex.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations, repeat
-from typing import Iterable, Sequence, TextIO
+from operator import index
+from typing import Iterable, TextIO
+
+import numpy as np
 
 from .errors import (
     ClosureError,
@@ -42,40 +51,124 @@ def normalize_simplex(vertices: Iterable[int]) -> Simplex:
     return vs
 
 
+class _PerDimension(Sequence):
+    """A tuple with one entry per dimension, entry p made by ``make(p)``
+    on its first read and then kept.  ``make`` holds no reference to the
+    complex, so a complex and its views are freed by reference counting."""
+
+    __slots__ = ("_make", "_made")
+
+    def __init__(self, make, made: list):
+        self._make, self._made = make, made
+
+    def __len__(self) -> int:
+        return len(self._made)
+
+    def __getitem__(self, p: int):
+        made = self._made[index(p)]
+        if made is None:
+            made = self._made[p] = self._make(p)
+        return made
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _PerDimension)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def _vertex_tuples(vertices: Sequence[int], dim_rows: tuple[np.ndarray, ...],
+                   p: int) -> tuple[Simplex, ...]:
+    return tuple(zip(*(map(vertices.__getitem__, col) for col in dim_rows[p].T.tolist())))
+
+
+def _index_dict(dim_simplices: _PerDimension, p: int) -> dict[Simplex, int]:
+    ss = dim_simplices[p]
+    return dict(zip(ss, range(len(ss))))
+
+
+def _distinct(dim_values: tuple[tuple[float, ...], ...]) -> tuple[float, ...]:
+    return tuple(sorted(set(chain.from_iterable(dim_values))))
+
+
 class FilteredComplex:
     """Finite filtered simplicial complex, stored one dimension at a time.
 
-    ``dim_simplices[p]`` holds the p-simplices sorted by (value,
-    lexicographic vertices) and ``dim_values[p]`` their values; no
-    dimension is empty.  The canonical order of the whole complex, by
-    (value, dimension, lexicographic vertices), is derived from these
-    parts: ``simplices`` and ``values`` merge them on each read.  Built by
-    :func:`build`, which validates and sorts arbitrary input, or directly
-    by :func:`steenrips.metric.vr_filtration` and :func:`sublevel`, whose
-    output is sorted by construction.  The constructor trusts its
-    arguments to be sorted, duplicate-free, closed under faces and
-    monotone, with float values.  Instances are immutable but for ``_reduction``, a cache of
-    the cohomology reduction that :mod:`steenrips.cohomology` builds on
-    first use.
+    ``dim_rows[p]`` is a read-only integer array with one row per
+    p-simplex, in order of (value, lexicographic vertices): the
+    positions of its vertices among the 0-simplices, increasing.
+    ``dim_values[p]`` holds their values as Python floats.  With the
+    vertex ids of the 0-simplices these are the whole complex; no
+    dimension is empty.  The rest is derived from them and kept:
+    ``dim_simplices[p]``, the p-simplices as tuples of vertex ids, and
+    ``dim_index[p]``, simplex -> position, on the first read of
+    dimension p, and ``distinct_values`` on its first read.  They hold
+    Python ints and floats.  ``simplices`` and ``values``, the canonical
+    order by (value, dimension, lexicographic vertices), are merged from
+    the parts on each read.
+
+    ``FilteredComplex(dim_simplices, dim_values)`` takes vertex tuples:
+    it computes their rows once and keeps the tuples as the derived
+    view.  :func:`build` validates and sorts arbitrary input into it.
+    :func:`steenrips.metric.vr_filtration` and :func:`sublevel`, whose
+    output is sorted by construction, pass rows to ``_from_rows``.  Both
+    trust their arguments to be sorted, duplicate-free, closed under
+    faces and monotone, with float values.  Instances are immutable but
+    for the derived views and ``_reduction``, a cache of the cohomology
+    reduction that :mod:`steenrips.cohomology` builds on first use.
     """
 
     __slots__ = (
-        "dim_simplices",
+        "dim_rows",
         "dim_values",
+        "dim_simplices",
         "dim_index",
-        "distinct_values",
+        "_vertices",
+        "_distinct_values",
         "_reduction",
     )
 
     def __init__(self, dim_simplices: Sequence[Sequence[Simplex]],
                  dim_values: Sequence[Sequence[float]]):
-        self.dim_simplices = tuple(map(tuple, dim_simplices))
+        dim_simplices = tuple(map(tuple, dim_simplices))
+        vertices = tuple(v for (v,) in dim_simplices[0]) if dim_simplices else ()
+        position = dict(zip(vertices, range(len(vertices))))
+        self._store(vertices, [
+            np.fromiter(map(position.__getitem__, chain.from_iterable(ss)),
+                        dtype=np.intp, count=len(ss) * (p + 1)).reshape(len(ss), p + 1)
+            for p, ss in enumerate(dim_simplices)], dim_values, list(dim_simplices))
+
+    @classmethod
+    def _from_rows(cls, vertices: tuple[int, ...], dim_rows: Sequence[np.ndarray],
+                   dim_values: Sequence[Sequence[float]]) -> FilteredComplex:
+        """The complex of these vertex ids, rows and values."""
+        K = cls.__new__(cls)
+        K._store(vertices, dim_rows, dim_values, [None] * len(dim_rows))
+        return K
+
+    def _store(self, vertices: tuple[int, ...], dim_rows: Sequence[np.ndarray],
+               dim_values: Sequence[Sequence[float]], simplices: list) -> None:
+        self._vertices = vertices
+        self.dim_rows = tuple(dim_rows)
+        for rows in self.dim_rows:
+            rows.flags.writeable = False
         self.dim_values = tuple(map(tuple, dim_values))
-        self.dim_index = tuple(
-            dict(zip(ss, range(len(ss)))) for ss in self.dim_simplices
-        )
-        self.distinct_values = tuple(sorted(set(chain.from_iterable(self.dim_values))))
+        self.dim_simplices = _PerDimension(
+            partial(_vertex_tuples, vertices, self.dim_rows), simplices)
+        self.dim_index = _PerDimension(
+            partial(_index_dict, self.dim_simplices), [None] * len(simplices))
+        self._distinct_values = None
         self._reduction = None
+
+    @property
+    def distinct_values(self) -> tuple[float, ...]:
+        if self._distinct_values is None:
+            self._distinct_values = _distinct(self.dim_values)
+        return self._distinct_values
 
     def _canonical(self) -> list[tuple[float, int, Simplex]]:
         """(value, dimension, simplex) in canonical order.  Each dimension
@@ -95,32 +188,35 @@ class FilteredComplex:
     # -- basic queries -------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(map(len, self.dim_simplices))
+        return sum(map(len, self.dim_values))
 
     def __eq__(self, other) -> bool:
+        # the rows are positions among the 0-simplices, whose ids are
+        # compared first, so equal parts are equal simplices
         return (isinstance(other, FilteredComplex)
-                and self.dim_simplices == other.dim_simplices
-                and self.dim_values == other.dim_values)
+                and self.dim_values == other.dim_values
+                and self._vertices == other._vertices
+                and all(map(np.array_equal, self.dim_rows, other.dim_rows)))
 
     def __hash__(self):
-        return hash((self.dim_simplices, self.dim_values))
+        return hash((self._vertices, self.dim_values))
 
     @property
     def dimension(self) -> int:
-        return len(self.dim_simplices) - 1
+        return len(self.dim_values) - 1
 
     @property
     def num_values(self) -> int:
         return len(self.distinct_values)
 
     def n_simplices(self, p: int) -> int:
-        if 0 <= p < len(self.dim_simplices):
-            return len(self.dim_simplices[p])
+        if 0 <= p < len(self.dim_values):
+            return len(self.dim_values[p])
         return 0
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * self.n_simplices(p)
-                   for p in range(len(self.dim_simplices)))
+                   for p in range(len(self.dim_values)))
 
     def value_of(self, simplex: Iterable[int]) -> float:
         s = normalize_simplex(simplex)
@@ -165,16 +261,23 @@ def build(filtered_simplices: Iterable[tuple[Iterable[int], float]]) -> Filtered
 
 
 def sublevel(K: FilteredComplex, i: int) -> FilteredComplex:
-    """Prefix complex of everything with value <= the i-th distinct value."""
-    if not 0 <= i < K.num_values:
+    """Prefix complex of everything with value <= the i-th distinct value.
+
+    Its rows, values and vertex ids are prefixes of K's: the 0-simplices
+    it keeps are K's first ones, so its rows need no renumbering.  The
+    i-th value is found from K's values; no view of K is read, so none
+    is derived."""
+    values = _distinct(K.dim_values)
+    if not 0 <= i < len(values):
         raise ValidationError(
-            f"filtration index {i} out of range [0, {K.num_values})"
+            f"filtration index {i} out of range [0, {len(values)})"
         )
-    t = K.distinct_values[i]
+    t = values[i]
     # a dimension with nothing at or below t has no cofaces there either
     ends = [m for m in (bisect_right(vv, t) for vv in K.dim_values) if m]
-    return FilteredComplex([ss[:m] for ss, m in zip(K.dim_simplices, ends)],
-                           [vv[:m] for vv, m in zip(K.dim_values, ends)])
+    return FilteredComplex._from_rows(K._vertices[:ends[0]],
+                                      [rows[:m] for rows, m in zip(K.dim_rows, ends)],
+                                      [vv[:m] for vv, m in zip(K.dim_values, ends)])
 
 
 @dataclass(frozen=True)

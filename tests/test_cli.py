@@ -386,6 +386,16 @@ def test_bad_op_spec(tmp_path, capsys):
                  "degree 2 is outside 0..1", id="barcode-degree-at-max-dim"),
     pytest.param(["barcode", "--input", "{c}", "--max-dim", "1", "--max-scale", "0"],
                  "max_scale must be positive", id="nonpositive-scale"),
+    pytest.param(["barcode", "--input", "{c}", "--max-dim", "0", "--max-scale", "1"],
+                 "--max-dim must be at least 1, got 0", id="barcode-zero-max-dim"),
+    pytest.param(["barcode", "--input", "{c}", "--max-dim", "-1", "--max-scale", "1"],
+                 "--max-dim must be at least 1, got -1", id="barcode-negative-max-dim"),
+    pytest.param(["kernel-barcode", "--input", "{c}", "--max-dim", "0",
+                  "--max-scale", "1", "--op", "id", "--source-degree", "0"],
+                 "--max-dim must be at least 1, got 0", id="kernel-zero-max-dim"),
+    pytest.param(["gh-bound", "--a", "{c}", "--b", "{c}", "--max-dim", "-1",
+                  "--max-scale", "1"],
+                 "max_dim must be at least 1, got -1", id="gh-bound-negative-max-dim"),
     pytest.param(["bottleneck", "--a", "{c}", "--b", "{c}", "--degree", "0"],
                  "malformed barcode JSON", id="bottleneck-not-json"),
     pytest.param(["make", "circle", "--count", "1", "--out", "{c}.out"],

@@ -299,6 +299,10 @@ def test_metric_paths_reject_degrees_above_max_dim():
                          ([0, 2], []), ([0], [Operation.sq(1, 1)])):
         with pytest.raises(ValidationError, match="max_dim"):
             gh_lower_bound(X, Y, degrees, ops, 2, 1.0)
+    # degree 0 needs the edges: no max_dim below 1 has an empty range
+    for max_dim in (0, -1):
+        with pytest.raises(ValidationError, match=f"max_dim must be at least 1, got {max_dim}"):
+            gh_lower_bound(X, Y, [0], [], max_dim, 1.0)
     # stability_check reads its degrees from the metric, with no cap
     assert stability_check(X, 0.01, 2, 0, Operation.identity(2), 2)["passed"]
     report = gh_lower_bound(X, Y, [0, 2], [Operation.sq(1, 1)], 3, 1.0)
