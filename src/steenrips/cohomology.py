@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .gf2 import PivotTable, pack
 from .metric import _BLOCK
-from .simplicial import Cochain, FilteredComplex
+from .simplicial import Cochain, FilteredComplex, _facets
 
 INF = math.inf
 
@@ -225,7 +225,7 @@ def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]
     :class:`CohomologyReduction`)."""
     n, rows = K.n_simplices(q), K.n_simplices(q + 1)
     values_up = K.dim_values[q + 1] if rows else ()
-    facets = _facets(K, q) if rows else np.empty((0, q + 2), dtype=np.intp)
+    facets = _facets(K, q)
     # the cofacets of column s, increasing: cof[ptr[s]:ptr[s + 1]], sorted
     # as the keys column * rows + row
     cof = np.sort(facets.ravel() * rows + np.arange(facets.size) // (q + 2)) % rows
@@ -266,32 +266,6 @@ def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]
 
     return (PivotTable(build=build),
             np.union1d(first[apparent], np.fromiter(reduced, dtype=np.intp)), bars)
-
-
-def _facets(K: FilteredComplex, q: int) -> np.ndarray:
-    """Row tau, column x: the index among the q-simplices of the
-    (q+1)-simplex tau without its vertex number x.
-
-    Exact for every vertex id: it reads the vertex rows, which hold
-    positions among the vertices, not ids, and matches rows one vertex
-    at a time, each prefix coded by its rank among the q-simplices'
-    prefixes, so no code reaches (number of q-simplices) x (number of
-    vertices)."""
-    S, T = K.dim_rows[q], K.dim_rows[q + 1]
-    n = K.n_simplices(0)
-
-    def vertex(c: int) -> np.ndarray:
-        """Vertex c of each facet: the facet without vertex x skips it."""
-        return T[:, [c + (c >= x) for x in range(q + 2)]]
-
-    code, facet_code = S[:, 0], vertex(0)
-    for c in range(1, q + 1):
-        keys = np.concatenate([code * n + S[:, c], (facet_code * n + vertex(c)).ravel()])
-        rank = np.unique(keys, return_inverse=True)[1]
-        code, facet_code = rank[:len(S)], rank[len(S):].reshape(len(T), q + 2)
-    index = np.empty(len(S), dtype=np.intp)
-    index[code] = np.arange(len(S))
-    return index[facet_code]
 
 
 def _reduce_columns(columns: list[int], values, cofacets, apparent_owner,

@@ -10,12 +10,15 @@ reduced) column.  Pivoting is deterministic, so reduced forms and ranks
 are reproducible bit-for-bit.  A table may hold pivots whose columns are
 not built: the cohomology reduction finds its pivots sparsely, and an
 int as wide as its last row is built only for a pivot that an insertion
-reaches.
+reaches.  ``to_bools`` and ``from_bools`` turn a bit-vector into a
+boolean array and back, for cochain values gathered through face arrays.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
+
+import numpy as np
 
 
 def _low(bits: int) -> int:
@@ -34,6 +37,18 @@ def pack(rows: Iterable[int]) -> int:
     for row in sorted(rows, reverse=True):
         bits |= 1 << row
     return bits
+
+
+def to_bools(bits: int, n: int) -> np.ndarray:
+    """Bits 0..n-1 of a bit-vector below 2**(8 * ceil(n / 8)) as a boolean
+    array of length n."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+def from_bools(flags: np.ndarray) -> int:
+    """The bit-vector with bit i set where flags[i] is true."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 class PivotTable:

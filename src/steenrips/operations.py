@@ -46,8 +46,9 @@ from dataclasses import dataclass
 
 from .cohomology import Bar, Barcode, reduction
 from .errors import ValidationError
+from .gf2 import to_bools
 from .simplicial import Cochain, FilteredComplex, zero_cochain
-from .steenrod import _cup_bits, sq as _sq
+from .steenrod import _cup_bits, _cup_faces, sq as _sq
 
 INF = math.inf
 
@@ -105,21 +106,6 @@ class Operation:
         return _sq(self.k, c)
 
 
-def _image_bits(K: FilteredComplex, op: Operation, cocycle_bits: int,
-                count_m: int) -> int:
-    """Chain-level op applied to a cocycle, evaluated on the first
-    count_m target simplices (where the cocycle's coboundary vanishes)."""
-    if op.kind == "identity":
-        return cocycle_bits & ((1 << count_m) - 1)
-    if op.kind == "zero":
-        return 0
-    ell = op.source_degree
-    if op.k > ell:
-        return 0
-    return _cup_bits(K, ell, ell, ell - op.k, cocycle_bits, cocycle_bits,
-                     count=count_m)
-
-
 def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
     """Image and kernel barcodes of op, in one pass over the bars of
     H^ell (steps 2-3 of the module docstring), memoised per complex."""
@@ -131,14 +117,21 @@ def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
     if memo is not None:
         return memo
     values_ell = K.dim_values[ell]
-    # step 2: image, one evaluation of op per bar
+    # step 2: image, one evaluation of op per bar, below its death
     n_m = K.n_simplices(m)
     values_m = K.dim_values[m] if n_m else ()
+    cup = op.kind == "sq" and op.k <= ell
+    faces = _cup_faces(K, ell, ell, ell - op.k) if cup else None
     d_m = red.pivots(K, m - 1)
     image, candidates = [], []
     for s, death, z in sorted(red.degree(K, ell)[1], key=lambda bar: -bar[1]):
         z = 1 << s if z is None else z
-        img = _image_bits(K, op, z, bisect_left(values_m, death))
+        count = bisect_left(values_m, death)
+        if cup:
+            a = to_bools(z, len(values_ell))
+            img = _cup_bits(*faces, a, a, count)
+        else:
+            img = z & ((1 << count) - 1) if op.kind == "identity" else 0
         p, kappa = d_m.insert_augmented(img | z << n_m, n_m)
         e = death
         if p is not None and values_m[p] < death:

@@ -12,7 +12,8 @@ them.  The canonical order of the whole complex, by (filtration value,
 dimension, lexicographic vertices), in which faces always precede
 cofaces, is derived from those parts by a merge.  Cochains ride on the
 stored order: the support of a degree-p cochain is a bit-vector indexed
-by the p-simplices of its host complex.
+by the p-simplices of its host complex.  Coboundaries, the reduction and
+cup-i products find faces from the rows, with :func:`_faces` alone.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     MonotonicityError,
     ValidationError,
 )
-from .gf2 import rank
+from .gf2 import from_bools, rank, to_bools
 
 Simplex = tuple[int, ...]
 
@@ -327,44 +328,61 @@ def cochain_from_simplices(K: FilteredComplex, p: int,
     return Cochain(K, p, bits)
 
 
-def coboundary_columns(K: FilteredComplex, p: int) -> list[int]:
-    """Bit-packed columns of delta_p, one per p-simplex, rows (p+1)-simplices."""
-    n_src = K.n_simplices(p)
-    cols = [0] * n_src
-    if p + 1 > K.dimension:
-        return cols
-    src_index = K.dim_index[p]
-    rows = K.dim_simplices[p + 1]
-    # last row first: each column takes its final size at its first bit,
-    # so the ints it passes through are all of one size
-    for row in range(len(rows) - 1, -1, -1):
-        bit = 1 << row
-        for facet in combinations(rows[row], p + 1):
-            cols[src_index[facet]] |= bit
-    return cols
+def _faces(K: FilteredComplex, n: int, subsets: Sequence[Sequence[int]]) -> np.ndarray:
+    """Row sigma, column k: the index among the p-simplices of the face
+    of the n-simplex sigma on its vertex numbers ``subsets[k]``, each an
+    increasing tuple of p + 1 numbers in 0..n (at least one subset); no
+    rows when n > dim(K).  Exact for every vertex id: rows are matched
+    one vertex column at a time, each prefix coded by its rank among the
+    p-simplices' prefixes, so no code reaches (number of p-simplices) x
+    (number of vertices)."""
+    if n >= len(K.dim_rows):
+        return np.empty((0, len(subsets)), dtype=np.intp)
+    p = len(subsets[0]) - 1
+    S, T = K.dim_rows[p], K.dim_rows[n]
+    m = K.n_simplices(0)
+
+    def vertex(c: int) -> np.ndarray:
+        return T[:, [subset[c] for subset in subsets]]
+
+    code, face_code = S[:, 0], vertex(0)
+    for c in range(1, p + 1):
+        keys = np.concatenate([code * m + S[:, c], (face_code * m + vertex(c)).ravel()])
+        rank = np.unique(keys, return_inverse=True)[1]
+        code, face_code = rank[:len(S)], rank[len(S):].reshape(len(T), len(subsets))
+    index = np.empty(len(S), dtype=np.intp)
+    index[code] = np.arange(len(S))
+    return index[face_code]
+
+
+def _facets(K: FilteredComplex, q: int) -> np.ndarray:
+    """Row tau, column x: the index among the q-simplices of the
+    (q+1)-simplex tau without its vertex number x."""
+    return _faces(K, q + 1, [[c for c in range(q + 2) if c != x] for x in range(q + 2)])
 
 
 def coboundary_matrix(K: FilteredComplex, p: int) -> tuple[int, ...]:
-    """Columns of delta: C^p -> C^{p+1} in the canonical simplex order."""
+    """Columns of delta_p, one per p-simplex, bits over the (p+1)-simplices."""
     if p < 0:
         raise ValidationError("degree must be nonnegative")
-    return tuple(coboundary_columns(K, p))
+    cols = [0] * K.n_simplices(p)
+    # last row first: each column takes its final size at its first bit,
+    # so the ints it passes through are all of one size
+    for row, facets in reversed(list(enumerate(_facets(K, p).tolist()))):
+        bit = 1 << row
+        for s in facets:
+            cols[s] |= bit
+    return tuple(cols)
 
 
 def coboundary(c: Cochain) -> Cochain:
-    """Apply delta to a cochain, row by row: its value on a (p+1)-simplex
-    is the parity of c's support among that simplex's facets.  No
-    columns of delta_p are built."""
+    """Apply delta to a cochain: its value on a (p+1)-simplex is the
+    parity of c's support among that simplex's facets.  No columns of
+    delta_p are built."""
     K, p = c.host, c.degree
-    out = 0
-    if c.bits and p < K.dimension:
-        support = set(c.simplices())
-        rows = K.dim_simplices[p + 1]
-        # last row first, so out takes its final size at its first bit
-        for row in range(len(rows) - 1, -1, -1):
-            if len(support.intersection(combinations(rows[row], p + 1))) & 1:
-                out |= 1 << row
-    return Cochain(K, p + 1, out)
+    support = to_bools(c.bits, K.n_simplices(p))
+    parity = np.bitwise_xor.reduce(support[_facets(K, p)], axis=1)
+    return Cochain(K, p + 1, from_bools(parity))
 
 
 # -- reference spaces ------------------------------------------------------

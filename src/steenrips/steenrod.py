@@ -12,7 +12,10 @@ mod-2 coboundary identity
                        + delta(a) cup_i b + a cup_i delta(b)
 
 (cup_{-1} = 0), which the test suite checks exhaustively on random
-complexes, and by the axioms on the projective plane.
+complexes, and by the axioms on the projective plane.  A product is
+array arithmetic: the faces of every n-simplex on each term's blocks
+come from the vertex rows (:func:`_cup_faces`), and the value on it is
+the XOR over the terms of alpha(even face) AND beta(odd face).
 """
 
 from __future__ import annotations
@@ -20,8 +23,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, combinations
 
+import numpy as np
+
 from .errors import DimensionMismatchError, NotACocycleError, ValidationError
-from .simplicial import Cochain, FilteredComplex, coboundary, zero_cochain
+from .gf2 import from_bools, to_bools
+from .simplicial import Cochain, FilteredComplex, _faces, coboundary, zero_cochain
 
 
 @lru_cache(maxsize=None)
@@ -39,28 +45,21 @@ def _blocks(p: int, q: int, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, .
     return tuple(table)
 
 
-def _cup_bits(K: FilteredComplex, p: int, q: int, i: int,
-              abits: int, bbits: int, count: int | None = None) -> int:
-    """Support bits of (alpha cup_i beta) on the first ``count`` simplices
-    of dimension p + q - i (all of them when count is None)."""
-    n = p + q - i
-    if n > K.dimension:
-        return 0
-    target = K.dim_simplices[n]
-    index_a = K.dim_index[p]
-    index_b = K.dim_index[q]
-    blocks = _blocks(p, q, i)
-    out = 0
-    for pos in range(len(target) if count is None else count):
-        sigma = target[pos]
-        val = 0
-        for even, odd in blocks:
-            face_a = index_a[tuple([sigma[v] for v in even])]
-            face_b = index_b[tuple([sigma[v] for v in odd])]
-            val ^= (abits >> face_a) & (bbits >> face_b) & 1
-        if val:
-            out |= 1 << pos
-    return out
+def _cup_faces(K: FilteredComplex, p: int, q: int,
+               i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row sigma, column t: the index of the even block of term t of
+    ``_blocks(p, q, i)`` among the p-simplices, and of its odd block among
+    the q-simplices, for each (p + q - i)-simplex sigma of K."""
+    even, odd = zip(*_blocks(p, q, i))
+    return _faces(K, p + q - i, even), _faces(K, p + q - i, odd)
+
+
+def _cup_bits(fa: np.ndarray, fb: np.ndarray, a: np.ndarray, b: np.ndarray,
+              count: int | None = None) -> int:
+    """Support bits of (alpha cup_i beta) on the first ``count`` target
+    simplices (all of them when count is None), from the face arrays of
+    :func:`_cup_faces` and the values a of alpha and b of beta."""
+    return from_bools(np.bitwise_xor.reduce(a[fa[:count]] & b[fb[:count]], axis=1))
 
 
 def cup_i(alpha: Cochain, beta: Cochain, i: int) -> Cochain:
@@ -71,7 +70,8 @@ def cup_i(alpha: Cochain, beta: Cochain, i: int) -> Cochain:
     if not 0 <= i <= min(p, q):
         raise ValidationError(f"cup-{i} undefined for degrees ({p}, {q})")
     K = alpha.host
-    bits = _cup_bits(K, p, q, i, alpha.bits, beta.bits)
+    bits = _cup_bits(*_cup_faces(K, p, q, i), to_bools(alpha.bits, K.n_simplices(p)),
+                     to_bools(beta.bits, K.n_simplices(q)))
     return Cochain(K, p + q - i, bits)
 
 

@@ -36,8 +36,8 @@ def _report(suite: str, checks: list[dict]) -> dict:
 
 
 def verify_wedge(seed: int = 0, trials: int = 20) -> dict:
-    """Image and homology barcodes of a metric wedge are the multiset
-    union of the factors' barcodes."""
+    """Homology, Sq^1 image and Sq^1 kernel barcodes of a metric wedge
+    are the multiset unions of the factors' barcodes."""
     rng = np.random.default_rng(seed)
     op = Operation.sq(1, 1)
     checks = []
@@ -64,12 +64,12 @@ def verify_wedge(seed: int = 0, trials: int = 20) -> dict:
                     "expected": expected.in_degree(deg).to_json_dict(),
                 }
                 break
-        if ok:
-            iexp = ix[op][0].union(iy[op][0])
-            if iw[op][0] != iexp:
+        for k, invariant in ((0, "imgSq1"), (1, "kerSq1")):
+            iexp = ix[op][k].union(iy[op][k])
+            if ok and iw[op][k] != iexp:
                 ok, detail = False, {
-                    "invariant": "imgSq1",
-                    "wedge": iw[op][0].to_json_dict("Sq1"),
+                    "invariant": invariant,
+                    "wedge": iw[op][k].to_json_dict("Sq1"),
                     "expected": iexp.to_json_dict("Sq1"),
                 }
         checks.append({"name": f"pair-{trial}", "passed": ok,

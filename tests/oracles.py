@@ -22,7 +22,7 @@ from steenrips.operations import Operation
 from steenrips.simplicial import (
     Cochain,
     FilteredComplex,
-    coboundary_columns,
+    coboundary_matrix,
     cochain_from_simplices,
     sublevel,
 )
@@ -172,7 +172,7 @@ def restrict_cochain(c: Cochain, K_i: FilteredComplex) -> Cochain:
 
 def _coboundary_span(K: FilteredComplex, p: int) -> list[int]:
     """Coboundaries in degree p, as columns over K's p-simplices."""
-    return coboundary_columns(K, p - 1) if p >= 1 else []
+    return list(coboundary_matrix(K, p - 1)) if p >= 1 else []
 
 
 def oracle_cohomology_basis(K: FilteredComplex, p: int) -> list[Cochain]:
@@ -182,7 +182,7 @@ def oracle_cohomology_basis(K: FilteredComplex, p: int) -> list[Cochain]:
     kept = PivotTable()
     for col in _coboundary_span(K, p):
         kept.insert(col)
-    return [Cochain(K, p, z) for z in nullspace(coboundary_columns(K, p))
+    return [Cochain(K, p, z) for z in nullspace(coboundary_matrix(K, p))
             if kept.insert(z) is not None]
 
 
@@ -259,7 +259,7 @@ def dense_reduction(K: FilteredComplex, p: int) -> tuple[list, list]:
         values = K.dim_values[q]
         values_up = K.dim_values[q + 1] if rows else ()
         table, bars = PivotTable(), []
-        cols = coboundary_columns(K, q)
+        cols = list(coboundary_matrix(K, q))
         while cols:
             col = cols.pop()
             s = len(cols)

@@ -23,7 +23,7 @@ from steenrips.simplicial import (
     FilteredComplex,
     build,
     coboundary,
-    coboundary_columns,
+    coboundary_matrix,
     rp2_complex,
     sublevel,
 )
@@ -166,7 +166,7 @@ def test_cohomology_basis_cocycles_and_independence():
             assert len(basis) == brute_betti(K, p)
             for c in basis.cocycles:
                 assert coboundary(c).is_zero
-            coboundaries = coboundary_columns(K, p - 1) if p else []
+            coboundaries = coboundary_matrix(K, p - 1) if p else []
             assert quotient_rank([c.bits for c in basis.cocycles],
                                  coboundaries) == len(basis)
             if p == K.dimension:

@@ -1,8 +1,9 @@
 from itertools import product
 
 import numpy as np
+import pytest
 
-from steenrips.gf2 import PivotTable, rank
+from steenrips.gf2 import PivotTable, from_bools, rank, to_bools
 
 from oracles import nullspace, quotient_rank
 
@@ -23,6 +24,16 @@ def in_span(columns, v: int) -> bool:
     for bits in columns:
         table.insert(bits)
     return table.reduce(v) == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 13, 64, 100])
+def test_bool_arrays_round_trip(n):
+    random = sum(1 << int(i) for i in np.flatnonzero(np.random.default_rng(n).integers(0, 2, n)))
+    for bits in (0, (1 << n) - 1, random):
+        flags = to_bools(bits, n)
+        assert flags.dtype == bool and flags.shape == (n,)
+        assert flags.tolist() == [bool(bits >> i & 1) for i in range(n)]
+        assert from_bools(flags) == bits
 
 
 def test_rank_zero_matrix():

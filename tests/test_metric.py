@@ -429,12 +429,15 @@ def _derived(K) -> tuple:
 
 
 def test_vr_views_are_derived_on_first_read():
-    """The barcode and the sublevels of a VR complex read its vertex rows
-    and values: they make no vertex tuple, index dict or distinct value.
-    Read afterwards, the views are those build makes of the same pairs."""
+    """The barcode, the Sq^1 image and kernel barcodes and the sublevels
+    of a VR complex read its vertex rows and values: they make no vertex
+    tuple, index dict or distinct value.  Read afterwards, the views are
+    those build makes of the same pairs."""
     X = metric_from_points(np.random.default_rng(7).uniform(size=(40, 2)))
     K = vr_filtration(X, 2, 0.3)
     persistent_barcode(K, 1)
+    op = Operation.sq(1, 1)
+    image_barcode(K, op), kernel_barcode(K, op)
     subs = [sublevel(K, i) for i in (0, 40, 150)]
     for L in (K, *subs):
         assert _derived(L) == ([], [], False)

@@ -140,10 +140,10 @@ def test_oracles_never_read_the_reduction(monkeypatch):
                 kernel_rank(K, op, i, last)
 
 
-def test_fast_tables_match_literal_ops():
+def test_fast_tables_match_literal_ops(offset_complexes):
     rng = np.random.default_rng(69)
-    for _ in range(12):
-        K = random_filtered_complex(rng, target_size=20)
+    complexes = [random_filtered_complex(rng, target_size=20) for _ in range(12)]
+    for K in complexes + offset_complexes:
         for ell in range(min(2, K.dimension) + 1):
             for op in (Operation.identity(ell), Operation.sq(1, ell),
                        Operation.zero(ell)):

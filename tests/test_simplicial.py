@@ -27,7 +27,7 @@ from steenrips.simplicial import (
 )
 from steenrips.synthetic import random_filtered_complex
 
-from oracles import restrict_cochain
+from oracles import _chain_boundary_columns, restrict_cochain
 
 TRIANGLE_BOUNDARY = [
     ([0], 0.0), ([1], 0.0), ([2], 0.0),
@@ -164,6 +164,10 @@ def test_coboundary_is_the_sum_of_delta_columns():
                     want ^= col
             delta = coboundary(Cochain(K, p, bits))
             assert delta.degree == p + 1 and delta.bits == want
+            # the transpose of the boundary that the oracle finds by tuples
+            boundary = _chain_boundary_columns(K, p + 1)
+            assert columns == tuple(sum(1 << t for t, col in enumerate(boundary) if col >> s & 1)
+                                    for s in range(K.n_simplices(p)))
 
 
 def test_sublevel_whole_and_empty():

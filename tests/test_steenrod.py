@@ -44,12 +44,14 @@ def test_cup_degree_bounds():
         cup_i(a, a, 1)
 
 
-def test_cup_i_matches_formula():
-    # every (p, q, i) with a nonempty target degree, on 100 seeds
+def test_cup_i_matches_formula(offset_complexes):
+    # every (p, q, i) with a nonempty target degree, on 100 seeds and on
+    # complexes whose vertex ids pass 2**40 and 2**64
+    inputs = [(random_filtered_complex(rng, target_size=22), rng)
+              for rng in map(np.random.default_rng, range(100))]
+    inputs += [(K, np.random.default_rng(100 + t)) for t, K in enumerate(offset_complexes)]
     checked = set()
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        K = random_filtered_complex(rng, target_size=22)
+    for K, rng in inputs:
         for p in range(K.dimension + 1):
             for q in range(K.dimension + 1):
                 for i in range(min(p, q) + 1):
@@ -102,7 +104,7 @@ def test_sq_checks_its_input_without_building_delta(monkeypatch):
     def refuse(K, p):
         raise AssertionError("coboundary columns were built")
 
-    monkeypatch.setattr(simplicial, "coboundary_columns", refuse)
+    monkeypatch.setattr(simplicial, "coboundary_matrix", refuse)
     assert not sq(1, sigma).is_zero
     with pytest.raises(NotACocycleError):
         sq(1, Cochain(K, 1, 1))
@@ -173,7 +175,8 @@ def test_adem_sq1_sq1_vanishes():
 
 
 def test_cup_bits_prefix_count_matches_mask():
-    from steenrips.steenrod import _cup_bits
+    from steenrips.gf2 import to_bools
+    from steenrips.steenrod import _cup_bits, _cup_faces
 
     rng = np.random.default_rng(60)
     for _ in range(10):
@@ -186,9 +189,12 @@ def test_cup_bits_prefix_count_matches_mask():
                         continue
                     abits = int(rng.integers(0, 1 << K.n_simplices(p)))
                     bbits = int(rng.integers(0, 1 << K.n_simplices(q)))
-                    full = _cup_bits(K, p, q, i, abits, bbits)
+                    fa, fb = _cup_faces(K, p, q, i)
+                    a = to_bools(abits, K.n_simplices(p))
+                    b = to_bools(bbits, K.n_simplices(q))
+                    full = _cup_bits(fa, fb, a, b)
                     count = int(rng.integers(0, K.n_simplices(n) + 1))
-                    part = _cup_bits(K, p, q, i, abits, bbits, count=count)
+                    part = _cup_bits(fa, fb, a, b, count=count)
                     assert part == full & ((1 << count) - 1)
 
 
