@@ -214,6 +214,8 @@ def cmd_vr(args) -> int:
 
 
 def cmd_barcode(args) -> int:
+    if args.degree is not None and args.degree < 0:
+        raise ValidationError(f"--degree must be nonnegative, got {args.degree}")
     top = args.degree if args.max_degree is None else args.max_degree
     if args.degree is not None and args.degree > top:
         raise ValidationError(f"--degree {args.degree} is above --max-degree {top}")

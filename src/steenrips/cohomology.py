@@ -11,8 +11,9 @@ the Steenrod stage consumes.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from operator import itemgetter
 from typing import Iterable
 
@@ -167,26 +168,25 @@ class CohomologyReduction:
     delta_{p-1}, whose columns would reduce to zero (Bauer, "Ripser",
     2021).  A column of sigma that keeps a lowest row tau gives the bar
     [value sigma, value tau) of H^p, one that reduces to zero gives
-    [value sigma, inf).  Most columns are settled without a reduction.
-    The column of sigma is apparent when its earliest cofacet tau has
-    sigma as its latest facet: no later column reaches row tau, so it
-    keeps the pivot tau unreduced.  A column without cofacets is zero.
-    The few columns left are reduced as sparse columns by the one sparse
-    loop, :func:`_reduce_columns`, which the top degree of the metric
-    paths shares.  The companion z of a bar is supported on sigma and
-    later simplices, so it restricts to 0 below the birth and to a
-    cocycle below the death; the representatives of the bars alive at a
-    value form a basis of H^p there.  z is None where it is the unit
-    cochain of sigma: for apparent bars and columns without cofacets, so
-    for every bar of the top degree.  ``tables[p]`` is reduced delta_p
-    and ``pivot_rows[p]`` its pivots, increasing; a dense column of it is
-    built only when an insertion reaches its pivot.  The top degree of a
-    complex from the metric paths instead holds the bars of the VR
-    coboundary into the (top+1)-simplices that were never built, with an
-    empty table (:func:`_reduce_top_degree`).  ``operations`` memoises
-    the (image, kernel) barcodes of each operation.  The object holds no
-    reference to its complex, so the two are freed together by reference
-    counting.
+    [value sigma, inf).  Most columns are settled without a reduction:
+    the column of sigma is apparent when its earliest cofacet tau has
+    sigma as its latest facet, so no later column reaches row tau and it
+    keeps the pivot tau unreduced, and a column without cofacets is
+    zero.  One routine, :func:`_reduce_columns`, settles every degree's
+    columns and reduces the few left as sparse columns.  The companion z
+    of a bar is supported on sigma and later simplices, so it restricts
+    to 0 below the birth and to a cocycle below the death; the
+    representatives of the bars alive at a value form a basis of H^p
+    there.  z is None where it is the unit cochain of sigma: for
+    apparent bars and columns without cofacets, so for every bar of the
+    top degree.  ``tables[p]`` is reduced delta_p and ``pivot_rows[p]``
+    its pivots, increasing; a dense column of it is built only when an
+    insertion reaches its pivot.  The top degree of a complex from the
+    metric paths instead holds the bars of the VR coboundary into the
+    (top+1)-simplices that were never built, with an empty table
+    (:func:`_reduce_top_degree`).  ``operations`` memoises the (image,
+    kernel) barcodes of each operation.  The object holds no reference
+    to its complex, so the two are freed together by reference counting.
     """
 
     __slots__ = ("tables", "pivot_rows", "bars", "operations")
@@ -222,7 +222,7 @@ def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]
                    ) -> tuple[PivotTable, np.ndarray, list]:
     """Reduce delta_q of K with the columns ``cleared`` skipped: its table,
     its pivots in increasing order and its bars (see
-    :class:`CohomologyReduction`)."""
+    :class:`CohomologyReduction`).  Its rows are keyed by their index."""
     n, rows = K.n_simplices(q), K.n_simplices(q + 1)
     values_up = K.dim_values[q + 1] if rows else ()
     facets = _facets(K, q)
@@ -234,22 +234,14 @@ def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]
     # earliest cofacets; row `rows`, with no latest facet, where there is none
     first = np.append(cof, rows)[ptr[:-1]]
     first[ptr[1:] == ptr[:-1]] = rows
-    left = np.ones(n, dtype=bool)
-    left[cleared] = False
-    apparent = left & (np.append(facets.max(axis=1), -1)[first] == np.arange(n))
-    settled = left & (apparent | (first == rows))
-    left &= ~settled
-    owner = dict(zip(first[apparent].tolist(), np.flatnonzero(apparent).tolist()))
+    apparent = np.append(facets.max(axis=1), -1)[first] == np.arange(n)
 
     def cofacets(j: int) -> set:
         return set(cof[ptr[j]:ptr[j + 1]].tolist())
 
-    bars, pivots = _reduce_columns(np.flatnonzero(left)[::-1].tolist(), K.dim_values[q],
-                                   cofacets, owner.get, values_up.__getitem__)
-    death = np.append(values_up, INF)[first]
-    unit = np.flatnonzero(settled & (np.array(K.dim_values[q]) < death))[::-1]
-    bars += zip(unit.tolist(), death[unit].tolist(), [None] * len(unit))
-    bars.sort(key=lambda bar: -bar[0])
+    bars, pivots, owner = _reduce_columns(
+        K.dim_values[q], np.append(values_up, INF)[first], apparent,
+        lambda cols: first[cols].tolist(), cofacets, values_up.__getitem__, cleared)
     reduced = {tau: col for tau, (col, _) in pivots.items()}
 
     def build(tau: int) -> int | None:
@@ -265,31 +257,42 @@ def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]
         return pack(col)
 
     return (PivotTable(build=build),
-            np.union1d(first[apparent], np.fromiter(reduced, dtype=np.intp)), bars)
+            np.sort(np.fromiter(chain(owner, reduced), dtype=np.intp)), bars)
 
 
-def _reduce_columns(columns: list[int], values, cofacets, apparent_owner,
-                    value_up) -> tuple[list, dict]:
-    """The sparse loop: reduce the columns, given in reverse order, of a
-    coboundary whose apparent columns are left unreduced.
+def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.ndarray,
+                    pivot, cofacets, value_up, cleared) -> tuple[list, dict, dict]:
+    """Settle the columns of delta_p, one per p-simplex s, as the dense
+    reduction would (see :class:`CohomologyReduction`): the bars (s,
+    death, z) in reverse order of s, the pivots that the sparse loop
+    reached, tau -> (reduced column, z), and the apparent owners, pivot
+    -> column.  The columns ``cleared`` are skipped.
 
-    ``cofacets(j)`` is the set of rows of column j, rows compared as they
-    are ordered, ``value_up(tau)`` the value of row tau, and
-    ``apparent_owner(tau)`` the apparent column whose pivot is tau, or
-    None.  A pivot tau is owned by its apparent column, which is later
-    than any column reaching it, or by a column reduced before, so each
-    column is reduced as in the dense reduction.  Returns the bars (s,
-    death, z) of the columns, z their companion, and the pivots reached,
-    tau -> (reduced column, z)."""
+    ``values[s]`` is the value of s, ``death[s]`` that of its earliest
+    cofacet (inf if none) and ``apparent[s]`` whether s is that
+    cofacet's latest facet.  Rows are keyed by the caller, keys compared
+    as the rows are ordered: ``pivot(cols)`` lists the keys of the
+    earliest cofacets of the columns ``cols``, ``cofacets(j)`` is the
+    set of keys of column j and ``value_up(tau)`` the value of row tau.
+    A pivot is owned by its apparent column, which is later than any
+    column reaching it, or by a column reduced before, so each column
+    left is reduced as in the dense reduction."""
+    left = np.ones(len(death), dtype=bool)
+    left[cleared] = False
+    apparent = apparent & left
+    settled = apparent | (left & (death == INF))
+    left &= ~settled
+    cols = np.flatnonzero(apparent)
+    owner = dict(zip(pivot(cols), cols.tolist()))
     bars, pivots = [], {}
-    for s in columns:
+    for s in np.flatnonzero(left)[::-1].tolist():
         col, z = cofacets(s), 1 << s
         while col:
             tau = min(col)
             if tau in pivots:
                 add, y = pivots[tau]
             else:
-                j = apparent_owner(tau)
+                j = owner.get(tau)
                 if j is None:
                     pivots[tau] = col, z
                     break
@@ -299,13 +302,26 @@ def _reduce_columns(columns: list[int], values, cofacets, apparent_owner,
         end = value_up(tau) if col else INF
         if values[s] < end:
             bars.append((s, end, z))
-    return bars, pivots
+    unit = np.flatnonzero(settled & (np.asarray(values) < death))
+    bars += zip(unit.tolist(), death[unit].tolist(), repeat(None))
+    bars.sort(key=lambda bar: -bar[0])
+    return bars, pivots, owner
+
+
+def _codes(rows: np.ndarray, n: int) -> list[int]:
+    """The base-n numbers of the rows, each sorted first, as Python ints:
+    exact for any n and row length, and for rows of one length with
+    entries in 0..n-1 they order as the sorted rows do lexicographically."""
+    codes, *digits = np.sort(rows, axis=1).T.tolist()
+    for column in digits:
+        codes = [code * n + x for code, x in zip(codes, column)]
+    return codes
 
 
 def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
     """Reduce delta_p of K's top degree p as if K held the (p+1)-simplices
     of VR of the distance matrix d at this scale, and store its bars in
-    the cohomology reduction.
+    the cohomology reduction; K's table stays empty.
 
     The cofacet sigma + {v} of a p-simplex sigma enters at the IEEE max
     of value(sigma) and d[u, v], u in sigma, if that is <= scale.  Rows of
@@ -313,29 +329,25 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
     0-simplices of a VR complex are the points 0..n-1 in order.  These
     values are computed for blocks of at most ``_BLOCK`` (sigma, v)
     pairs, and again for one sigma outside the last block whenever the
-    sparse loop needs its cofacets.  After the delta_{p-1} pivots are
-    cleared, the column of sigma is apparent when its earliest cofacet
-    tau, the least by (value, v), has sigma as its latest facet: every
+    sparse loop needs its cofacets.  The earliest cofacet tau of sigma is
+    the least by (value, v), and sigma is its latest facet when every
     other facet tau - {x} has a smaller value, or an equal one and x > v.
-    It keeps the pivot tau unreduced, and its companion is the unit
-    cochain.  The few columns left go through the sparse loop
-    :func:`_reduce_columns` with rows keyed (value, vertices), the order
-    of the (p+1)-simplices, so the bars and companions are those of the
-    explicit reduction.  K has no rows for delta_p, so its table stays
-    empty.
+    :func:`_reduce_columns` settles the columns with each (p+1)-simplex
+    keyed by (value, base-n code of its sorted vertex rows): the order of
+    the (p+1)-simplices, so the bars and companions are those of the
+    explicit reduction, and no vertex tuple is made.
     """
     p = K.dimension
     red = reduction(K)
     if p:
         red.degree(K, p - 1)
-    cleared = red.pivot_rows[p - 1] if p else []
     S, values = K.dim_rows[p], K.dim_values[p]
-    vals = np.array(values)
+    vals, n = np.array(values), d.shape[0]
 
     def cofacet_values(block: slice) -> np.ndarray:
         """value(sigma + {v}) for the sigma of the block and every vertex
         v, inf where that is no cofacet within the scale."""
-        cof = np.repeat(vals[block, None], d.shape[0], axis=1)
+        cof = np.repeat(vals[block, None], n, axis=1)
         for i in range(p + 1):
             np.maximum(cof, d[S[block, i]], out=cof)
         cof[np.arange(len(cof))[:, None], S[block]] = INF
@@ -344,7 +356,7 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
 
     v = np.empty(len(S), dtype=np.intp)
     death = np.empty(len(S))
-    step = max(1, _BLOCK // d.shape[0])
+    step = max(1, _BLOCK // n)
     for last in range(0, len(S), step):
         block = None  # freed before the next one is made
         block = cofacet_values(slice(last, last + step))
@@ -357,33 +369,20 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
         for a, b in combinations([i for i in range(p + 2) if i != x], 2):
             np.maximum(facet, d[T[:, a], T[:, b]], out=facet)
         apparent &= (facet < vals) | ((facet == vals) & (S[:, x] > v))
-    apparent[cleared] = False
-    long = np.flatnonzero(apparent & (vals < death))
-    left = ~apparent
-    left[cleared] = False
-    v = v.tolist()
 
-    # the sparse loop keys its rows by vertex tuples: K derives its
-    # p-simplices' tuples and index when the loop first reaches a column
-    simplices, index = K.dim_simplices, K.dim_index
+    def pivot(cols: np.ndarray) -> list:
+        return list(zip(death[cols].tolist(), _codes(T[cols], n)))
 
     def cofacets(j: int) -> set:
         # the last block is kept, other rows are computed again
         cof = block[j - last] if j >= last else cofacet_values(slice(j, j + 1))[0]
         ws = np.flatnonzero(cof < INF)
-        return {(c, tuple(sorted(simplices[p][j] + (w,))))
-                for w, c in zip(ws.tolist(), cof[ws].tolist())}
+        rows = np.empty((len(ws), p + 2), dtype=S.dtype)
+        rows[:, :-1], rows[:, -1] = S[j], ws
+        return set(zip(cof[ws].tolist(), _codes(rows, n)))
 
-    def apparent_owner(tau: tuple) -> int | None:
-        j = max(map(index[p].__getitem__, combinations(tau[1], p + 1)))
-        if apparent[j] and sum(tau[1]) - sum(simplices[p][j]) == v[j]:
-            return j
-        return None
-
-    bars, _ = _reduce_columns(np.flatnonzero(left)[::-1].tolist(), values,
-                              cofacets, apparent_owner, itemgetter(0))
-    bars += zip(long.tolist(), death[long].tolist(), [None] * len(long))
-    bars.sort(key=lambda bar: -bar[0])
+    bars = _reduce_columns(values, death, apparent, pivot, cofacets, itemgetter(0),
+                           red.pivot_rows[p - 1] if p else [])[0]
     red.tables.append(PivotTable())
     red.pivot_rows.append(np.empty(0, dtype=np.intp))
     red.bars.append(bars)

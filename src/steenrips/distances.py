@@ -111,6 +111,8 @@ def bottleneck(A: Barcode, B: Barcode, degree: int) -> float:
 
     Mismatched infinite-bar counts give inf (not an error).
     """
+    if degree < 0:
+        raise ValidationError(f"degree must be nonnegative, got {degree}")
     bars_a = A.expanded(degree)
     bars_b = B.expanded(degree)
     inf_a = sorted(a for a, d in bars_a if math.isinf(d))
@@ -201,6 +203,8 @@ def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace,
     compared must be below max_dim, as H^k of VR needs its (k+1)-simplices."""
     if not degrees and not ops:
         raise ValidationError("no invariants requested")
+    if min(degrees, default=0) < 0:
+        raise ValidationError(f"degrees must be nonnegative, got {degrees}")
     if max_dim < 1:
         raise ValidationError(f"max_dim must be at least 1, got {max_dim}: "
                               "degree 0 is read from the edges")
@@ -239,8 +243,10 @@ def stability_check(X: FiniteMetricSpace, delta: float, trials: int,
     Returns per-trial distances, the max observed ratio d_B/delta, and a
     list of violating trials (empty when the inequality holds throughout).
     """
-    if delta < 0:
-        raise ValidationError("delta must be nonnegative")
+    if not 0 <= delta < INF:
+        raise ValidationError(f"delta must be finite and nonnegative, got {delta}")
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     base_h, base_img = rips_barcodes(X, degree, [op], INF)
 

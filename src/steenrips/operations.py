@@ -47,8 +47,8 @@ from dataclasses import dataclass
 from .cohomology import Bar, Barcode, reduction
 from .errors import ValidationError
 from .gf2 import to_bools
-from .simplicial import Cochain, FilteredComplex, zero_cochain
-from .steenrod import _cup_bits, _cup_faces, sq as _sq
+from .simplicial import FilteredComplex
+from .steenrod import _cup_bits, _cup_faces
 
 INF = math.inf
 
@@ -92,18 +92,6 @@ class Operation:
         if self.kind == "zero":
             return "zero"
         return f"Sq{self.k}"
-
-    def apply(self, c: Cochain) -> Cochain:
-        """Chain-level action on a cocycle of the source degree."""
-        if c.degree != self.source_degree:
-            raise ValidationError(
-                f"{self.name} expects degree {self.source_degree}, got {c.degree}"
-            )
-        if self.kind == "identity":
-            return c
-        if self.kind == "zero":
-            return zero_cochain(c.host, self.target_degree)
-        return _sq(self.k, c)
 
 
 def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:

@@ -25,7 +25,9 @@ from steenrips.simplicial import (
     coboundary_matrix,
     cochain_from_simplices,
     sublevel,
+    zero_cochain,
 )
+from steenrips.steenrod import sq
 
 
 def _chain_boundary_columns(K: FilteredComplex, p: int) -> list[int]:
@@ -186,13 +188,22 @@ def oracle_cohomology_basis(K: FilteredComplex, p: int) -> list[Cochain]:
             if kept.insert(z) is not None]
 
 
+def apply_operation(op: Operation, c: Cochain) -> Cochain:
+    """The chain-level action of op on a cocycle of its source degree."""
+    if op.kind == "identity":
+        return c
+    if op.kind == "zero":
+        return zero_cochain(c.host, op.target_degree)
+    return sq(op.k, c)
+
+
 def theta_rank(K: FilteredComplex, op: Operation, i: int, j: int) -> int:
     """Rank of img(theta at K_j) -> H^m(K_i): apply the operation to a
     basis of H^ell(K_j), restrict, and quotient by K_i's coboundaries."""
     if i > j:
         raise ValidationError(f"need i <= j, got ({i}, {j})")
     Kj, Ki = sublevel(K, j), sublevel(K, i)
-    images = [op.apply(c) for c in oracle_cohomology_basis(Kj, op.source_degree)]
+    images = [apply_operation(op, c) for c in oracle_cohomology_basis(Kj, op.source_degree)]
     span = [restrict_cochain(w, Ki).bits for w in images]
     return quotient_rank(span, _coboundary_span(Ki, op.target_degree))
 
@@ -204,7 +215,7 @@ def kernel_rank(K: FilteredComplex, op: Operation, i: int, j: int) -> int:
     ell, m = op.source_degree, op.target_degree
     Kj, Ki = sublevel(K, j), sublevel(K, i)
     basis = oracle_cohomology_basis(Kj, ell)
-    images = [op.apply(c).bits for c in basis]
+    images = [apply_operation(op, c).bits for c in basis]
     # coefficient vectors a with sum a_t theta(c_t) a coboundary of K_j:
     # the first len(basis) coordinates of the nullspace of [images | delta]
     relations = nullspace(images + _coboundary_span(Kj, m))

@@ -5,6 +5,7 @@ import pytest
 
 from steenrips import cli, distances
 from steenrips.cli import main
+from steenrips.cohomology import Bar, Barcode
 from steenrips.metric import vr_filtration
 from steenrips.simplicial import dump_complex, rp2_complex
 
@@ -398,6 +399,11 @@ def test_bad_op_spec(tmp_path, capsys):
                  "max_dim must be at least 1, got -1", id="gh-bound-negative-max-dim"),
     pytest.param(["bottleneck", "--a", "{c}", "--b", "{c}", "--degree", "0"],
                  "malformed barcode JSON", id="bottleneck-not-json"),
+    pytest.param(["bottleneck", "--a", "{bars}", "--b", "{bars}", "--degree", "-1"],
+                 "degree must be nonnegative, got -1", id="bottleneck-negative-degree"),
+    pytest.param(["barcode", "--input", "{c}", "--max-dim", "2", "--max-scale", "1",
+                  "--max-degree", "1", "--degree", "-1"],
+                 "--degree must be nonnegative, got -1", id="barcode-negative-degree"),
     pytest.param(["make", "circle", "--count", "1", "--out", "{c}.out"],
                  "need at least two sample points", id="one-point-circle"),
 ])
@@ -405,8 +411,10 @@ def test_bad_arguments_exit_2(circle_file, capsys, argv, fragment):
     """Each case exits 2 with its own message, not an earlier error."""
     negative = circle_file.with_name("negative.dmat")
     negative.write_text("-1 5\n")
+    bars = circle_file.with_name("bars.json")
+    bars.write_text(json.dumps(Barcode([Bar(0, 0.0, 1.0)]).to_json_dict()))
     code = main([a.replace("{c}", str(circle_file)).replace("{neg}", str(negative))
-                 for a in argv])
+                 .replace("{bars}", str(bars)) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")

@@ -289,6 +289,38 @@ def test_no_invariants_builds_nothing(monkeypatch):
             gh_lower_bound(X, X, [], [], max_dim, 10.0)
     assert built == []
 
+def test_negative_degrees_are_refused(monkeypatch):
+    """A negative degree has no barcode: bottleneck refuses it, and
+    gh_lower_bound refuses it before it builds a complex, instead of
+    reporting a d_B of 0 for it."""
+    A = Barcode([Bar(0, 0.0, 1.0)])
+    with pytest.raises(ValidationError, match="degree must be nonnegative, got -1"):
+        bottleneck(A, A, -1)
+    built = []
+    monkeypatch.setattr(distances, "vr_filtration", lambda *args: built.append(args))
+    X = circle_grid(6)
+    with pytest.raises(ValidationError, match=r"degrees must be nonnegative, got \[-1, 1\]"):
+        gh_lower_bound(X, X, [-1, 1], [], 2, 10.0)
+    assert built == []
+
+
+@pytest.mark.parametrize("delta, trials, message", [
+    (math.nan, 2, "delta must be finite and nonnegative, got nan"),
+    (math.inf, 2, "delta must be finite and nonnegative, got inf"),
+    (-0.1, 2, "delta must be finite and nonnegative, got -0.1"),
+    (0.01, 0, "trials must be at least 1, got 0"),
+    (0.01, -3, "trials must be at least 1, got -3"),
+])
+def test_stability_check_refuses_bad_arguments(delta, trials, message, monkeypatch):
+    """A delta that is not finite, or no trial at all, is refused before
+    any VR is built: no numpy overflow, and no pass that checked nothing."""
+    built = []
+    monkeypatch.setattr(distances, "vr_filtration", lambda *args: built.append(args))
+    with pytest.raises(ValidationError, match=message):
+        stability_check(circle_grid(6), delta, trials, 0, Operation.identity(1), 1)
+    assert built == []
+
+
 def test_metric_paths_reject_degrees_above_max_dim():
     """A degree or operation target at or above max_dim has no exact
     barcode in VR to dimension max_dim; it is an error, not an empty

@@ -279,6 +279,35 @@ def test_top_degree_memory_is_two_row_blocks():
     assert peak < 3 * 8 * metric._BLOCK
 
 
+def test_top_degree_codes_are_exact_past_int64():
+    """The top degree keys a (p+1)-simplex by the base-n number of its
+    sorted vertex rows.  For 7 of 600 points those numbers pass 2**63, and
+    as Python ints they still order as the sorted rows and are distinct."""
+    rng = np.random.default_rng(337)
+    rows = np.array([rng.choice(600, size=7, replace=False) for _ in range(3000)]
+                    + [np.arange(593, 600)[::-1], np.arange(7), np.arange(0, 595, 99)])
+    codes = cohomology._codes(rows, 600)
+    tuples = [tuple(sorted(row)) for row in rows.tolist()]
+    assert max(codes) > 2 ** 63
+    assert len(set(codes)) == len(set(tuples))
+    assert sorted(range(len(rows)), key=codes.__getitem__) == sorted(
+        range(len(rows)), key=tuples.__getitem__)
+
+
+def test_top_degree_past_int64_matches_full_complex():
+    """600 points, all 2 apart but for a cluster of the last 11, all 1
+    apart: at top degree 5 its 7-vertex cofacets have codes past 2**63,
+    and the barcodes are those of the complex built to dimension 6."""
+    d = np.full((600, 600), 2.0)
+    d[589:, 589:] = 1.0
+    np.fill_diagonal(d, 0.0)
+    X = FiniteMetricSpace(d)
+    ops = [Operation.identity(5), Operation.sq(0, 5), Operation.sq(1, 4),
+           Operation.identity(4)]
+    got = _barcode_json(*rips_barcodes(X, 5, ops, 1.5), ops)
+    assert got == _complex_json(vr_filtration(X, 6, 1.5), 5, ops)
+
+
 def test_rips_barcodes_one_point_and_negative_degree(monkeypatch):
     """One point has no enclosing radius and keeps max_scale; a negative
     degree is an error."""
@@ -448,6 +477,23 @@ def test_vr_views_are_derived_on_first_read():
         assert L.distinct_values == B.distinct_values
         every = list(range(L.dimension + 1))
         assert _derived(L) == (every, every, True)
+
+
+def test_metric_top_degree_derives_no_view(monkeypatch):
+    """rips_barcodes reads its top degree from the metric with integer
+    row keys: the complex it builds derives no vertex tuple, index dict
+    or distinct value, in the top degree either."""
+    built = []
+
+    def spy(X, max_dim, max_scale):
+        built.append(vr_filtration(X, max_dim, max_scale))
+        return built[-1]
+
+    monkeypatch.setattr(distances, "vr_filtration", spy)
+    rips_barcodes(projective_sample(2, 30, seed=1), 2, [Operation.sq(1, 1)], 3.2)
+    (K,) = built
+    assert K.dimension == 2
+    assert _derived(K) == ([], [], False)
 
 
 def test_vr_complex_retains_rows_and_values():
