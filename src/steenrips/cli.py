@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .cohomology import Barcode, persistent_barcode
 from .diagrams import write_csv, write_svg
-from .distances import bottleneck, gh_lower_bound, rips_barcodes
+from .distances import _top_degree, bottleneck, gh_lower_bound, rips_barcodes
 from .errors import InternalInvariantError, ValidationError
 from .metric import (
     FiniteMetricSpace,
@@ -46,11 +46,10 @@ from .verify import SUITES
 
 
 def _round9(obj):
-    """9 significant digits on every float, for stable golden files."""
+    """9 significant digits on every float, for stable golden files, and
+    None for inf and NaN, which JSON cannot hold."""
     if isinstance(obj, float):
-        if math.isinf(obj) or math.isnan(obj):
-            return obj
-        return float(f"{obj:.9g}")
+        return float(f"{obj:.9g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -59,7 +58,7 @@ def _round9(obj):
 
 
 def _emit(data: dict, out: str | None, force: bool) -> None:
-    text = json.dumps(_round9(data), indent=2) + "\n"
+    text = json.dumps(_round9(data), indent=2, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -129,14 +128,8 @@ def _barcodes(args, max_degree: int | None, ops: list[Operation]):
         raise ValidationError("need --input/--points with caps, or --complex")
     if args.max_dim is None or args.max_scale is None:
         raise ValidationError("--max-dim and --max-scale are mandatory for VR input")
-    if args.max_dim < 1:
-        raise ValidationError(f"--max-dim must be at least 1, got {args.max_dim}: "
-                              "degree 0 is read from the edges")
     max_degree = args.max_dim - 1 if max_degree is None else max_degree
-    top = max([max_degree, *(op.target_degree for op in ops)])
-    if not 0 <= top < args.max_dim:
-        raise ValidationError(f"degree {top} is outside 0..{args.max_dim - 1}: "
-                              f"degrees read must be below --max-dim ({args.max_dim})")
+    _top_degree(max_degree, ops, args.max_dim, "--max-dim")
     return rips_barcodes(_load_space(args), max_degree, ops, args.max_scale)
 
 
@@ -167,9 +160,7 @@ def _finish_barcode(bc: Barcode, operation: str, args,
     payload["radii"] = []
     for d in sorted({b.degree for b in bc.bars}):
         r = homological_radius(bc, d)
-        r = None if math.isinf(r) else r
-        payload["radii"].append({"degree": d, "vr_scale": r,
-                                 "u_scale": None if r is None else r / 2.0})
+        payload["radii"].append({"degree": d, "vr_scale": r, "u_scale": r / 2.0})
     _emit(payload, args.out, args.force)
     for path, write in ((args.svg, write_svg), (args.csv, write_csv)):
         if path:
@@ -247,8 +238,7 @@ def _load_barcode(path: str) -> Barcode:
 
 def cmd_bottleneck(args) -> int:
     A, B = _load_barcode(args.a), _load_barcode(args.b)
-    d = bottleneck(A, B, args.degree)
-    _emit({"degree": args.degree, "d_B": None if math.isinf(d) else d},
+    _emit({"degree": args.degree, "d_B": bottleneck(A, B, args.degree)},
           args.out, args.force)
     return 0
 
@@ -263,13 +253,8 @@ def cmd_gh_bound(args) -> int:
         raise ValidationError(f"bad --degrees {args.degrees!r}; need "
                               "comma-separated nonnegative integers") from None
     ops = [_parse_op_at(s) for s in args.op or []]
-    report = gh_lower_bound(X, Y, degrees, ops, args.max_dim, args.max_scale)
-    for entry in report["per_invariant"]:
-        if math.isinf(entry["d_B"]):
-            entry["d_B"] = None
-    if math.isinf(report["gh_lower_bound"]):
-        report["gh_lower_bound"] = None
-    _emit(report, args.out, args.force)
+    _emit(gh_lower_bound(X, Y, degrees, ops, args.max_dim, args.max_scale),
+          args.out, args.force)
     return 0
 
 

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -158,6 +158,16 @@ class CohomologyBasis:
         return len(self.cocycles)
 
 
+class _Degree(NamedTuple):
+    """Degree p of a reduction: reduced delta_p, its pivots in increasing
+    order and the positive-length bars of H^p as (birth index, death, z)
+    in reverse order of birth index (see :class:`CohomologyReduction`)."""
+
+    table: PivotTable
+    pivots: np.ndarray
+    bars: list[tuple[int, float, int | None]]
+
+
 class CohomologyReduction:
     """The coboundaries delta_0, delta_1, ... of one complex, reduced
     lazily, one degree at a time, without building their columns.
@@ -179,50 +189,47 @@ class CohomologyReduction:
     representatives of the bars alive at a value form a basis of H^p
     there.  z is None where it is the unit cochain of sigma: for
     apparent bars and columns without cofacets, so for every bar of the
-    top degree.  ``tables[p]`` is reduced delta_p and ``pivot_rows[p]``
-    its pivots, increasing; a dense column of it is built only when an
-    insertion reaches its pivot.  The top degree of a complex from the
-    metric paths instead holds the bars of the VR coboundary into the
-    (top+1)-simplices that were never built, with an empty table
-    (:func:`_reduce_top_degree`).  ``operations`` memoises the (image,
-    kernel) barcodes of each operation.  The object holds no reference
-    to its complex, so the two are freed together by reference counting.
+    top degree.  Each degree is a :class:`_Degree` record, and the
+    reduction picks its source.  The rows of delta_p are the
+    (p+1)-simplices of the complex, and a dense column of its table is
+    built only when an insertion reaches its pivot.  A reduction made
+    with the metric (d, scale) of a VR complex reduces the top degree
+    from the metric, with the (top+1)-simplices that were never built as
+    rows and an empty table (:func:`_reduce_top_degree`).  ``operations``
+    memoises the (image, kernel) barcodes of each operation.  The object
+    holds no reference to its complex, so the two are freed together by
+    reference counting.
     """
 
-    __slots__ = ("tables", "pivot_rows", "bars", "operations")
+    __slots__ = ("_degrees", "_metric", "operations")
 
-    def __init__(self):
-        self.tables: list[PivotTable] = []
-        self.pivot_rows: list[np.ndarray] = []
-        self.bars: list[list[tuple[int, float, int | None]]] = []
+    def __init__(self, _metric: tuple[np.ndarray, float] | None = None):
+        self._degrees: list[_Degree] = []
+        self._metric = _metric
         self.operations: dict = {}
 
-    def degree(self, K: FilteredComplex,
-               p: int) -> tuple[PivotTable, list[tuple[int, float, int | None]]]:
-        """Reduced delta_p and the positive-length bars of H^p as (birth
-        index, death, z) in reverse order of birth index (z None for the
-        unit cochain of the birth simplex); 0 <= p <= dim(K)."""
-        for q in range(len(self.tables), p + 1):
-            table, pivot_rows, bars = _reduce_degree(
-                K, q, self.pivot_rows[q - 1] if q else [])
-            self.tables.append(table)
-            self.pivot_rows.append(pivot_rows)
-            self.bars.append(bars)
-        return self.tables[p], self.bars[p]
+    def degree(self, K: FilteredComplex, p: int) -> _Degree:
+        """The record of delta_p, reduced on first read after the degrees
+        below it, whose pivots it clears; 0 <= p <= dim(K)."""
+        for q in range(len(self._degrees), p + 1):
+            cleared = self._degrees[q - 1].pivots if q else []
+            self._degrees.append(
+                _reduce_top_degree(K, *self._metric, cleared)
+                if self._metric is not None and q == K.dimension
+                else _reduce_degree(K, q, cleared))
+        return self._degrees[p]
 
     def pivots(self, K: FilteredComplex, p: int) -> PivotTable:
         """A copy of reduced delta_p (empty outside degrees 0..dim)."""
         if not 0 <= p <= K.dimension:
             return PivotTable()
-        table = self.degree(K, p)[0]
+        table = self.degree(K, p).table
         return PivotTable(table.columns, table.build)
 
 
-def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]
-                   ) -> tuple[PivotTable, np.ndarray, list]:
-    """Reduce delta_q of K with the columns ``cleared`` skipped: its table,
-    its pivots in increasing order and its bars (see
-    :class:`CohomologyReduction`).  Its rows are keyed by their index."""
+def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]) -> _Degree:
+    """Reduce delta_q of K with the columns ``cleared`` skipped.  Its rows
+    are the (q+1)-simplices of K, keyed by their index."""
     n, rows = K.n_simplices(q), K.n_simplices(q + 1)
     values_up = K.dim_values[q + 1] if rows else ()
     facets = _facets(K, q)
@@ -256,8 +263,8 @@ def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]
             col = cofacets(j)
         return pack(col)
 
-    return (PivotTable(build=build),
-            np.sort(np.fromiter(chain(owner, reduced), dtype=np.intp)), bars)
+    return _Degree(PivotTable(build=build),
+                   np.sort(np.fromiter(chain(owner, reduced), dtype=np.intp)), bars)
 
 
 def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.ndarray,
@@ -318,10 +325,11 @@ def _codes(rows: np.ndarray, n: int) -> list[int]:
     return codes
 
 
-def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
-    """Reduce delta_p of K's top degree p as if K held the (p+1)-simplices
-    of VR of the distance matrix d at this scale, and store its bars in
-    the cohomology reduction; K's table stays empty.
+def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
+                       cleared: np.ndarray | list[int]) -> _Degree:
+    """Reduce delta_p of K's top degree p, with the columns ``cleared``
+    skipped, as if K held the (p+1)-simplices of VR of the distance
+    matrix d at this scale; its table is empty and it has no pivots.
 
     The cofacet sigma + {v} of a p-simplex sigma enters at the IEEE max
     of value(sigma) and d[u, v], u in sigma, if that is <= scale.  Rows of
@@ -338,9 +346,6 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
     explicit reduction, and no vertex tuple is made.
     """
     p = K.dimension
-    red = reduction(K)
-    if p:
-        red.degree(K, p - 1)
     S, values = K.dim_rows[p], K.dim_values[p]
     vals, n = np.array(values), d.shape[0]
 
@@ -382,16 +387,17 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float) -> None:
         return set(zip(cof[ws].tolist(), _codes(rows, n)))
 
     bars = _reduce_columns(values, death, apparent, pivot, cofacets, itemgetter(0),
-                           red.pivot_rows[p - 1] if p else [])[0]
-    red.tables.append(PivotTable())
-    red.pivot_rows.append(np.empty(0, dtype=np.intp))
-    red.bars.append(bars)
+                           cleared)[0]
+    return _Degree(PivotTable(), np.empty(0, dtype=np.intp), bars)
 
 
-def reduction(K: FilteredComplex) -> CohomologyReduction:
-    """The cohomology reduction of K, created on first use."""
+def reduction(K: FilteredComplex,
+              _metric: tuple[np.ndarray, float] | None = None) -> CohomologyReduction:
+    """The cohomology reduction of K, created on first use; only
+    :func:`steenrips.distances.rips_barcodes` passes ``_metric``, the
+    (distance matrix, scale) of its VR complex, when it creates it."""
     if K._reduction is None:
-        K._reduction = CohomologyReduction()
+        K._reduction = CohomologyReduction(_metric)
     return K._reduction
 
 
@@ -408,7 +414,7 @@ def persistent_barcode(K: FilteredComplex, max_degree: int) -> Barcode:
     red = reduction(K)
     return Barcode(Bar(p, K.dim_values[p][s], death)
                    for p in range(min(max_degree, K.dimension) + 1)
-                   for s, death, _ in red.degree(K, p)[1])
+                   for s, death, _ in red.degree(K, p).bars)
 
 
 def cohomology_basis(K: FilteredComplex, p: int) -> CohomologyBasis:
@@ -419,7 +425,7 @@ def cohomology_basis(K: FilteredComplex, p: int) -> CohomologyBasis:
         raise ValidationError("degree must be nonnegative")
     if p > K.dimension:
         return CohomologyBasis(p, ())
-    bars = reduction(K).degree(K, p)[1]
+    bars = reduction(K).degree(K, p).bars
     return CohomologyBasis(p, tuple(
         Cochain(K, p, 1 << s if z is None else z)
         for s, death, z in reversed(bars) if death == INF))
@@ -431,4 +437,4 @@ def is_coboundary(c: Cochain) -> bool:
     K, p = c.host, c.degree
     if p == 0 or p > K.dimension:
         return c.is_zero
-    return reduction(K).degree(K, p - 1)[0].reduce(c.bits) == 0
+    return reduction(K).degree(K, p - 1).table.reduce(c.bits) == 0

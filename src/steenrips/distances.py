@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .cohomology import Barcode, _reduce_top_degree, persistent_barcode
+from .cohomology import Barcode, persistent_barcode, reduction
 from .errors import InternalInvariantError, ValidationError
 from .metric import FiniteMetricSpace, _symmetric, vr_filtration
 from .operations import Operation, image_barcode, kernel_barcode
@@ -106,15 +106,20 @@ def _feasible(pair: np.ndarray, ua: np.ndarray, ub: np.ndarray,
             and _saturates(edges.T, np.flatnonzero(ub > c)))
 
 
+def _expanded(A: Barcode, B: Barcode, degree: int) -> tuple[list, list]:
+    """The (birth, death) pairs of both degree-``degree`` parts; a
+    negative degree has no barcode and is refused."""
+    if degree < 0:
+        raise ValidationError(f"degree must be nonnegative, got {degree}")
+    return A.expanded(degree), B.expanded(degree)
+
+
 def bottleneck(A: Barcode, B: Barcode, degree: int) -> float:
     """Exact bottleneck distance between the degree-``degree`` parts.
 
     Mismatched infinite-bar counts give inf (not an error).
     """
-    if degree < 0:
-        raise ValidationError(f"degree must be nonnegative, got {degree}")
-    bars_a = A.expanded(degree)
-    bars_b = B.expanded(degree)
+    bars_a, bars_b = _expanded(A, B, degree)
     inf_a = sorted(a for a, d in bars_a if math.isinf(d))
     inf_b = sorted(a for a, d in bars_b if math.isinf(d))
     if len(inf_a) != len(inf_b):
@@ -141,8 +146,7 @@ def bottleneck(A: Barcode, B: Barcode, degree: int) -> float:
 
 def bottleneck_oracle(A: Barcode, B: Barcode, degree: int) -> float:
     """Exhaustive minimum over all partial matchings (<= 7 bars per side)."""
-    bars_a = A.expanded(degree)
-    bars_b = B.expanded(degree)
+    bars_a, bars_b = _expanded(A, B, degree)
     if len(bars_a) > 7 or len(bars_b) > 7:
         raise ValidationError("oracle limited to 7 bars per side")
     n, m = len(bars_a), len(bars_b)
@@ -169,6 +173,22 @@ def bottleneck_oracle(A: Barcode, B: Barcode, degree: int) -> float:
     return best
 
 
+def _top_degree(max_degree: int, ops: list[Operation], max_dim: int | None = None,
+                name: str = "max_dim") -> int:
+    """The largest degree a metric call reads: max_degree or an
+    operation's target degree.  Given the VR dimension max_dim (spelled
+    ``name`` in messages), refuse a max_dim below 1 and a degree read
+    outside 0..max_dim - 1, as H^k of VR needs its (k+1)-simplices."""
+    if max_dim is not None and max_dim < 1:
+        raise ValidationError(f"{name} must be at least 1, got {max_dim}: "
+                              "degree 0 is read from the edges")
+    top = max([max_degree, *(op.target_degree for op in ops)])
+    if max_dim is not None and not 0 <= top < max_dim:
+        raise ValidationError(f"degree {top} is outside 0..{max_dim - 1}: degrees "
+                              f"read must be below {name} ({max_dim})")
+    return top
+
+
 def rips_barcodes(X: FiniteMetricSpace, max_degree: int, ops: list[Operation],
                   max_scale: float) -> tuple[Barcode, dict]:
     """The barcode of VR(X) up to max_scale in degrees 0..max_degree, and
@@ -181,16 +201,16 @@ def rips_barcodes(X: FiniteMetricSpace, max_degree: int, ops: list[Operation],
     scale is cut at min(max_scale, r_enc) (Ripser uses the same
     threshold; one point keeps max_scale).  And the complex is built to
     dimension top only: its (top+1)-simplices would serve only as the
-    rows of delta_top, whose reduction is read from the metric instead
-    (:func:`steenrips.cohomology._reduce_top_degree`).
+    rows of delta_top, so the complex's reduction is made with the
+    metric, from which it reduces the complex's top degree
+    (:func:`steenrips.cohomology.reduction`).
     """
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative")
-    top = max([max_degree, *(op.target_degree for op in ops)])
+    top = _top_degree(max_degree, ops)
     scale = min(max_scale, float(X.d.max(axis=1).min())) if X.n > 1 else max_scale
     K = vr_filtration(X, top, scale)
-    if K.dimension == top:
-        _reduce_top_degree(K, X.d, scale)
+    reduction(K, (X.d, scale))
     return (persistent_barcode(K, max_degree),
             {op: (image_barcode(K, op), kernel_barcode(K, op)) for op in ops})
 
@@ -205,15 +225,10 @@ def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace,
         raise ValidationError("no invariants requested")
     if min(degrees, default=0) < 0:
         raise ValidationError(f"degrees must be nonnegative, got {degrees}")
-    if max_dim < 1:
-        raise ValidationError(f"max_dim must be at least 1, got {max_dim}: "
-                              "degree 0 is read from the edges")
-    top = max([*degrees, *(op.target_degree for op in ops)])
-    if not 0 <= top < max_dim:
-        raise ValidationError(f"degree {top} is outside 0..{max_dim - 1}: degrees "
-                              f"read must be below max_dim ({max_dim})")
-    hom_x, img_x = rips_barcodes(X, max(degrees, default=0), ops, max_scale)
-    hom_y, img_y = rips_barcodes(Y, max(degrees, default=0), ops, max_scale)
+    max_degree = max(degrees, default=0)
+    _top_degree(max_degree, ops, max_dim)
+    hom_x, img_x = rips_barcodes(X, max_degree, ops, max_scale)
+    hom_y, img_y = rips_barcodes(Y, max_degree, ops, max_scale)
     per_invariant = []
     for m in degrees:
         per_invariant.append({

@@ -195,7 +195,7 @@ def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> Filte
         order = np.argsort(V, kind="stable")
         dim_rows.append(S[order])
         dim_values.append(V[order].tolist())
-    return FilteredComplex._from_rows(tuple(range(X.n)), dim_rows, dim_values)
+    return FilteredComplex(range(X.n), dim_rows, dim_values)
 
 
 def _cofaces(S: np.ndarray, V: np.ndarray, d: np.ndarray, adj: np.ndarray,

@@ -112,7 +112,7 @@ def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
     faces = _cup_faces(K, ell, ell, ell - op.k) if cup else None
     d_m = red.pivots(K, m - 1)
     image, candidates = [], []
-    for s, death, z in sorted(red.degree(K, ell)[1], key=lambda bar: -bar[1]):
+    for s, death, z in sorted(red.degree(K, ell).bars, key=lambda bar: -bar[1]):
         z = 1 << s if z is None else z
         count = bisect_left(values_m, death)
         if cup:

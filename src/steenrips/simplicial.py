@@ -7,13 +7,13 @@ its vertices among the 0-simplices, so any vertex ids fit it.  Within
 every dimension the simplices appear in nondecreasing value order, so
 each sublevel set is a prefix of every dimension.  The vertex tuples,
 their index dicts and the distinct values are derived from the rows and
-values on first read and then kept; a complex built from tuples keeps
-them.  The canonical order of the whole complex, by (filtration value,
-dimension, lexicographic vertices), in which faces always precede
-cofaces, is derived from those parts by a merge.  Cochains ride on the
-stored order: the support of a degree-p cochain is a bit-vector indexed
-by the p-simplices of its host complex.  Coboundaries, the reduction and
-cup-i products find faces from the rows, with :func:`_faces` alone.
+values on first read and then kept.  The canonical order of the whole
+complex, by (filtration value, dimension, lexicographic vertices), in
+which faces always precede cofaces, is derived from those parts by a
+merge.  Cochains ride on the stored order: the support of a degree-p
+cochain is a bit-vector indexed by the p-simplices of its host complex.
+Coboundaries, the reduction and cup-i products find faces from the rows,
+with :func:`_faces` alone.
 """
 
 from __future__ import annotations
@@ -53,14 +53,15 @@ def normalize_simplex(vertices: Iterable[int]) -> Simplex:
 
 
 class _PerDimension(Sequence):
-    """A tuple with one entry per dimension, entry p made by ``make(p)``
-    on its first read and then kept.  ``make`` holds no reference to the
-    complex, so a complex and its views are freed by reference counting."""
+    """A tuple of n entries, one per dimension, entry p made by
+    ``make(p)`` on its first read and then kept.  ``make`` holds no
+    reference to the complex, so a complex and its views are freed by
+    reference counting."""
 
     __slots__ = ("_make", "_made")
 
-    def __init__(self, make, made: list):
-        self._make, self._made = make, made
+    def __init__(self, make, n: int):
+        self._make, self._made = make, [None] * n
 
     def __len__(self) -> int:
         return len(self._made)
@@ -112,14 +113,14 @@ class FilteredComplex:
     order by (value, dimension, lexicographic vertices), are merged from
     the parts on each read.
 
-    ``FilteredComplex(dim_simplices, dim_values)`` takes vertex tuples:
-    it computes their rows once and keeps the tuples as the derived
-    view.  :func:`build` validates and sorts arbitrary input into it.
-    :func:`steenrips.metric.vr_filtration` and :func:`sublevel`, whose
-    output is sorted by construction, pass rows to ``_from_rows``.  Both
-    trust their arguments to be sorted, duplicate-free, closed under
-    faces and monotone, with float values.  Instances are immutable but
-    for the derived views and ``_reduction``, a cache of the cohomology
+    ``FilteredComplex(vertices, dim_rows, dim_values)`` takes these
+    parts, ``vertices`` the ids of the 0-simplices in order, and trusts
+    them to be sorted, duplicate-free, closed under faces and monotone,
+    with float values.  :func:`build`, the one place where vertex tuples
+    become rows, validates and sorts arbitrary input into them;
+    :func:`steenrips.metric.vr_filtration` and :func:`sublevel` make
+    them sorted by construction.  Instances are immutable but for the
+    derived views and ``_reduction``, a cache of the cohomology
     reduction that :mod:`steenrips.cohomology` builds on first use.
     """
 
@@ -133,35 +134,17 @@ class FilteredComplex:
         "_reduction",
     )
 
-    def __init__(self, dim_simplices: Sequence[Sequence[Simplex]],
+    def __init__(self, vertices: Sequence[int], dim_rows: Sequence[np.ndarray],
                  dim_values: Sequence[Sequence[float]]):
-        dim_simplices = tuple(map(tuple, dim_simplices))
-        vertices = tuple(v for (v,) in dim_simplices[0]) if dim_simplices else ()
-        position = dict(zip(vertices, range(len(vertices))))
-        self._store(vertices, [
-            np.fromiter(map(position.__getitem__, chain.from_iterable(ss)),
-                        dtype=np.intp, count=len(ss) * (p + 1)).reshape(len(ss), p + 1)
-            for p, ss in enumerate(dim_simplices)], dim_values, list(dim_simplices))
-
-    @classmethod
-    def _from_rows(cls, vertices: tuple[int, ...], dim_rows: Sequence[np.ndarray],
-                   dim_values: Sequence[Sequence[float]]) -> FilteredComplex:
-        """The complex of these vertex ids, rows and values."""
-        K = cls.__new__(cls)
-        K._store(vertices, dim_rows, dim_values, [None] * len(dim_rows))
-        return K
-
-    def _store(self, vertices: tuple[int, ...], dim_rows: Sequence[np.ndarray],
-               dim_values: Sequence[Sequence[float]], simplices: list) -> None:
-        self._vertices = vertices
+        self._vertices = tuple(vertices)
         self.dim_rows = tuple(dim_rows)
         for rows in self.dim_rows:
             rows.flags.writeable = False
         self.dim_values = tuple(map(tuple, dim_values))
+        n = len(self.dim_rows)
         self.dim_simplices = _PerDimension(
-            partial(_vertex_tuples, vertices, self.dim_rows), simplices)
-        self.dim_index = _PerDimension(
-            partial(_index_dict, self.dim_simplices), [None] * len(simplices))
+            partial(_vertex_tuples, self._vertices, self.dim_rows), n)
+        self.dim_index = _PerDimension(partial(_index_dict, self.dim_simplices), n)
         self._distinct_values = None
         self._reduction = None
 
@@ -228,7 +211,8 @@ class FilteredComplex:
 
 
 def build(filtered_simplices: Iterable[tuple[Iterable[int], float]]) -> FilteredComplex:
-    """Validate and canonically sort a list of (vertex list, value) pairs.
+    """Validate and canonically sort a list of (vertex list, value) pairs
+    into a complex: the one place where vertex tuples become rows.
 
     Raises ClosureError, MonotonicityError or DuplicateSimplexError on a
     bad filtration.  Rebuilding from any permutation of the same pairs
@@ -258,7 +242,12 @@ def build(filtered_simplices: Iterable[tuple[Iterable[int], float]]) -> Filtered
     dims: list[list[Simplex]] = [[] for _ in range(max(map(len, order), default=0))]
     for s in order:
         dims[len(s) - 1].append(s)
-    return FilteredComplex(dims, [[entries[s] for s in ss] for ss in dims])
+    vertices = [v for (v,) in dims[0]] if dims else []
+    position = dict(zip(vertices, range(len(vertices))))
+    return FilteredComplex(vertices, [
+        np.fromiter(map(position.__getitem__, chain.from_iterable(ss)),
+                    dtype=np.intp, count=len(ss) * (p + 1)).reshape(len(ss), p + 1)
+        for p, ss in enumerate(dims)], [[entries[s] for s in ss] for ss in dims])
 
 
 def sublevel(K: FilteredComplex, i: int) -> FilteredComplex:
@@ -276,9 +265,9 @@ def sublevel(K: FilteredComplex, i: int) -> FilteredComplex:
     t = values[i]
     # a dimension with nothing at or below t has no cofaces there either
     ends = [m for m in (bisect_right(vv, t) for vv in K.dim_values) if m]
-    return FilteredComplex._from_rows(K._vertices[:ends[0]],
-                                      [rows[:m] for rows, m in zip(K.dim_rows, ends)],
-                                      [vv[:m] for vv, m in zip(K.dim_values, ends)])
+    return FilteredComplex(K._vertices[:ends[0]],
+                           [rows[:m] for rows, m in zip(K.dim_rows, ends)],
+                           [vv[:m] for vv, m in zip(K.dim_values, ends)])
 
 
 @dataclass(frozen=True)

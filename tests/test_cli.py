@@ -305,6 +305,22 @@ def test_verify_trials_reaches_every_suite(capsys):
     assert len(data["checks"]) == 2
 
 
+def test_failing_report_is_strict_json(monkeypatch, capsys):
+    """A failing verify report that holds inf and NaN, as a stability or
+    bottleneck-oracle check can, is written with null in their place."""
+    report = {"passed": False, "checks": [{"fast": math.inf, "oracle": 0.5},
+                                          {"d_B_image": -math.inf, "ratio": math.nan}]}
+    monkeypatch.setitem(cli.SUITES, "failing", lambda seed: report)
+    assert main(["verify", "failing"]) == 1
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    data = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert data["checks"] == [{"fast": None, "oracle": 0.5},
+                              {"d_B_image": None, "ratio": None}]
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nope"]) == 2
     assert "unknown suite" in capsys.readouterr().err

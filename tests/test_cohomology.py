@@ -220,7 +220,7 @@ def _workload_complexes(monkeypatch) -> list[FilteredComplex]:
     for wl in workloads.WORKLOADS.values():
         wl.job(wl.make_inputs(1)[0])
     assert len(built) == 5  # one rp2-sq1 complex, two per gh and cloud job
-    return [FilteredComplex(K.dim_simplices, K.dim_values) for K in built]
+    return [FilteredComplex(K._vertices, K.dim_rows, K.dim_values) for K in built]
 
 
 @pytest.mark.parametrize("source", ["random", "tied", "rp2", "workloads"])
@@ -240,10 +240,10 @@ def test_sparse_reduction_matches_dense_oracle(source, monkeypatch):
         tables, bars = dense_reduction(K, K.dimension)
         red = reduction(K)
         for p in range(K.dimension + 1):
-            table, got = red.degree(K, p)
+            table, pivots, got = red.degree(K, p)
             assert ([(s, d, 1 << s if z is None else z) for s, d, z in got]
                     == [(s, d, 1 << s if z is None else z) for s, d, z in bars[p]])
-            assert red.pivot_rows[p].tolist() == sorted(tables[p])
+            assert pivots.tolist() == sorted(tables[p])
             assert not table.columns
             # a coboundary of delta_p's pivot columns is one; reducing it
             # builds the columns it reaches into the table

@@ -290,12 +290,14 @@ def test_no_invariants_builds_nothing(monkeypatch):
     assert built == []
 
 def test_negative_degrees_are_refused(monkeypatch):
-    """A negative degree has no barcode: bottleneck refuses it, and
-    gh_lower_bound refuses it before it builds a complex, instead of
-    reporting a d_B of 0 for it."""
+    """A negative degree has no barcode: bottleneck and its oracle refuse
+    it, and gh_lower_bound refuses it before it builds a complex, instead
+    of reporting a d_B of 0 for it."""
     A = Barcode([Bar(0, 0.0, 1.0)])
     with pytest.raises(ValidationError, match="degree must be nonnegative, got -1"):
         bottleneck(A, A, -1)
+    with pytest.raises(ValidationError, match="degree must be nonnegative, got -1"):
+        bottleneck_oracle(A, A, -1)
     built = []
     monkeypatch.setattr(distances, "vr_filtration", lambda *args: built.append(args))
     X = circle_grid(6)

@@ -246,6 +246,26 @@ def test_rips_barcodes_match_full_complex(top, monkeypatch):
         assert got == _complex_json(full, top, ops)
 
 
+def test_metric_reduction_reads_in_any_order():
+    """A reduction made with the metric reduces the top degree from it on
+    that degree's first read, whichever call reads first: a barcode or an
+    image and kernel read before anything else give the bytes of
+    rips_barcodes."""
+    ops = [Operation.sq(1, 1), Operation.identity(2)]
+    X = projective_sample(2, 20, seed=1)
+    scale = float(X.d.max(axis=1).min())
+    expected = _barcode_json(*rips_barcodes(X, 2, ops, 3.0), ops)
+    for first in ("barcode", "image"):
+        K = vr_filtration(X, 2, scale)
+        cohomology.reduction(K, (X.d, scale))
+        if first == "image":
+            images = {op: (image_barcode(K, op), kernel_barcode(K, op)) for op in ops}
+        bc = persistent_barcode(K, 2)
+        if first == "barcode":
+            images = {op: (image_barcode(K, op), kernel_barcode(K, op)) for op in ops}
+        assert _barcode_json(bc, images, ops) == expected
+
+
 @pytest.mark.parametrize("block", [1, 20])
 def test_top_degree_row_blocks_change_no_bar(block, monkeypatch):
     """Blocks of one row, or of a few, give the bytes of one block."""
@@ -268,10 +288,10 @@ def test_top_degree_memory_is_two_row_blocks():
     300 MB; a block and one temporary take 64 MB."""
     X = metric_from_points(np.random.default_rng(0).uniform(size=(2000, 2)))
     K = vr_filtration(X, 1, 0.04)
-    cohomology.reduction(K).degree(K, 0)
+    cleared = cohomology.reduction(K).degree(K, 0).pivots
     tracemalloc.start()
     try:
-        cohomology._reduce_top_degree(K, X.d, 0.04)
+        cohomology._reduce_top_degree(K, X.d, 0.04, cleared)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -207,7 +207,7 @@ def test_dense_columns_only_where_an_insertion_reaches(monkeypatch):
     persistent_barcode(K, 2)
     assert built == []
     image_barcode(K, Operation.sq(1, 1))
-    assert 0 < len(built) < len(cohomology.reduction(K).pivot_rows[1])
+    assert 0 < len(built) < len(cohomology.reduction(K).degree(K, 1).pivots)
 
 
 def test_tied_values_match_literal_ops():

@@ -92,7 +92,7 @@ def test_one_constructor_rebuilds_from_per_dimension_parts():
     rng.shuffle(pairs)
     for K in (build(pairs), random_filtered_complex(rng, target_size=30), build([]),
               G, sublevel(G, G.num_values // 2), sublevel(G, 0)):
-        R = FilteredComplex(K.dim_simplices, K.dim_values)
+        R = FilteredComplex(K._vertices, K.dim_rows, K.dim_values)
         assert R == K and hash(R) == hash(K) and len(R) == len(K)
         assert R.simplices == K.simplices and R.values == K.values
         assert R.distinct_values == K.distinct_values
