@@ -9,9 +9,22 @@ along pairs of cost <= c.  By the Mendelsohn-Dulmage theorem (Mendelsohn
 & Dulmage, "Some generalizations of the problem of distinct
 representatives", Canad. J. Math. 1958), a matching covering those
 A-bars and one covering those B-bars combine into one covering both, so
-each probe is two one-sided saturation searches (Kuhn's augmenting
-paths) over the threshold graph.  No geometric approximation; acceptance
-tests compare for equality against exhaustive enumeration.
+each probe is two one-sided saturation searches over the threshold
+graph.
+
+When each side's finite bars share one birth (every H0 bar of a VR
+filtration is born at 0; the two sides' births may differ), the search
+is first-fit.  The finite bars come sorted by death, and a pair's cost
+is max(|b_a - b_b|, fl(|d_a - d_b|)): a constant and a float difference
+that is monotone on each side of d_a.  So each bar's neighbours at c,
+read from the same ``pair <= c`` booleans as in general, are one
+contiguous window of the other side, and the windows' ends are
+nondecreasing along the bars: a convex bipartite graph (Glover, Naval
+Res. Logist. Q. 1967), where matching each bar to the first free
+neighbour in sorted order decides saturation.  Otherwise each search is
+Kuhn's augmenting paths.  Both give the same answer on the same
+candidates; no geometric approximation, and acceptance tests compare
+for equality against exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -106,6 +119,35 @@ def _feasible(pair: np.ndarray, ua: np.ndarray, ub: np.ndarray,
             and _saturates(edges.T, np.flatnonzero(ub > c)))
 
 
+def _first_fit(edges: np.ndarray) -> bool:
+    """Does some matching cover every row of ``edges`` (a boolean rows x
+    right matrix) whose True entries are, per row, one contiguous window
+    with nondecreasing ends down the rows?
+
+    Row k takes the first free column of its window: with L_k its first
+    neighbour, j_k = max(L_k, j_(k-1) + 1) = k + max(L_t - t for t <= k).
+    It is saturated iff each j_k is in range and a neighbour of row k (a
+    row without neighbours fails the second test).
+    """
+    k, m = edges.shape
+    if k > m:
+        return False
+    if k == 0:
+        return True
+    steps = np.arange(k)
+    j = steps + np.maximum.accumulate(edges.argmax(axis=1) - steps)
+    return bool(j[-1] < m and edges[steps, j].all())
+
+
+def _first_fit_feasible(pair: np.ndarray, ua: np.ndarray, ub: np.ndarray,
+                        c: float) -> bool:
+    """``_feasible`` for one birth per side, rows and columns sorted by
+    death: each side's bars that must be matched, by first-fit over their
+    rows of ``pair <= c``."""
+    return (_first_fit(pair[ua > c] <= c)
+            and _first_fit((pair[:, ub > c] <= c).T))
+
+
 def _expanded(A: Barcode, B: Barcode, degree: int) -> tuple[list, list]:
     """The (birth, death) pairs of both degree-``degree`` parts; a
     negative degree has no barcode and is refused."""
@@ -117,7 +159,12 @@ def _expanded(A: Barcode, B: Barcode, degree: int) -> tuple[list, list]:
 def bottleneck(A: Barcode, B: Barcode, degree: int) -> float:
     """Exact bottleneck distance between the degree-``degree`` parts.
 
-    Mismatched infinite-bar counts give inf (not an error).
+    Mismatched infinite-bar counts give inf (not an error).  When the
+    finite bars of each side share one birth (read from the bars, in any
+    degree; the sides' births may differ), each probe is first-fit over
+    the death-sorted windows of ``pair <= c``; otherwise it is Kuhn's
+    search.  The candidates, the binary search and so the value are the
+    same either way.
     """
     bars_a, bars_b = _expanded(A, B, degree)
     inf_a = sorted(a for a, d in bars_a if math.isinf(d))
@@ -130,14 +177,17 @@ def bottleneck(A: Barcode, B: Barcode, degree: int) -> float:
     if not fa and not fb:
         return inf_cost
     pair, ua, ub = _costs(fa, fb)
+    # a Barcode sorts by (birth, death): one birth leaves them by death
+    one_birth = len({p[0] for p in fa}) <= 1 and len({p[0] for p in fb}) <= 1
+    feasible = _first_fit_feasible if one_birth else _feasible
     ordered = np.unique(np.concatenate(([0.0], ua, ub, pair.ravel())))
     lo, hi = 0, len(ordered) - 1
-    if not _feasible(pair, ua, ub, ordered[hi]):
+    if not feasible(pair, ua, ub, ordered[hi]):
         # all-unmatched is always feasible at the largest half-persistence
         raise InternalInvariantError("threshold graph not monotone")
     while lo < hi:
         mid = (lo + hi) // 2
-        if _feasible(pair, ua, ub, ordered[mid]):
+        if feasible(pair, ua, ub, ordered[mid]):
             hi = mid
         else:
             lo = mid + 1

@@ -383,11 +383,13 @@ def metric_from_points(points: np.ndarray, kind: str = "euclidean") -> FiniteMet
     """Build a metric from coordinates: ``euclidean`` or ``sphere:<radius>``."""
     pts = np.asarray(points, dtype=np.float64)
     if kind == "euclidean":
-        # row blocks of the one-shot formula, same bytes, at most _BLOCK
-        # coordinate differences held at once
-        d = np.empty((len(pts), len(pts)))
-        step = max(1, _BLOCK // max(1, pts.size))
-        for a in range(0, len(pts), step):
+        # row blocks of the one-shot formula, same bytes, at most
+        # min(_BLOCK, n^2 / 4) coordinate differences held at once: a
+        # block of _BLOCK alone is as large as the output at 2,000 points
+        n = len(pts)
+        d = np.empty((n, n))
+        step = max(1, min(_BLOCK, n * n // 4) // max(1, pts.size))
+        for a in range(0, n, step):
             diff = pts[a:a + step, None, :] - pts[None, :, :]
             diff **= 2
             np.sqrt(diff.sum(axis=2), out=d[a:a + step])

@@ -22,6 +22,7 @@ from steenrips.errors import ValidationError
 from steenrips.metric import (
     FiniteMetricSpace,
     circle_grid,
+    metric_from_points,
     vr_filtration,
 )
 from steenrips.operations import Operation, image_barcode, kernel_barcode
@@ -363,3 +364,41 @@ def test_gh_bound_one_point_spaces():
     assert {e["invariant"]: e["d_B"] for e in report["per_invariant"]} == {
         "H0": 0.0, "H1": 0.0, "imgSq1@deg2": 0.0}
     assert report["gh_lower_bound"] == 0.0
+
+
+def _noisy_circle_h0(seed):
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 200)
+    r = 1.0 + 0.05 * rng.standard_normal(200)
+    X = metric_from_points(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+    return persistent_barcode(vr_filtration(X, 1, 0.25), 0)
+
+
+def test_one_birth_bars_take_first_fit(monkeypatch):
+    """Every H0 bar of VR is born at 0, so the noisy circles' H0 matching
+    never runs Kuhn's search; two births on one side do."""
+    A, B = _noisy_circle_h0(0), _noisy_circle_h0(1)
+    assert [d for _, d in A.expanded(0) + B.expanded(0)].count(INF) == 2
+    calls = {"_saturates": 0, "_first_fit": 0}
+
+    def spy(name):
+        f = getattr(distances, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(distances, name, counted)
+
+    spy("_saturates")
+    spy("_first_fit")
+    d = bottleneck(A, B, 0)
+    assert calls["_saturates"] == 0 and calls["_first_fit"] > 0
+
+    calls.update(_saturates=0, _first_fit=0)
+    two_births = bc((0.0, 1.0), (0.5, 2.0), (0.0, 3.0))
+    one_birth = bc((1.0, 2.5), (1.0, 3.5))
+    assert bottleneck(two_births, one_birth, 0) == bottleneck_oracle(two_births, one_birth, 0)
+    assert calls["_saturates"] > 0 and calls["_first_fit"] == 0
+
+    monkeypatch.setattr(distances, "_first_fit_feasible", distances._feasible)
+    assert bottleneck(A, B, 0) == d

@@ -109,6 +109,24 @@ def test_euclidean_metric_memory_is_three_matrices():
     assert peak < 3.5 * X.d.nbytes
 
 
+@pytest.mark.parametrize("n", [200, 2000])
+def test_euclidean_blocks_follow_the_output(n):
+    # a block of _BLOCK differences alone is as large as the 2,000-point
+    # output (2.57 times the output at the peak); blocks of at most n^2/4
+    # differences peak at 2.13 times it, with the one-shot formula's bytes
+    pts = np.random.default_rng(0).uniform(size=(n, 2))
+    tracemalloc.start()
+    try:
+        X = metric_from_points(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if n == 2000:
+        assert peak < 2.3 * X.d.nbytes
+    one_shot = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    assert X.d.tobytes() == one_shot.tobytes()
+
+
 def test_load_holds_the_output_and_a_mask():
     # checking symmetry with abs(d - d.T) and mirroring with triu(d, 1)
     # plus its transpose each held two n x n temporaries: +2.00 times the
