@@ -25,6 +25,7 @@ from .metric import _BLOCK
 from .simplicial import Cochain, FilteredComplex, _facets
 
 INF = math.inf
+_JSON_KINDS = (int, (int, float), (int, float), int)  # degree, birth, death, mult
 
 
 @dataclass(frozen=True, order=True)
@@ -37,6 +38,8 @@ class Bar:
     def __post_init__(self):
         object.__setattr__(self, "birth", float(self.birth))
         object.__setattr__(self, "death", float(self.death))
+        if self.degree < 0:
+            raise ValidationError(f"bar degree must be nonnegative, got {self.degree}")
         if not self.birth < self.death:
             raise ValidationError(f"bar with birth {self.birth} >= death {self.death}")
         if math.isinf(self.birth):
@@ -59,13 +62,13 @@ class Barcode:
     __slots__ = ("bars",)
 
     def __init__(self, bars: Iterable[Bar] = ()):
-        merged: dict[tuple[int, float, float], int] = {}
+        # a key seen once keeps the caller's bar: none is built twice
+        merged: dict[tuple[int, float, float], list[Bar]] = {}
         for b in bars:
-            key = (b.degree, b.birth, b.death)
-            merged[key] = merged.get(key, 0) + b.multiplicity
+            merged.setdefault((b.degree, b.birth, b.death), []).append(b)
         self.bars = tuple(
-            Bar(d, b, e, m) for (d, b, e), m in sorted(merged.items())
-        )
+            same[0] if len(same) == 1 else Bar(*key, sum(b.multiplicity for b in same))
+            for key, same in sorted(merged.items()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Barcode) and self.bars == other.bars
@@ -135,14 +138,19 @@ class Barcode:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Barcode":
+        """A degree and a multiplicity must be JSON integers, a birth a
+        number and a death a number or null: none is truncated or parsed."""
         try:
-            bars = [
-                Bar(int(e["degree"]), float(e["birth"]),
-                    INF if e["death"] is None else float(e["death"]),
-                    int(e.get("mult", 1)))
-                for e in data["bars"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
+            bars = []
+            for e in data["bars"]:
+                fields = (e["degree"], e["birth"], INF if e["death"] is None else e["death"],
+                          e.get("mult", 1))
+                if any(isinstance(v, bool) or not isinstance(v, kind)
+                       for v, kind in zip(fields, _JSON_KINDS)):
+                    raise ValueError(f"{e}: a degree and a mult must be integers, "
+                                     "a birth a number and a death a number or null")
+                bars.append(Bar(*fields))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed barcode JSON: {exc}") from None
         return cls(bars)
 

@@ -22,9 +22,9 @@ contiguous window of the other side, and the windows' ends are
 nondecreasing along the bars: a convex bipartite graph (Glover, Naval
 Res. Logist. Q. 1967), where matching each bar to the first free
 neighbour in sorted order decides saturation.  Otherwise each search is
-Kuhn's augmenting paths.  Both give the same answer on the same
-candidates; no geometric approximation, and acceptance tests compare
-for equality against exhaustive enumeration.
+Kuhn's augmenting paths.  The one probe takes either search, read from
+the bars, over the same rows; no geometric approximation, and
+acceptance tests compare for equality against exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -56,16 +56,16 @@ def _unmatched_cost(a: tuple[float, float]) -> float:
     return INF if math.isinf(a[1]) else (a[1] - a[0]) / 2.0
 
 
-def _saturates(edges: np.ndarray, rows: np.ndarray) -> bool:
+def _saturates(edges: np.ndarray) -> bool:
     """Does some matching in the bipartite graph ``edges`` (a boolean
-    left x right matrix) cover every left vertex in ``rows``?
+    rows x right matrix) cover every row?  ``_feasible``'s general search.
 
     Kuhn's augmenting paths, one root per row: a root left exposed at its
     turn stays exposed in every maximum matching, so the search stops
     there.  The depth-first search keeps its path on an explicit stack,
     so an augmenting path may be as long as the graph allows.
     """
-    adj = [np.flatnonzero(edges[i]).tolist() for i in rows]
+    adj = [np.flatnonzero(row).tolist() for row in edges]
     match_right = [-1] * edges.shape[1]
     for root in range(len(adj)):
         seen = [False] * edges.shape[1]
@@ -105,18 +105,18 @@ def _costs(fa: list[tuple[float, float]], fb: list[tuple[float, float]]):
     return pair, (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
 
 
-def _feasible(pair: np.ndarray, ua: np.ndarray, ub: np.ndarray,
-              c: float) -> bool:
+def _feasible(pair: np.ndarray, ua: np.ndarray, ub: np.ndarray, c: float,
+              covers) -> bool:
     """Is there a partial matching of cost <= c between finite bars?
 
     Bars with half-persistence > c must be matched, along pairs of cost
     <= c.  A matching covering the A-bars that must be matched and one
     covering the B-bars that must be matched combine into one covering
-    both (Mendelsohn-Dulmage), so two one-sided searches decide it.
+    both (Mendelsohn-Dulmage), so two one-sided searches decide it, each
+    a ``covers`` of the rows of ``pair <= c`` of the bars that must be
+    matched: ``_first_fit`` or ``_saturates``, read from the bars.
     """
-    edges = pair <= c
-    return (_saturates(edges, np.flatnonzero(ua > c))
-            and _saturates(edges.T, np.flatnonzero(ub > c)))
+    return covers(pair[ua > c] <= c) and covers((pair[:, ub > c] <= c).T)
 
 
 def _first_fit(edges: np.ndarray) -> bool:
@@ -130,22 +130,11 @@ def _first_fit(edges: np.ndarray) -> bool:
     row without neighbours fails the second test).
     """
     k, m = edges.shape
-    if k > m:
-        return False
-    if k == 0:
-        return True
+    if k == 0 or m == 0:
+        return k == 0
     steps = np.arange(k)
     j = steps + np.maximum.accumulate(edges.argmax(axis=1) - steps)
     return bool(j[-1] < m and edges[steps, j].all())
-
-
-def _first_fit_feasible(pair: np.ndarray, ua: np.ndarray, ub: np.ndarray,
-                        c: float) -> bool:
-    """``_feasible`` for one birth per side, rows and columns sorted by
-    death: each side's bars that must be matched, by first-fit over their
-    rows of ``pair <= c``."""
-    return (_first_fit(pair[ua > c] <= c)
-            and _first_fit((pair[:, ub > c] <= c).T))
 
 
 def _expanded(A: Barcode, B: Barcode, degree: int) -> tuple[list, list]:
@@ -156,38 +145,40 @@ def _expanded(A: Barcode, B: Barcode, degree: int) -> tuple[list, list]:
     return A.expanded(degree), B.expanded(degree)
 
 
+def _split(pairs: list[tuple[float, float]]) -> tuple[list, list[float]]:
+    """A side's finite (birth, death) pairs and sorted essential births."""
+    return ([p for p in pairs if not math.isinf(p[1])],
+            sorted(b for b, d in pairs if math.isinf(d)))
+
+
 def bottleneck(A: Barcode, B: Barcode, degree: int) -> float:
     """Exact bottleneck distance between the degree-``degree`` parts.
 
     Mismatched infinite-bar counts give inf (not an error).  When the
     finite bars of each side share one birth (read from the bars, in any
-    degree; the sides' births may differ), each probe is first-fit over
-    the death-sorted windows of ``pair <= c``; otherwise it is Kuhn's
-    search.  The candidates, the binary search and so the value are the
-    same either way.
+    degree; the sides' births may differ), each probe covers the rows of
+    ``pair <= c`` by first-fit over their death-sorted windows; otherwise
+    by Kuhn's search.  The candidates, the binary search and so the value
+    are the same either way.
     """
-    bars_a, bars_b = _expanded(A, B, degree)
-    inf_a = sorted(a for a, d in bars_a if math.isinf(d))
-    inf_b = sorted(a for a, d in bars_b if math.isinf(d))
+    (fa, inf_a), (fb, inf_b) = map(_split, _expanded(A, B, degree))
     if len(inf_a) != len(inf_b):
         return INF
     inf_cost = max((abs(x - y) for x, y in zip(inf_a, inf_b)), default=0.0)
-    fa = [p for p in bars_a if not math.isinf(p[1])]
-    fb = [p for p in bars_b if not math.isinf(p[1])]
     if not fa and not fb:
         return inf_cost
     pair, ua, ub = _costs(fa, fb)
     # a Barcode sorts by (birth, death): one birth leaves them by death
     one_birth = len({p[0] for p in fa}) <= 1 and len({p[0] for p in fb}) <= 1
-    feasible = _first_fit_feasible if one_birth else _feasible
+    covers = _first_fit if one_birth else _saturates
     ordered = np.unique(np.concatenate(([0.0], ua, ub, pair.ravel())))
     lo, hi = 0, len(ordered) - 1
-    if not feasible(pair, ua, ub, ordered[hi]):
+    if not _feasible(pair, ua, ub, ordered[hi], covers):
         # all-unmatched is always feasible at the largest half-persistence
         raise InternalInvariantError("threshold graph not monotone")
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(pair, ua, ub, ordered[mid]):
+        if _feasible(pair, ua, ub, ordered[mid], covers):
             hi = mid
         else:
             lo = mid + 1

@@ -259,13 +259,13 @@ def quotient_metric(X: FiniteMetricSpace, action: GroupAction) -> FiniteMetricSp
     if action.space is not X:
         raise ValidationError("action is not an action on this space")
     orbits = action.orbits()
-    k = len(orbits)
-    d = np.zeros((k, k))
-    for a in range(k):
-        ra = orbits[a][0]
-        for b in range(a + 1, k):
-            val = min(float(X.d[ra, y]) for y in orbits[b])
-            d[a, b] = d[b, a] = val
+    starts = np.cumsum([0] + [len(o) for o in orbits[:-1]])
+    # row a: the least distance from orbit a's least point to each orbit;
+    # the strict upper triangle is kept and mirrored
+    d = np.triu(np.minimum.reduceat(
+        X.d[np.ix_([o[0] for o in orbits], np.concatenate(orbits))], starts, axis=1), 1)
+    lower = np.tril_indices(len(orbits), -1)
+    d[lower] = d.T[lower]
     try:
         return FiniteMetricSpace._trusted(d)
     except MetricError as exc:

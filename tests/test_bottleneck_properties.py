@@ -1,5 +1,6 @@
 """Property tests: bottleneck against the exhaustive oracle on tied inputs,
-and its first-fit path against Kuhn's search.
+its first-fit path against Kuhn's search, and both covering searches
+against brute force.
 
 Small integer endpoints make pair costs and half-persistences coincide,
 so thresholds land exactly on the boundary between bars that must be
@@ -15,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steenrips.cohomology import Bar, Barcode
-from steenrips.distances import _costs, _feasible, bottleneck, bottleneck_oracle
+from steenrips.distances import (
+    _costs, _feasible, _first_fit, _saturates, bottleneck, bottleneck_oracle,
+)
 
 # (birth, length); length None is an essential bar
 bars = st.lists(
@@ -72,7 +75,7 @@ def kuhn_bottleneck(A, B):
     pair, ua, ub = _costs([p for p in pa if not math.isinf(p[1])],
                           [p for p in pb if not math.isinf(p[1])])
     candidates = np.unique(np.concatenate(([0.0], ua, ub, pair.ravel())))
-    least = next(c for c in candidates if _feasible(pair, ua, ub, c))
+    least = next(c for c in candidates if _feasible(pair, ua, ub, c, _saturates))
     return max(max((abs(x - y) for x, y in zip(inf_a, inf_b)), default=0.0),
                float(least))
 
@@ -86,3 +89,63 @@ def test_first_fit_equals_kuhn_on_one_birth_bars(pair):
     assert d == bottleneck(B, A, 0)
     if len(A) <= 7 and len(B) <= 7:
         assert d == bottleneck_oracle(A, B, 0)
+
+
+def assignment_exists(edges):
+    """Brute force: does some injective row -> True-column assignment
+    exist?"""
+    def assign(i, used):
+        return i == len(edges) or any(
+            edges[i, j] and not used >> j & 1 and assign(i + 1, used | 1 << j)
+            for j in range(edges.shape[1]))
+    return assign(0, 0)
+
+
+@st.composite
+def boolean_matrix(draw):
+    k, m = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    cells = draw(st.lists(st.booleans(), min_size=k * m, max_size=k * m))
+    return np.array(cells, dtype=bool).reshape(k, m)
+
+
+@st.composite
+def convex_matrix(draw):
+    """Rows of one window each, both window ends nondecreasing down the
+    rows; some rows may be empty."""
+    k, m = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    ends = [sorted(draw(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))))
+            for _ in range(k)]
+    lefts, rights = sorted(e[0] for e in ends), sorted(e[1] for e in ends)
+    empty = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    edges = np.zeros((k, m), dtype=bool)
+    for i, (lo, hi, skip) in enumerate(zip(lefts, rights, empty)):
+        edges[i, lo:hi + 1] = not skip
+    return edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(boolean_matrix())
+def test_kuhn_search_equals_brute_force(edges):
+    exists = assignment_exists(edges)
+    assert _saturates(edges) == exists
+    assert not _first_fit(edges) or exists  # first-fit never overclaims
+
+
+@settings(max_examples=400, deadline=None)
+@given(convex_matrix())
+def test_first_fit_equals_brute_force_on_convex_rows(edges):
+    assert _first_fit(edges) == assignment_exists(edges) == _saturates(edges)
+
+
+def test_kuhn_search_augments_through_every_row():
+    """Kuhn's search gives row i column i; the last row's one neighbour is
+    column 0, so covering it takes an augmenting path through every row,
+    each earlier row moving one column right."""
+    for k in (3, 4, 6):
+        edges = np.zeros((k, k), dtype=bool)
+        for i in range(k - 1):
+            edges[i, i:i + 2] = True
+        edges[k - 1, 0] = True
+        assert _saturates(edges) and assignment_exists(edges)
+        edges[k - 2, k - 1] = False
+        assert not _saturates(edges) and not assignment_exists(edges)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -417,6 +418,18 @@ def test_bad_op_spec(tmp_path, capsys):
                  "malformed barcode JSON", id="bottleneck-not-json"),
     pytest.param(["bottleneck", "--a", "{bars}", "--b", "{bars}", "--degree", "-1"],
                  "degree must be nonnegative, got -1", id="bottleneck-negative-degree"),
+    pytest.param(["bottleneck", "--a", "{fractional-degree}", "--b", "{bars}", "--degree", "1"],
+                 "'degree': 1.7", id="bottleneck-fractional-degree"),
+    pytest.param(["bottleneck", "--a", "{bars}", "--b", "{fractional-mult}", "--degree", "0"],
+                 "'mult': 2.9", id="bottleneck-fractional-mult"),
+    pytest.param(["bottleneck", "--a", "{bool-mult}", "--b", "{bars}", "--degree", "0"],
+                 "'mult': True", id="bottleneck-bool-mult"),
+    pytest.param(["bottleneck", "--a", "{string-birth}", "--b", "{bars}", "--degree", "0"],
+                 "'birth': '0.5'", id="bottleneck-string-birth"),
+    pytest.param(["bottleneck", "--a", "{string-death}", "--b", "{bars}", "--degree", "0"],
+                 "'death': 'inf'", id="bottleneck-string-death"),
+    pytest.param(["bottleneck", "--a", "{negative-degree}", "--b", "{bars}", "--degree", "0"],
+                 "bar degree must be nonnegative, got -2", id="bottleneck-negative-bar-degree"),
     pytest.param(["barcode", "--input", "{c}", "--max-dim", "2", "--max-scale", "1",
                   "--max-degree", "1", "--degree", "-1"],
                  "--degree must be nonnegative, got -1", id="barcode-negative-degree"),
@@ -427,10 +440,16 @@ def test_bad_arguments_exit_2(circle_file, capsys, argv, fragment):
     """Each case exits 2 with its own message, not an earlier error."""
     negative = circle_file.with_name("negative.dmat")
     negative.write_text("-1 5\n")
-    bars = circle_file.with_name("bars.json")
-    bars.write_text(json.dumps(Barcode([Bar(0, 0.0, 1.0)]).to_json_dict()))
-    code = main([a.replace("{c}", str(circle_file)).replace("{neg}", str(negative))
-                 .replace("{bars}", str(bars)) for a in argv])
+    files = {"c": circle_file, "neg": negative, "bars": circle_file.with_name("bars.json")}
+    files["bars"].write_text(json.dumps(Barcode([Bar(0, 0.0, 1.0)]).to_json_dict()))
+    for name, field, value in [("fractional-degree", "degree", 1.7),
+                               ("fractional-mult", "mult", 2.9), ("bool-mult", "mult", True),
+                               ("string-birth", "birth", "0.5"), ("string-death", "death", "inf"),
+                               ("negative-degree", "degree", -2)]:
+        files[name] = circle_file.with_name(f"{name}.json")
+        bar = {"degree": 0, "birth": 0.0, "death": 1.0, "mult": 1, field: value}
+        files[name].write_text(json.dumps({"bars": [bar]}))
+    code = main([re.sub(r"\{([a-z-]+)\}", lambda m: str(files[m[1]]), a) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")

@@ -56,6 +56,39 @@ def test_barcode_multiset_merge_and_sort():
     assert len(b) == 3
 
 
+def test_barcode_builds_a_bar_only_where_multiplicities_add(monkeypatch):
+    distinct = [Bar(1, 0.5, 2.0, 3), Bar(0, 0.0, INF), Bar(0, 0.0, 1.0)]
+    merged = [Bar(0, 0.0, 1.0), Bar(0, 0.0, 1.0, 2)]
+    calls = []
+    post_init = Bar.__post_init__
+    monkeypatch.setattr(Bar, "__post_init__",
+                        lambda self: calls.append(self) or post_init(self))
+    b = Barcode(distinct)
+    assert not calls
+    assert b.bars == tuple(sorted(distinct))
+    assert all(x is y for x, y in zip(b.bars, sorted(distinct)))
+    b = Barcode(distinct + merged)
+    assert [(c.degree, c.birth, c.death, c.multiplicity) for c in calls] == [(0, 0.0, 1.0, 4)]
+    assert b.bars == (Bar(0, 0.0, 1.0, 4), Bar(0, 0.0, INF), Bar(1, 0.5, 2.0, 3))
+    assert len(b) == 8
+
+
+def test_barcode_json_refuses_what_it_would_convert():
+    good = {"degree": 1, "birth": 0.5, "death": 2, "mult": 3}
+    assert Barcode.from_json_dict({"bars": [good]}) == Barcode([Bar(1, 0.5, 2.0, 3)])
+    for field, value in [("degree", 1.7), ("degree", True), ("degree", "1"),
+                         ("mult", 2.9), ("mult", True), ("birth", "0.5"),
+                         ("birth", None), ("birth", False), ("death", "inf"),
+                         ("death", True)]:
+        with pytest.raises(ValidationError, match="malformed barcode JSON: .* a degree and "
+                           "a mult must be integers, a birth a number and a death a number or null"):
+            Barcode.from_json_dict({"bars": [{**good, field: value}]})
+    with pytest.raises(ValidationError, match="bar degree must be nonnegative, got -2"):
+        Bar(-2, 0.0, 1.0)
+    with pytest.raises(ValidationError, match="bar degree must be nonnegative, got -2"):
+        Barcode.from_json_dict({"bars": [{**good, "degree": -2}]})
+
+
 def test_barcode_json_roundtrip():
     b = Barcode([Bar(1, 0.5, 2.0, 3), Bar(0, 0.0, INF)])
     d = b.to_json_dict()

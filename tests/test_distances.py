@@ -12,6 +12,7 @@ from steenrips.cohomology import Bar, Barcode, persistent_barcode
 from steenrips.distances import (
     _costs,
     _feasible,
+    _saturates,
     bottleneck,
     bottleneck_oracle,
     gh_lower_bound,
@@ -139,7 +140,7 @@ def test_threshold_feasibility_monotone():
                        | {max(abs(x - y), abs(d - e))
                           for x, d in fa for y, e in fb})
         pair, ua, ub = _costs(fa, fb)
-        flags = [_feasible(pair, ua, ub, c) for c in costs]
+        flags = [_feasible(pair, ua, ub, c, _saturates) for c in costs]
         assert flags[-1]  # every bar unmatched is within the largest cost
         assert flags == sorted(flags)  # once feasible, stays feasible
 
@@ -400,5 +401,5 @@ def test_one_birth_bars_take_first_fit(monkeypatch):
     assert bottleneck(two_births, one_birth, 0) == bottleneck_oracle(two_births, one_birth, 0)
     assert calls["_saturates"] > 0 and calls["_first_fit"] == 0
 
-    monkeypatch.setattr(distances, "_first_fit_feasible", distances._feasible)
+    monkeypatch.setattr(distances, "_first_fit", distances._saturates)
     assert bottleneck(A, B, 0) == d

@@ -617,6 +617,25 @@ def test_quotient_free_action_orbit_count():
     assert quotient_metric(X, act).n == 10
 
 
+def test_quotient_equals_its_definition_on_unequal_orbits():
+    """The array reduction gives the bytes of the literal loop: for a < b,
+    the least distance from orbit a's least point to orbit b, mirrored."""
+    X = circle_grid(12, 1.0)
+    reflect = tuple((-i) % 12 for i in range(12))
+    turn = tuple((i + 4) % 12 for i in range(12))
+    for gens in [(reflect,), (turn, reflect)]:
+        act = GroupAction(X, gens)
+        orbits = act.orbits()
+        assert len({len(o) for o in orbits}) > 1
+        k = len(orbits)
+        literal = np.zeros((k, k))
+        for a in range(k):
+            for b in range(a + 1, k):
+                literal[a, b] = literal[b, a] = min(float(X.d[orbits[a][0], y])
+                                                    for y in orbits[b])
+        assert quotient_metric(X, act).d.tobytes() == literal.tobytes()
+
+
 def test_orbits_without_building_the_group():
     # (0 1) and the 8-cycle generate all 40,320 permutations of 8 points;
     # the orbits come from the two generators alone
