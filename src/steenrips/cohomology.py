@@ -139,16 +139,21 @@ class Barcode:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Barcode":
         """A degree and a multiplicity must be JSON integers, a birth a
-        number and a death a number or null: none is truncated or parsed."""
+        finite number and a death a finite number or null: none is
+        truncated or parsed, and only null marks an essential bar."""
         try:
             bars = []
             for e in data["bars"]:
-                fields = (e["degree"], e["birth"], INF if e["death"] is None else e["death"],
+                death = e["death"]
+                fields = (e["degree"], e["birth"], INF if death is None else death,
                           e.get("mult", 1))
                 if any(isinstance(v, bool) or not isinstance(v, kind)
                        for v, kind in zip(fields, _JSON_KINDS)):
                     raise ValueError(f"{e}: a degree and a mult must be integers, "
                                      "a birth a number and a death a number or null")
+                if death is not None and not math.isfinite(death):
+                    raise ValueError(f"{e}: a death must be finite or null, "
+                                     "which marks an essential bar")
                 bars.append(Bar(*fields))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed barcode JSON: {exc}") from None
@@ -323,16 +328,6 @@ def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.nda
     return bars, pivots, owner
 
 
-def _codes(rows: np.ndarray, n: int) -> list[int]:
-    """The base-n numbers of the rows, each sorted first, as Python ints:
-    exact for any n and row length, and for rows of one length with
-    entries in 0..n-1 they order as the sorted rows do lexicographically."""
-    codes, *digits = np.sort(rows, axis=1).T.tolist()
-    for column in digits:
-        codes = [code * n + x for code, x in zip(codes, column)]
-    return codes
-
-
 def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
                        cleared: np.ndarray | list[int]) -> _Degree:
     """Reduce delta_p of K's top degree p, with the columns ``cleared``
@@ -349,9 +344,11 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
     the least by (value, v), and sigma is its latest facet when every
     other facet tau - {x} has a smaller value, or an equal one and x > v.
     :func:`_reduce_columns` settles the columns with each (p+1)-simplex
-    keyed by (value, base-n code of its sorted vertex rows): the order of
-    the (p+1)-simplices, so the bars and companions are those of the
-    explicit reduction, and no vertex tuple is made.
+    keyed by the tuple of its value and its sorted vertex rows, as Python
+    floats and ints: these keys order as the (p+1)-simplices do and are
+    exact for any n, so the bars and companions are those of the explicit
+    reduction.  They hold vertex positions, so no vertex tuple of the
+    complex is derived.
     """
     p = K.dimension
     S, values = K.dim_rows[p], K.dim_values[p]
@@ -383,8 +380,11 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
             np.maximum(facet, d[T[:, a], T[:, b]], out=facet)
         apparent &= (facet < vals) | ((facet == vals) & (S[:, x] > v))
 
+    def keys(at: np.ndarray, rows: np.ndarray) -> zip:
+        return zip(at.tolist(), *np.sort(rows, axis=1).T.tolist())
+
     def pivot(cols: np.ndarray) -> list:
-        return list(zip(death[cols].tolist(), _codes(T[cols], n)))
+        return list(keys(death[cols], T[cols]))
 
     def cofacets(j: int) -> set:
         # the last block is kept, other rows are computed again
@@ -392,7 +392,7 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
         ws = np.flatnonzero(cof < INF)
         rows = np.empty((len(ws), p + 2), dtype=S.dtype)
         rows[:, :-1], rows[:, -1] = S[j], ws
-        return set(zip(cof[ws].tolist(), _codes(rows, n)))
+        return set(keys(cof[ws], rows))
 
     bars = _reduce_columns(values, death, apparent, pivot, cofacets, itemgetter(0),
                            cleared)[0]

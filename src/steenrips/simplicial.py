@@ -5,15 +5,15 @@ sorted by (filtration value, lexicographic vertices), as one integer
 array of vertex rows, with their values.  A row holds the positions of
 its vertices among the 0-simplices, so any vertex ids fit it.  Within
 every dimension the simplices appear in nondecreasing value order, so
-each sublevel set is a prefix of every dimension.  The vertex tuples,
-their index dicts and the distinct values are derived from the rows and
-values on first read and then kept.  The canonical order of the whole
-complex, by (filtration value, dimension, lexicographic vertices), in
-which faces always precede cofaces, is derived from those parts by a
-merge.  Cochains ride on the stored order: the support of a degree-p
-cochain is a bit-vector indexed by the p-simplices of its host complex.
-Coboundaries, the reduction and cup-i products find faces from the rows,
-with :func:`_faces` alone.
+each sublevel set is a prefix of every dimension.  A complex keeps
+only these parts: its vertex tuples are derived from the rows on each
+read, and its distinct values on first read, then kept.  The canonical
+order of the whole complex, by (filtration value, dimension,
+lexicographic vertices), in which faces always precede cofaces, is
+derived from those parts by a merge.  Cochains ride on the stored
+order: the support of a degree-p cochain is a bit-vector indexed by the
+p-simplices of its host complex.  Coboundaries, the reduction and cup-i
+products find faces from the rows, with :func:`_faces` alone.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, combinations, repeat
-from operator import index
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -52,45 +50,9 @@ def normalize_simplex(vertices: Iterable[int]) -> Simplex:
     return vs
 
 
-class _PerDimension(Sequence):
-    """A tuple of n entries, one per dimension, entry p made by
-    ``make(p)`` on its first read and then kept.  ``make`` holds no
-    reference to the complex, so a complex and its views are freed by
-    reference counting."""
-
-    __slots__ = ("_make", "_made")
-
-    def __init__(self, make, n: int):
-        self._make, self._made = make, [None] * n
-
-    def __len__(self) -> int:
-        return len(self._made)
-
-    def __getitem__(self, p: int):
-        made = self._made[index(p)]
-        if made is None:
-            made = self._made[p] = self._make(p)
-        return made
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, _PerDimension)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-def _vertex_tuples(vertices: Sequence[int], dim_rows: tuple[np.ndarray, ...],
-                   p: int) -> tuple[Simplex, ...]:
-    return tuple(zip(*(map(vertices.__getitem__, col) for col in dim_rows[p].T.tolist())))
-
-
-def _index_dict(dim_simplices: _PerDimension, p: int) -> dict[Simplex, int]:
-    ss = dim_simplices[p]
-    return dict(zip(ss, range(len(ss))))
+def _vertex_tuples(vertices: Sequence[int], rows: np.ndarray) -> tuple[Simplex, ...]:
+    """The simplices of the vertex rows, as tuples of vertex ids."""
+    return tuple(zip(*(map(vertices.__getitem__, col) for col in rows.T.tolist())))
 
 
 def _distinct(dim_values: tuple[tuple[float, ...], ...]) -> tuple[float, ...]:
@@ -105,13 +67,12 @@ class FilteredComplex:
     positions of its vertices among the 0-simplices, increasing.
     ``dim_values[p]`` holds their values as Python floats.  With the
     vertex ids of the 0-simplices these are the whole complex; no
-    dimension is empty.  The rest is derived from them and kept:
-    ``dim_simplices[p]``, the p-simplices as tuples of vertex ids, and
-    ``dim_index[p]``, simplex -> position, on the first read of
-    dimension p, and ``distinct_values`` on its first read.  They hold
-    Python ints and floats.  ``simplices`` and ``values``, the canonical
-    order by (value, dimension, lexicographic vertices), are merged from
-    the parts on each read.
+    dimension is empty.  The rest is derived from them:
+    ``distinct_values`` on its first read, then kept, and on each read
+    ``dim_simplices``, every dimension's simplices as tuples of vertex
+    ids, and ``simplices`` and ``values``, the canonical order by (value,
+    dimension, lexicographic vertices), merged from the parts.  They hold
+    Python ints and floats.
 
     ``FilteredComplex(vertices, dim_rows, dim_values)`` takes these
     parts, ``vertices`` the ids of the 0-simplices in order, and trusts
@@ -119,20 +80,12 @@ class FilteredComplex:
     with float values.  :func:`build`, the one place where vertex tuples
     become rows, validates and sorts arbitrary input into them;
     :func:`steenrips.metric.vr_filtration` and :func:`sublevel` make
-    them sorted by construction.  Instances are immutable but for the
-    derived views and ``_reduction``, a cache of the cohomology
+    them sorted by construction.  Instances are immutable but for two
+    caches: the distinct values and ``_reduction``, the cohomology
     reduction that :mod:`steenrips.cohomology` builds on first use.
     """
 
-    __slots__ = (
-        "dim_rows",
-        "dim_values",
-        "dim_simplices",
-        "dim_index",
-        "_vertices",
-        "_distinct_values",
-        "_reduction",
-    )
+    __slots__ = ("dim_rows", "dim_values", "_vertices", "_distinct_values", "_reduction")
 
     def __init__(self, vertices: Sequence[int], dim_rows: Sequence[np.ndarray],
                  dim_values: Sequence[Sequence[float]]):
@@ -141,10 +94,6 @@ class FilteredComplex:
         for rows in self.dim_rows:
             rows.flags.writeable = False
         self.dim_values = tuple(map(tuple, dim_values))
-        n = len(self.dim_rows)
-        self.dim_simplices = _PerDimension(
-            partial(_vertex_tuples, self._vertices, self.dim_rows), n)
-        self.dim_index = _PerDimension(partial(_index_dict, self.dim_simplices), n)
         self._distinct_values = None
         self._reduction = None
 
@@ -153,6 +102,10 @@ class FilteredComplex:
         if self._distinct_values is None:
             self._distinct_values = _distinct(self.dim_values)
         return self._distinct_values
+
+    @property
+    def dim_simplices(self) -> tuple[tuple[Simplex, ...], ...]:
+        return tuple(_vertex_tuples(self._vertices, rows) for rows in self.dim_rows)
 
     def _canonical(self) -> list[tuple[float, int, Simplex]]:
         """(value, dimension, simplex) in canonical order.  Each dimension
@@ -202,13 +155,6 @@ class FilteredComplex:
         return sum((-1) ** p * self.n_simplices(p)
                    for p in range(len(self.dim_values)))
 
-    def value_of(self, simplex: Iterable[int]) -> float:
-        s = normalize_simplex(simplex)
-        p = len(s) - 1
-        if p >= len(self.dim_index):
-            raise KeyError(s)
-        return self.dim_values[p][self.dim_index[p][s]]
-
 
 def build(filtered_simplices: Iterable[tuple[Iterable[int], float]]) -> FilteredComplex:
     """Validate and canonically sort a list of (vertex list, value) pairs
@@ -255,8 +201,8 @@ def sublevel(K: FilteredComplex, i: int) -> FilteredComplex:
 
     Its rows, values and vertex ids are prefixes of K's: the 0-simplices
     it keeps are K's first ones, so its rows need no renumbering.  The
-    i-th value is found from K's values; no view of K is read, so none
-    is derived."""
+    i-th value is found from K's values, so K's distinct values are not
+    derived."""
     values = _distinct(K.dim_values)
     if not 0 <= i < len(values):
         raise ValidationError(
@@ -279,6 +225,9 @@ class Cochain:
     bits: int = 0
 
     def __post_init__(self):
+        if self.degree < 0:
+            raise DimensionMismatchError(
+                f"cochain degree must be nonnegative, got {self.degree}")
         n = self.host.n_simplices(self.degree)
         if self.bits < 0 or self.bits >> n:
             raise DimensionMismatchError(
@@ -289,10 +238,6 @@ class Cochain:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def value_on(self, simplex: Iterable[int]) -> int:
-        pos = self.host.dim_index[self.degree][normalize_simplex(simplex)]
-        return (self.bits >> pos) & 1
-
     def __xor__(self, other: "Cochain") -> "Cochain":
         if self.host is not other.host or self.degree != other.degree:
             raise DimensionMismatchError("cochains on different hosts/degrees")
@@ -301,20 +246,16 @@ class Cochain:
     __add__ = __xor__
 
     def simplices(self) -> tuple[Simplex, ...]:
-        sims = self.host.dim_simplices[self.degree]
-        return tuple(s for i, s in enumerate(sims) if self.bits >> i & 1)
+        """The support, as tuples of vertex ids in the stored order."""
+        if self.is_zero:
+            return ()
+        K = self.host
+        support = np.flatnonzero(to_bools(self.bits, K.n_simplices(self.degree)))
+        return _vertex_tuples(K._vertices, K.dim_rows[self.degree][support])
 
 
 def zero_cochain(K: FilteredComplex, p: int) -> Cochain:
     return Cochain(K, p, 0)
-
-
-def cochain_from_simplices(K: FilteredComplex, p: int,
-                           simplices: Iterable[Iterable[int]]) -> Cochain:
-    bits = 0
-    for s in simplices:
-        bits ^= 1 << K.dim_index[p][normalize_simplex(s)]
-    return Cochain(K, p, bits)
 
 
 def _faces(K: FilteredComplex, n: int, subsets: Sequence[Sequence[int]]) -> np.ndarray:

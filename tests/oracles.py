@@ -22,19 +22,48 @@ from steenrips.operations import Operation
 from steenrips.simplicial import (
     Cochain,
     FilteredComplex,
+    Simplex,
     coboundary_matrix,
-    cochain_from_simplices,
+    normalize_simplex,
     sublevel,
     zero_cochain,
 )
 from steenrips.steenrod import sq
 
 
+def simplex_index(K: FilteredComplex, p: int) -> dict[Simplex, int]:
+    """simplex -> its position among the p-simplices of K."""
+    return {s: i for i, s in enumerate(K.dim_simplices[p])} if p <= K.dimension else {}
+
+
+def value_of(K: FilteredComplex, simplex: Iterable[int]) -> float:
+    """The filtration value of a simplex of K; KeyError if K lacks it."""
+    s = normalize_simplex(simplex)
+    i = simplex_index(K, len(s) - 1)[s]
+    return K.dim_values[len(s) - 1][i]
+
+
+def value_on(c: Cochain, simplex: Iterable[int]) -> int:
+    """The value of the cochain c on a simplex of its degree."""
+    return c.bits >> simplex_index(c.host, c.degree)[normalize_simplex(simplex)] & 1
+
+
+def cochain_from_simplices(K: FilteredComplex, p: int,
+                           simplices: Iterable[Iterable[int]]) -> Cochain:
+    """The degree-p cochain of K supported on the given simplices, each
+    listed an odd number of times."""
+    idx = simplex_index(K, p)
+    bits = 0
+    for s in simplices:
+        bits ^= 1 << idx[normalize_simplex(s)]
+    return Cochain(K, p, bits)
+
+
 def _chain_boundary_columns(K: FilteredComplex, p: int) -> list[int]:
     """Boundary of each p-simplex as bits over (p-1)-simplices of K."""
     if p == 0 or p > K.dimension:
         return [0] * K.n_simplices(p)
-    idx = K.dim_index[p - 1]
+    idx = simplex_index(K, p - 1)
     cols = []
     for s in K.dim_simplices[p]:
         bits = 0
@@ -146,12 +175,13 @@ def is_prefix_of(K: FilteredComplex, other: FilteredComplex) -> bool:
     the first simplex other adds in any dimension comes after K's last by
     (value, dimension, vertices)."""
     mine, my_values = K.dim_simplices, K.dim_values
+    theirs = other.dim_simplices
     if not mine:
         return True
-    if len(mine) > len(other.dim_simplices):
+    if len(mine) > len(theirs):
         return False
     last = max((vv[-1], p, ss[-1]) for p, (ss, vv) in enumerate(zip(mine, my_values)))
-    for p, (ss, vv) in enumerate(zip(other.dim_simplices, other.dim_values)):
+    for p, (ss, vv) in enumerate(zip(theirs, other.dim_values)):
         n = 0
         if p < len(mine):
             n = len(mine[p])
@@ -240,7 +270,7 @@ def cup_i_oracle(alpha: Cochain, beta: Cochain, i: int) -> Cochain:
     """
     K, p, q = alpha.host, alpha.degree, beta.degree
     n = p + q - i
-    supported = []
+    supported, front_index, back_index = [], simplex_index(K, p), simplex_index(K, q)
     for sigma in K.dim_simplices[n] if n <= K.dimension else ():
         total = 0
         for cuts in combinations(range(n + 1), i + 1):
@@ -249,7 +279,7 @@ def cup_i_oracle(alpha: Cochain, beta: Cochain, i: int) -> Cochain:
             front = sum(blocks[0::2], ())
             back = sum(blocks[1::2], ())
             if len(front) == p + 1 and len(back) == q + 1:
-                total += alpha.value_on(front) * beta.value_on(back)
+                total += (alpha.bits >> front_index[front]) & (beta.bits >> back_index[back]) & 1
         if total % 2:
             supported.append(sigma)
     return cochain_from_simplices(K, n, supported)

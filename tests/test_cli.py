@@ -430,6 +430,10 @@ def test_bad_op_spec(tmp_path, capsys):
                  "'death': 'inf'", id="bottleneck-string-death"),
     pytest.param(["bottleneck", "--a", "{negative-degree}", "--b", "{bars}", "--degree", "0"],
                  "bar degree must be nonnegative, got -2", id="bottleneck-negative-bar-degree"),
+    pytest.param(["bottleneck", "--a", "{overflow-death}", "--b", "{bars}", "--degree", "0"],
+                 "a death must be finite or null", id="bottleneck-overflow-death"),
+    pytest.param(["bottleneck", "--a", "{bars}", "--b", "{infinity-death}", "--degree", "0"],
+                 "a death must be finite or null", id="bottleneck-infinity-death"),
     pytest.param(["barcode", "--input", "{c}", "--max-dim", "2", "--max-scale", "1",
                   "--max-degree", "1", "--degree", "-1"],
                  "--degree must be nonnegative, got -1", id="barcode-negative-degree"),
@@ -449,6 +453,10 @@ def test_bad_arguments_exit_2(circle_file, capsys, argv, fragment):
         files[name] = circle_file.with_name(f"{name}.json")
         bar = {"degree": 0, "birth": 0.0, "death": 1.0, "mult": 1, field: value}
         files[name].write_text(json.dumps({"bars": [bar]}))
+    # json.dumps cannot write these deaths, which json reads as inf
+    for name, death in [("overflow-death", "1e400"), ("infinity-death", "Infinity")]:
+        files[name] = circle_file.with_name(f"{name}.json")
+        files[name].write_text(f'{{"bars": [{{"degree": 0, "birth": 0.0, "death": {death}}}]}}')
     code = main([re.sub(r"\{([a-z-]+)\}", lambda m: str(files[m[1]]), a) for a in argv])
     err = capsys.readouterr().err
     assert code == 2

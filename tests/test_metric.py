@@ -38,6 +38,8 @@ import io
 import json
 from itertools import chain, combinations
 
+from oracles import simplex_index, value_of
+
 
 def three_point_space(dist=1.0):
     d = np.full((3, 3), dist)
@@ -160,7 +162,7 @@ def test_vr_memory_follows_neighbour_lists():
 def test_vr_three_points():
     K = vr_filtration(three_point_space(), 2, 2.0)
     assert len(K) == 7
-    assert K.value_of([0, 1, 2]) == 1.0
+    assert value_of(K, [0, 1, 2]) == 1.0
 
 
 def test_vr_below_minimum_distance():
@@ -200,8 +202,8 @@ def test_vr_monotone_in_caps():
     small = vr_filtration(X, 1, 0.5)
     big = vr_filtration(X, 2, 0.9)
     for s, v in zip(small.simplices, small.values):
-        assert s in big.dim_index[len(s) - 1]
-        assert big.value_of(s) == v
+        assert s in simplex_index(big, len(s) - 1)
+        assert value_of(big, s) == v
 
 
 def _tied_metric(rng, n):
@@ -315,21 +317,6 @@ def test_top_degree_memory_is_two_row_blocks():
         tracemalloc.stop()
     assert K.n_simplices(1) == 9838
     assert peak < 3 * 8 * metric._BLOCK
-
-
-def test_top_degree_codes_are_exact_past_int64():
-    """The top degree keys a (p+1)-simplex by the base-n number of its
-    sorted vertex rows.  For 7 of 600 points those numbers pass 2**63, and
-    as Python ints they still order as the sorted rows and are distinct."""
-    rng = np.random.default_rng(337)
-    rows = np.array([rng.choice(600, size=7, replace=False) for _ in range(3000)]
-                    + [np.arange(593, 600)[::-1], np.arange(7), np.arange(0, 595, 99)])
-    codes = cohomology._codes(rows, 600)
-    tuples = [tuple(sorted(row)) for row in rows.tolist()]
-    assert max(codes) > 2 ** 63
-    assert len(set(codes)) == len(set(tuples))
-    assert sorted(range(len(rows)), key=codes.__getitem__) == sorted(
-        range(len(rows)), key=tuples.__getitem__)
 
 
 def test_top_degree_past_int64_matches_full_complex():
@@ -475,7 +462,6 @@ def test_vr_equals_build_of_same_pairs(monkeypatch, block):
             assert len(calls) == len(K)
             assert K == B
             assert hash(K) == hash(B)
-            assert K.dim_index == B.dim_index
             assert K.dim_values == B.dim_values
             assert K.distinct_values == B.distinct_values
             assert all(type(v) is int for s in chain(*K.dim_simplices) for v in s)
@@ -487,41 +473,46 @@ def test_vr_equals_build_of_same_pairs(monkeypatch, block):
                 assert Ki.dim_values == Bi.dim_values
 
 
-def _derived(K) -> tuple:
-    """The dimensions whose vertex tuples and index dicts K has made, and
-    whether it has made its distinct values."""
-    return ([p for p, made in enumerate(K.dim_simplices._made) if made is not None],
-            [p for p, made in enumerate(K.dim_index._made) if made is not None],
-            K._distinct_values is not None)
+def _tuple_spy(monkeypatch) -> list:
+    """Record every call of simplicial._vertex_tuples, through which every
+    vertex tuple of a complex is derived, kept or dropped."""
+    calls, original = [], simplicial._vertex_tuples
+
+    def spy(vertices, rows):
+        calls.append(len(rows))
+        return original(vertices, rows)
+
+    monkeypatch.setattr(simplicial, "_vertex_tuples", spy)
+    return calls
 
 
-def test_vr_views_are_derived_on_first_read():
+def test_vr_views_are_derived_on_first_read(monkeypatch):
     """The barcode, the Sq^1 image and kernel barcodes and the sublevels
-    of a VR complex read its vertex rows and values: they make no vertex
-    tuple, index dict or distinct value.  Read afterwards, the views are
-    those build makes of the same pairs."""
+    of a VR complex read its vertex rows and values: they derive no
+    vertex tuple or distinct value.  Read afterwards, the views are those
+    build makes of the same pairs."""
+    calls = _tuple_spy(monkeypatch)
     X = metric_from_points(np.random.default_rng(7).uniform(size=(40, 2)))
     K = vr_filtration(X, 2, 0.3)
     persistent_barcode(K, 1)
     op = Operation.sq(1, 1)
     image_barcode(K, op), kernel_barcode(K, op)
     subs = [sublevel(K, i) for i in (0, 40, 150)]
+    assert not calls
     for L in (K, *subs):
-        assert _derived(L) == ([], [], False)
+        assert L._distinct_values is None
     for L in (K, *subs):
         B = build(zip(L.simplices, L.values))
         assert L.dim_simplices == B.dim_simplices
-        assert L.dim_index == B.dim_index
         assert L.distinct_values == B.distinct_values
-        every = list(range(L.dimension + 1))
-        assert _derived(L) == (every, every, True)
+        assert L._distinct_values is not None
 
 
 def test_metric_top_degree_derives_no_view(monkeypatch):
-    """rips_barcodes reads its top degree from the metric with integer
-    row keys: the complex it builds derives no vertex tuple, index dict
-    or distinct value, in the top degree either."""
-    built = []
+    """rips_barcodes reads its top degree from the metric with keys of
+    vertex positions: no vertex tuple is derived, in the top degree
+    either, and the complex it builds derives no distinct value."""
+    calls, built = _tuple_spy(monkeypatch), []
 
     def spy(X, max_dim, max_scale):
         built.append(vr_filtration(X, max_dim, max_scale))
@@ -531,7 +522,8 @@ def test_metric_top_degree_derives_no_view(monkeypatch):
     rips_barcodes(projective_sample(2, 30, seed=1), 2, [Operation.sq(1, 1)], 3.2)
     (K,) = built
     assert K.dimension == 2
-    assert _derived(K) == ([], [], False)
+    assert not calls
+    assert K._distinct_values is None
 
 
 def test_vr_complex_retains_rows_and_values():

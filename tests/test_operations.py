@@ -8,7 +8,14 @@ import steenrips.cohomology as cohomology
 import steenrips.operations as operations
 from steenrips.cohomology import Bar, Barcode, persistent_barcode
 from steenrips.errors import ValidationError
-from steenrips.metric import circle_grid, projective_sample, vr_filtration
+from steenrips.distances import rips_barcodes
+from steenrips.metric import (
+    FiniteMetricSpace,
+    circle_grid,
+    linf_product,
+    projective_sample,
+    vr_filtration,
+)
 from steenrips.operations import (
     Operation,
     homological_radius,
@@ -356,3 +363,28 @@ def test_circle_radius_small_grid():
     bc = persistent_barcode(K, 1)
     rad = homological_radius(bc, 1)
     assert rad == pytest.approx(2 * math.pi / 3, abs=2 * math.pi / 12)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_sq1_product_formula_with_a_discrete_factor(k):
+    """VR_t of an l-infinity product is VR_t X x VR_t Y, and the Cartan
+    formula Sq^1(a x b) = Sq^1 a x b + a x Sq^1 b splits the alive Sq^1
+    image bars on H^1 as img_t(P) = img_t(X) b0_t(Y) + b0_t(X) img_t(Y),
+    and the kernel bars the same way.  Checked at every bar endpoint of
+    X, of Y = k points 2.5 apart and of P = X x Y, each read at its
+    diameter."""
+    X = projective_sample(2, 30, seed=1)
+    Y = FiniteMetricSpace(2.5 * (1 - np.eye(k)))
+    op = Operation.sq(1, 1)
+    bars = {}
+    for name, S in [("X", X), ("Y", Y), ("P", linf_product(X, Y))]:
+        bc, images = rips_barcodes(S, 2, [op], S.diameter())
+        bars[name] = (bc, *images[op])
+    # a precondition on the data: with no image bar in X, img_t reads 0
+    assert len(bars["X"][1]) >= 1
+    ends = {v for bcs in bars.values() for bc in bcs for b in bc for v in (b.birth, b.death)}
+    for t in sorted(ends - {INF}):
+        b0 = {name: bcs[0].alive(0, t) for name, bcs in bars.items()}
+        for i, degree in [(1, 2), (2, 1)]:  # the image in H^2, the kernel in H^1
+            alive = {name: bcs[i].alive(degree, t) for name, bcs in bars.items()}
+            assert alive["P"] == alive["X"] * b0["Y"] + b0["X"] * alive["Y"], (t, degree)

@@ -18,7 +18,6 @@ from steenrips.simplicial import (
     build,
     coboundary,
     coboundary_matrix,
-    cochain_from_simplices,
     dump_complex,
     load_complex,
     rp2_complex,
@@ -27,7 +26,12 @@ from steenrips.simplicial import (
 )
 from steenrips.synthetic import random_filtered_complex
 
-from oracles import _chain_boundary_columns, restrict_cochain
+from oracles import (
+    _chain_boundary_columns,
+    cochain_from_simplices,
+    restrict_cochain,
+    value_of,
+)
 
 TRIANGLE_BOUNDARY = [
     ([0], 0.0), ([1], 0.0), ([2], 0.0),
@@ -132,6 +136,26 @@ def test_coboundary_above_top_dimension():
     assert coboundary_matrix(K, 1) == (0, 0, 0)
 
 
+def test_cochain_refuses_a_negative_degree():
+    """A degree below 0 is refused when the cochain is made, not by an
+    IndexError in coboundary, sq or is_coboundary later."""
+    K = build(FULL_TRIANGLE)
+    for p in (-1, -2):
+        with pytest.raises(DimensionMismatchError):
+            Cochain(K, p, 0)
+        with pytest.raises(DimensionMismatchError):
+            zero_cochain(K, p)
+
+
+def test_cochain_simplices_are_its_support():
+    """A cochain's simplices are the vertex tuples its bits select, in
+    the stored order; a zero cochain has none, above the top degree too."""
+    K = build(FULL_TRIANGLE)
+    assert Cochain(K, 1, 0b101).simplices() == (K.dim_simplices[1][0], K.dim_simplices[1][2])
+    assert Cochain(K, 2, 1).simplices() == ((0, 1, 2),)
+    assert zero_cochain(K, 1).simplices() == zero_cochain(K, 3).simplices() == ()
+
+
 def test_coboundary_full_triangle_degree1():
     K = build(FULL_TRIANGLE)
     assert coboundary_matrix(K, 1) == (1, 1, 1)
@@ -199,7 +223,6 @@ def test_sublevel_nested():
             assert Ki == B
             assert Ki.dim_simplices == B.dim_simplices
             assert Ki.dim_values == B.dim_values
-            assert Ki.dim_index == B.dim_index
             assert Ki.distinct_values == B.distinct_values
             cur = set(Ki.simplices)
             assert prev <= cur
@@ -258,10 +281,10 @@ def test_text_roundtrip():
 def test_text_parsing():
     K = load_complex("# comment\n0 0\n0 1\n1.5 0 1  # edge\n")
     assert len(K) == 3
-    assert K.value_of([0, 1]) == 1.5
+    assert value_of(K, [0, 1]) == 1.5
     for missing in ([0, 2], [0, 1, 2]):
         with pytest.raises(KeyError):
-            K.value_of(missing)
+            value_of(K, missing)
     with pytest.raises(ValidationError):
         load_complex("0\n")
     with pytest.raises(ValidationError):
