@@ -3,7 +3,10 @@
 Over F2 the persistent cohomology barcode equals the homology barcode
 (de Silva, Morozov & Vejdemo-Johansson 2011).  It is read from one
 lazily built cohomology reduction per complex, which the image/kernel
-barcodes of :mod:`steenrips.operations` read too.  Static bases are
+barcodes of :mod:`steenrips.operations` read too.  Its degree 0 is
+settled by union-find: Kruskal's algorithm with the elder rule, whose
+companions are component indicators 1_B and whose pivot columns are
+their coboundaries delta(1_B).  Static bases are
 read from it as well: they carry explicit cocycle representatives, which
 the Steenrod stage consumes.
 """
@@ -20,7 +23,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .gf2 import PivotTable, pack
+from .gf2 import PivotTable, from_bools, pack, to_bools
 from .metric import _BLOCK
 from .simplicial import Cochain, FilteredComplex, _facets
 
@@ -195,17 +198,24 @@ class CohomologyReduction:
     the column of sigma is apparent when its earliest cofacet tau has
     sigma as its latest facet, so no later column reaches row tau and it
     keeps the pivot tau unreduced, and a column without cofacets is
-    zero.  One routine, :func:`_reduce_columns`, settles every degree's
-    columns and reduces the few left as sparse columns.  The companion z
+    zero.  :func:`_reduce_columns` settles the columns of every degree
+    above 0 and reduces the few left as sparse columns.  Degree 0 needs
+    no reduction (:func:`_components`): Kruskal's algorithm over the
+    edges in canonical order, each component rooted at its least vertex,
+    is Ripser's dimension-0 pass.  The edge tau joining roots a < b kills
+    the component B of b by the elder rule, and the dense reduction's
+    companion of b is its indicator 1_B and the reduced column of tau is
+    delta(1_B), the edges with exactly one end in B.  The companion z
     of a bar is supported on sigma and later simplices, so it restricts
     to 0 below the birth and to a cocycle below the death; the
     representatives of the bars alive at a value form a basis of H^p
     there.  z is None where it is the unit cochain of sigma: for
     apparent bars and columns without cofacets, so for every bar of the
-    top degree.  Each degree is a :class:`_Degree` record, and the
-    reduction picks its source.  The rows of delta_p are the
-    (p+1)-simplices of the complex, and a dense column of its table is
-    built only when an insertion reaches its pivot.  A reduction made
+    top degree and for a component of one vertex.  Each degree is a
+    :class:`_Degree` record, and the reduction picks its source.  The
+    rows of delta_p are the (p+1)-simplices of the complex, and a dense
+    column of its table is built only when an insertion reaches its
+    pivot.  A reduction made
     with the metric (d, scale) of a VR complex reduces the top degree
     from the metric, with the (top+1)-simplices that were never built as
     rows and an empty table (:func:`_reduce_top_degree`).  ``operations``
@@ -229,7 +239,7 @@ class CohomologyReduction:
             self._degrees.append(
                 _reduce_top_degree(K, *self._metric, cleared)
                 if self._metric is not None and q == K.dimension
-                else _reduce_degree(K, q, cleared))
+                else _reduce_degree(K, q, cleared) if q else _components(K))
         return self._degrees[p]
 
     def pivots(self, K: FilteredComplex, p: int) -> PivotTable:
@@ -238,6 +248,64 @@ class CohomologyReduction:
             return PivotTable()
         table = self.degree(K, p).table
         return PivotTable(table.columns, table.build)
+
+
+def _components(K: FilteredComplex) -> _Degree:
+    """Settle delta_0 of K by Kruskal's algorithm over its edges in
+    canonical order, as the dense reduction would (see
+    :class:`CohomologyReduction`).  Each component is rooted at its least
+    vertex; the edge tau that joins roots a < b kills the component B of
+    b (the elder rule): tau is a pivot, and its reduced column is
+    delta(1_B), the edges with exactly one end in B.  B gives the bar (b,
+    value tau, 1_B) if value b < value tau, and a root left at the end
+    the essential bar (r, inf, 1 of its component).  An indicator is
+    None, the unit cochain, for a single vertex, which is exactly an
+    apparent column, so an int is made only for two or more vertices."""
+    n = K.n_simplices(0)
+    values = K.dim_values[0]
+    edges = K.dim_rows[1] if K.dimension else np.empty((0, 2), dtype=np.intp)
+    values_up = K.dim_values[1] if K.dimension else ()
+    parent = list(range(n))
+    mask: dict[int, int] = {}  # root -> indicator of its 2+ vertices
+    killed: dict[int, tuple[int, int | None]] = {}  # pivot tau -> (b, 1_B)
+    bars = []
+    merges = n - 1
+    # in blocks of edges, as the loop mostly stops well before the last
+    rows = chain.from_iterable(edges[i:i + 1024].tolist() for i in range(0, len(edges), 1024))
+    for tau, (a, b) in enumerate(rows):
+        while parent[a] != a:  # path halving
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
+            continue
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        z = mask.pop(b, None)
+        killed[tau] = b, z
+        mask[a] = mask.get(a, 1 << a) | (1 << b if z is None else z)
+        if values[b] < values_up[tau]:
+            bars.append((b, values_up[tau], z))
+        merges -= 1
+        if not merges:
+            break
+    bars += ((r, INF, mask.get(r)) for r in range(n) if parent[r] == r)
+    bars.sort(key=lambda bar: -bar[0])
+
+    def build(tau: int) -> int | None:
+        """delta(1_B) for the pivot tau that kills B; None if tau is no
+        pivot."""
+        if tau not in killed:
+            return None
+        b, z = killed[tau]
+        ends = to_bools(1 << b if z is None else z, n)[edges]
+        return from_bools(ends[:, 0] != ends[:, 1])
+
+    return _Degree(PivotTable(build=build), np.fromiter(killed, dtype=np.intp, count=len(killed)),
+                   bars)
 
 
 def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]) -> _Degree:

@@ -382,18 +382,37 @@ def load_points_csv(source: TextIO | str) -> np.ndarray:
 def metric_from_points(points: np.ndarray, kind: str = "euclidean") -> FiniteMetricSpace:
     """Build a metric from coordinates: ``euclidean`` or ``sphere:<radius>``."""
     pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValidationError(f"points must be one row per point, got shape {pts.shape}")
     if kind == "euclidean":
         # row blocks of the one-shot formula, same bytes, at most
         # min(_BLOCK, n^2 / 4) coordinate differences held at once: a
-        # block of _BLOCK alone is as large as the output at 2,000 points
-        n = len(pts)
+        # block of _BLOCK alone is as large as the output at 2,000 points.
+        # numpy's axis sum adds fewer than 8 terms in order, so there the
+        # squares are added into the block's rows of d one coordinate at a
+        # time; from 8 on it adds them pairwise, and it sums the block
+        n, k = pts.shape
         d = np.empty((n, n))
-        step = max(1, min(_BLOCK, n * n // 4) // max(1, pts.size))
-        for a in range(0, n, step):
-            diff = pts[a:a + step, None, :] - pts[None, :, :]
-            diff **= 2
-            np.sqrt(diff.sum(axis=2), out=d[a:a + step])
-            del diff
+        held = min(_BLOCK, n * n // 4)
+        if 0 < k < 8:
+            step = max(1, held // n)
+            for a in range(0, n, step):
+                rows = d[a:a + step]
+                np.subtract(pts[a:a + step, :1], pts[:, 0], out=rows)
+                rows *= rows
+                for c in range(1, k):
+                    diff = pts[a:a + step, c:c + 1] - pts[:, c]
+                    diff *= diff
+                    rows += diff
+                    del diff
+                np.sqrt(rows, out=rows)
+        else:
+            step = max(1, held // max(1, pts.size))
+            for a in range(0, n, step):
+                diff = pts[a:a + step, None, :] - pts[None, :, :]
+                diff **= 2
+                np.sqrt(diff.sum(axis=2), out=d[a:a + step])
+                del diff
         return FiniteMetricSpace._trusted(d)
     if kind.startswith("sphere:"):
         try:

@@ -288,6 +288,69 @@ def test_sparse_reduction_matches_dense_oracle(source, monkeypatch):
                 assert table.build(tau) == tables[p].get(tau)
 
 
+def _random_graph(rng: np.random.Generator, levels: int) -> FilteredComplex:
+    """A random graph on 1 to 9 vertices, often disconnected, with a few
+    triangles.  Values are multiples of 1 / levels below 2, so few
+    levels tie them and one makes them all 0; an edge enters with its
+    later end at least a third of the time (a zero-length H0 bar) and a
+    triangle with its last edge.  Vertex ids are not positions."""
+    n = int(rng.integers(1, 10))
+    at = rng.integers(0, levels, n) / levels
+    entries = [([7 * v + 2], at[v]) for v in range(n)]
+    edge = {}
+    for a, b in combinations(range(n), 2):
+        if rng.uniform() < 0.35:
+            edge[a, b] = max(at[a], at[b]) + (rng.uniform() > 1 / 3) * rng.integers(0, levels) / levels
+            entries.append(([7 * a + 2, 7 * b + 2], edge[a, b]))
+    for t in combinations(range(n), 3):
+        if all(e in edge for e in combinations(t, 2)) and rng.uniform() < 0.5:
+            entries.append(([7 * v + 2 for v in t], max(edge[e] for e in combinations(t, 2))))
+    return build(entries)
+
+
+def _components_of(K: FilteredComplex) -> list[int]:
+    """The indicators of the components of K's 1-skeleton, merged as sets."""
+    part = {v: {v} for v in range(K.n_simplices(0))}
+    for a, b in (K.dim_rows[1].tolist() if K.dimension else ()):
+        if part[a] is not part[b]:
+            merged = part[a] | part[b]
+            for v in merged:
+                part[v] = merged
+    return sorted({min(c): sum(1 << v for v in c) for c in part.values()}.values())
+
+
+@pytest.mark.parametrize("levels", [1000, 3, 1])
+def test_union_find_matches_dense_oracle(levels):
+    """Degree 0 by union-find gives the dense reduction's bars, companions
+    (None exactly for one vertex), pivots and every pivot column, on graphs
+    with several components, non-VR vertex values, distinct or tied, and
+    zero-length H0 bars, on random complexes and on vertex-only ones; the
+    H^0 basis is the components' indicators."""
+    rng = np.random.default_rng(53 + levels)
+    complexes = [_random_graph(rng, levels) for _ in range(60)]
+    complexes += [random_filtered_complex(rng, target_size=16, random_values=levels > 1)
+                  for _ in range(20)]
+    complexes.append(build([([v], (v % 3) / levels) for v in range(5)]))
+    seen = {"components": 0, "zero-length": 0, "vertex-only": 0}
+    for K in complexes:
+        tables, bars = dense_reduction(K, 0)
+        table, pivots, got = reduction(K).degree(K, 0)
+        assert [(s, d) for s, d, _ in got] == [(s, d) for s, d, _ in bars[0]]
+        for (s, _, z), (_, _, want) in zip(got, bars[0]):
+            assert z == (None if want == 1 << s else want)
+        assert pivots.tolist() == sorted(tables[0])
+        for tau in range(K.n_simplices(1) + 2):
+            assert table.build(tau) == tables[0].get(tau)
+        for tau, col in tables[0].items():
+            assert is_coboundary(Cochain(K, 1, col))
+        components = _components_of(K)
+        assert sorted(c.bits for c in cohomology_basis(K, 0).cocycles) == components
+        seen["components"] += len(components) > 1
+        seen["zero-length"] += len(tables[0]) > sum(d < INF for _, d, _ in bars[0])
+        seen["vertex-only"] += K.dimension == 0
+    assert min(seen.values()) > 0, seen
+
+
 def test_facet_lookup_is_exact_for_any_vertex_ids():
     """Vertex ids near 2**40 or beyond int64, and a 12-simplex on 30
     vertices, whose vertex rows as base-30 numbers pass 2**63, give the

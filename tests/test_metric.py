@@ -129,6 +129,24 @@ def test_euclidean_blocks_follow_the_output(n):
     assert X.d.tobytes() == one_shot.tobytes()
 
 
+@pytest.mark.parametrize("k", [2, 7, 8, 17])
+def test_euclidean_bytes_are_the_one_shot_formulas(k):
+    """Below 8 coordinates the squares are added one coordinate at a
+    time, from 8 on by numpy's pairwise axis sum: the one-shot formula's
+    bytes either way, at unit and at 1e8 scale."""
+    rng = np.random.default_rng(k)
+    for scale in (1.0, 1e8):
+        pts = scale * rng.standard_normal((90, k))
+        one_shot = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        assert metric_from_points(pts).d.tobytes() == one_shot.tobytes()
+
+
+def test_points_are_rows():
+    for bad in (np.zeros(5), np.zeros((2, 3, 2))):
+        with pytest.raises(ValidationError, match="points must be one row per point"):
+            metric_from_points(bad)
+
+
 def test_load_holds_the_output_and_a_mask():
     # checking symmetry with abs(d - d.T) and mirroring with triu(d, 1)
     # plus its transpose each held two n x n temporaries: +2.00 times the

@@ -157,18 +157,23 @@ def test_fast_tables_match_literal_ops(offset_complexes):
                 assert_matches_literal_ops(K, op)
 
 
+def spy(monkeypatch, module, name: str) -> list:
+    """Records the arguments of every call of module.name."""
+    calls = []
+    f = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return f(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture
 def cup_bits_calls(monkeypatch):
     """Records the arguments of every _cup_bits call made by operations."""
-    calls = []
-    cup_bits = operations._cup_bits
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return cup_bits(*args, **kwargs)
-
-    monkeypatch.setattr(operations, "_cup_bits", counting)
-    return calls
+    return spy(monkeypatch, operations, "_cup_bits")
 
 
 def test_one_sq_evaluation_per_cohomology_bar(cup_bits_calls):
@@ -179,24 +184,24 @@ def test_one_sq_evaluation_per_cohomology_bar(cup_bits_calls):
 
 
 def test_barcode_image_kernel_share_one_reduction(cup_bits_calls, monkeypatch):
-    """Separate barcode, image and kernel calls on one complex find the
-    cofacets of each degree once and evaluate Sq1 once per H^1 bar."""
-    built = []
-    facets = cohomology._facets
-
-    def counting(K, p):
-        built.append(p)
-        return facets(K, p)
-
-    monkeypatch.setattr(cohomology, "_facets", counting)
+    """Separate barcode, image and kernel calls on one complex settle
+    degree 0 once, by union-find with no facets and no sparse loop, find
+    the cofacets of degrees 1 and 2 once and evaluate Sq1 once per H^1
+    bar."""
+    facets = spy(monkeypatch, cohomology, "_facets")
+    components = spy(monkeypatch, cohomology, "_components")
+    loops = spy(monkeypatch, cohomology, "_reduce_columns")
     K = vr_filtration(projective_sample(2, 20, seed=1), 3, 2.3)
     op = Operation.sq(1, 1)
+    persistent_barcode(K, 0)
+    assert len(components) == 1 and not facets and not loops
     bc = persistent_barcode(K, 2)
     img, ker = image_barcode(K, op), kernel_barcode(K, op)
-    assert sorted(built) == [0, 1, 2]
+    assert sorted(p for _, p in facets) == [1, 2]
     assert len(cup_bits_calls) == len(bc.in_degree(1)) == 6
     assert img == image_barcode(K, op) and ker == kernel_barcode(K, op)
-    assert len(cup_bits_calls) == 6 and sorted(built) == [0, 1, 2]
+    assert len(cup_bits_calls) == 6 and sorted(p for _, p in facets) == [1, 2]
+    assert len(components) == 1
 
 
 def test_dense_columns_only_where_an_insertion_reaches(monkeypatch):
