@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
-from operator import itemgetter
+from heapq import heappop, heappush
+from itertools import chain, combinations, islice, repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -190,35 +190,36 @@ class CohomologyReduction:
 
     delta_p is reduced as a dense elimination would reduce it: in reverse
     canonical order, each column augmented with its unit bit above the
-    rows, after clearing the p-simplices that are pivots of
-    delta_{p-1}, whose columns would reduce to zero (Bauer, "Ripser",
-    2021).  A column of sigma that keeps a lowest row tau gives the bar
-    [value sigma, value tau) of H^p, one that reduces to zero gives
-    [value sigma, inf).  Most columns are settled without a reduction:
-    the column of sigma is apparent when its earliest cofacet tau has
-    sigma as its latest facet, so no later column reaches row tau and it
-    keeps the pivot tau unreduced, and a column without cofacets is
-    zero.  :func:`_reduce_columns` settles the columns of every degree
-    above 0 and reduces the few left as sparse columns.  Degree 0 needs
-    no reduction (:func:`_components`): Kruskal's algorithm over the
+    rows, after clearing the p-simplices that are pivots of delta_{p-1},
+    whose columns would reduce to zero (Bauer, "Ripser", 2021).  A column
+    of sigma that keeps a lowest row tau gives the bar [value sigma, value
+    tau) of H^p, one that reduces to zero gives [value sigma, inf).  Most
+    columns are settled without a reduction: the column of sigma is
+    apparent when its earliest cofacet tau has sigma as its latest facet,
+    so no later column reaches row tau and it keeps the pivot tau
+    unreduced, and a column without cofacets is zero.
+    :func:`_reduce_columns` settles the columns of every degree above 0
+    and reduces the few left as sparse columns, each a binary heap of row
+    keys whose equal pairs cancel (Ripser's working column).  Degree 0
+    needs no reduction (:func:`_components`): Kruskal's algorithm over the
     edges in canonical order, each component rooted at its least vertex,
     is Ripser's dimension-0 pass.  The edge tau joining roots a < b kills
     the component B of b by the elder rule, and the dense reduction's
     companion of b is its indicator 1_B and the reduced column of tau is
-    delta(1_B), the edges with exactly one end in B.  The companion z
-    of a bar is supported on sigma and later simplices, so it restricts
-    to 0 below the birth and to a cocycle below the death; the
-    representatives of the bars alive at a value form a basis of H^p
-    there.  z is None where it is the unit cochain of sigma: for
-    apparent bars and columns without cofacets, so for every bar of the
-    top degree and for a component of one vertex.  Each degree is a
-    :class:`_Degree` record, and the reduction picks its source.  The
-    rows of delta_p are the (p+1)-simplices of the complex, and a dense
-    column of its table is built only when an insertion reaches its
-    pivot.  A reduction made
-    with the metric (d, scale) of a VR complex reduces the top degree
-    from the metric, with the (top+1)-simplices that were never built as
-    rows and an empty table (:func:`_reduce_top_degree`).  ``operations``
+    delta(1_B), the edges with exactly one end in B.  The companion z of a
+    bar is supported on sigma and later simplices, so it restricts to 0
+    below the birth and to a cocycle below the death; the representatives
+    of the bars alive at a value form a basis of H^p there.  z is None
+    where it is the unit cochain of sigma: for apparent bars and columns
+    without cofacets, so for every bar of the top degree and for a
+    component of one vertex.  Each degree is a :class:`_Degree` record,
+    and the reduction picks its source.  The rows of delta_p are the
+    (p+1)-simplices of the complex, and a dense column of its table is
+    built only when an insertion reaches its pivot.  A reduction made with
+    the metric (d, scale) of a VR complex reduces the top degree from the
+    metric, with the (top+1)-simplices that were never built as rows, each
+    keyed by one integer from the rank of its value and its vertex rows,
+    and an empty table (:func:`_reduce_top_degree`).  ``operations``
     memoises the (image, kernel) barcodes of each operation.  The object
     holds no reference to its complex, so the two are freed together by
     reference counting.
@@ -324,8 +325,8 @@ def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]) 
     first[ptr[1:] == ptr[:-1]] = rows
     apparent = np.append(facets.max(axis=1), -1)[first] == np.arange(n)
 
-    def cofacets(j: int) -> set:
-        return set(cof[ptr[j]:ptr[j + 1]].tolist())
+    def cofacets(j: int) -> list:
+        return cof[ptr[j]:ptr[j + 1]].tolist()
 
     bars, pivots, owner = _reduce_columns(
         K.dim_values[q], np.append(values_up, INF)[first], apparent,
@@ -361,10 +362,14 @@ def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.nda
     cofacet's latest facet.  Rows are keyed by the caller, keys compared
     as the rows are ordered: ``pivot(cols)`` lists the keys of the
     earliest cofacets of the columns ``cols``, ``cofacets(j)`` is the
-    set of keys of column j and ``value_up(tau)`` the value of row tau.
-    A pivot is owned by its apparent column, which is later than any
-    column reaching it, or by a column reduced before, so each column
-    left is reduced as in the dense reduction."""
+    sorted list of keys of column j and ``value_up(tau)`` the value of
+    row tau.  A pivot is owned by its apparent column, which is later
+    than any column reaching it, or by a column reduced before, so each
+    column left is reduced as in the dense reduction.  The working column
+    is a binary heap in which an entry pushed an even number of times
+    cancels when it reaches the top (Ripser's heap column); a reduced
+    column is stored as its entries of odd count, sorted, its pivot
+    first, as is the sorted list of an owner's cofacets."""
     left = np.ones(len(death), dtype=bool)
     left[cleared] = False
     apparent = apparent & left
@@ -374,26 +379,50 @@ def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.nda
     owner = dict(zip(pivot(cols), cols.tolist()))
     bars, pivots = [], {}
     for s in np.flatnonzero(left)[::-1].tolist():
-        col, z = cofacets(s), 1 << s
-        while col:
-            tau = min(col)
+        col, z = cofacets(s), 1 << s  # a sorted list is a heap
+        while (tau := _pop_pivot(col)) is not None:
             if tau in pivots:
                 add, y = pivots[tau]
             else:
                 j = owner.get(tau)
                 if j is None:
-                    pivots[tau] = col, z
+                    pivots[tau] = [tau, *_odd(col)], z
                     break
                 add, y = cofacets(j), 1 << j
-            col ^= add
+            for row in islice(add, 1, None):  # add[0] is tau, popped
+                heappush(col, row)
             z ^= y
-        end = value_up(tau) if col else INF
+        end = INF if tau is None else value_up(tau)
         if values[s] < end:
             bars.append((s, end, z))
     unit = np.flatnonzero(settled & (np.asarray(values) < death))
     bars += zip(unit.tolist(), death[unit].tolist(), repeat(None))
     bars.sort(key=lambda bar: -bar[0])
     return bars, pivots, owner
+
+
+def _pop_pivot(heap: list):
+    """Pop the least entry of odd count from the heap, and every copy of
+    the entries below it; None if no entry is left."""
+    while heap:
+        tau = heappop(heap)
+        if heap and heap[0] == tau:
+            heappop(heap)
+        else:
+            return tau
+    return None
+
+
+def _odd(heap: list) -> list:
+    """The entries of odd count in the heap, sorted."""
+    heap.sort()
+    out = []
+    for row in heap:
+        if out and out[-1] == row:
+            out.pop()
+        else:
+            out.append(row)
+    return out
 
 
 def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
@@ -412,15 +441,20 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
     the least by (value, v), and sigma is its latest facet when every
     other facet tau - {x} has a smaller value, or an equal one and x > v.
     :func:`_reduce_columns` settles the columns with each (p+1)-simplex
-    keyed by the tuple of its value and its sorted vertex rows, as Python
-    floats and ints: these keys order as the (p+1)-simplices do and are
-    exact for any n, so the bars and companions are those of the explicit
-    reduction.  They hold vertex positions, so no vertex tuple of the
-    complex is derived.
+    keyed by one integer, rank(value) * n^(p+2) + the base-n code of its
+    sorted vertex rows, where rank is the value's position among the
+    distinct entries of d up to the scale (every value is one).  These
+    keys order as the (p+1)-simplices do, as Ripser's do, so the bars and
+    companions are those of the explicit reduction.  They are int64 where
+    every key fits, and Python ints otherwise, so exact for any n.  They
+    hold vertex positions, so no vertex tuple of the complex is derived.
     """
     p = K.dimension
     S, values = K.dim_rows[p], K.dim_values[p]
     vals, n = np.array(values), d.shape[0]
+    levels = np.unique(d[d <= scale])
+    codes = n ** (p + 2)  # base-n codes of p + 2 vertex rows
+    dtype = np.int64 if len(levels) * codes < 2 ** 63 else object
 
     def cofacet_values(block: slice) -> np.ndarray:
         """value(sigma + {v}) for the sigma of the block and every vertex
@@ -448,22 +482,33 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
             np.maximum(facet, d[T[:, a], T[:, b]], out=facet)
         apparent &= (facet < vals) | ((facet == vals) & (S[:, x] > v))
 
-    def keys(at: np.ndarray, rows: np.ndarray) -> zip:
-        return zip(at.tolist(), *np.sort(rows, axis=1).T.tolist())
+    # the code of sigma + {w} is gapped[sigma, k] + w * power[k], k the
+    # number of rows of sigma below w: row i of sigma is digit i + (i >= k)
+    power = np.array([n ** (p + 1 - k) for k in range(p + 2)], dtype=dtype)
+    row = np.arange(p + 1)[:, None]
+    gapped = S.astype(dtype) @ power[row + (row >= np.arange(p + 2))]
+
+    def keys(cols, ws: np.ndarray, k: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The keys of the cofacets sigma + {w} of the columns cols that
+        enter at the values ``at``; k counts the rows of sigma below w."""
+        return (levels.searchsorted(at).astype(dtype, copy=False) * codes
+                + gapped[cols, k] + ws.astype(dtype, copy=False) * power[k])
 
     def pivot(cols: np.ndarray) -> list:
-        return list(keys(death[cols], T[cols]))
+        below = (S[cols] < v[cols, None]).sum(axis=1)
+        return keys(cols, v[cols], below, death[cols]).tolist()
 
-    def cofacets(j: int) -> set:
+    def cofacets(j: int) -> list:
         # the last block is kept, other rows are computed again
         cof = block[j - last] if j >= last else cofacet_values(slice(j, j + 1))[0]
-        ws = np.flatnonzero(cof < INF)
-        rows = np.empty((len(ws), p + 2), dtype=S.dtype)
-        rows[:, :-1], rows[:, -1] = S[j], ws
-        return set(keys(cof[ws], rows))
+        ws = (cof < INF).nonzero()[0]
+        key = keys(j, ws, S[j].searchsorted(ws), cof[ws])
+        key.sort()
+        return key.tolist()
 
-    bars = _reduce_columns(values, death, apparent, pivot, cofacets, itemgetter(0),
-                           cleared)[0]
+    level = levels.tolist()
+    bars = _reduce_columns(values, death, apparent, pivot, cofacets,
+                           lambda tau: level[tau // codes], cleared)[0]
     return _Degree(PivotTable(), np.empty(0, dtype=np.intp), bars)
 
 

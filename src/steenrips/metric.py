@@ -384,6 +384,8 @@ def metric_from_points(points: np.ndarray, kind: str = "euclidean") -> FiniteMet
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValidationError(f"points must be one row per point, got shape {pts.shape}")
+    if not len(pts):
+        raise MetricError("empty metric space")
     if kind == "euclidean":
         # row blocks of the one-shot formula, same bytes, at most
         # min(_BLOCK, n^2 / 4) coordinate differences held at once: a

@@ -147,6 +147,13 @@ def test_points_are_rows():
             metric_from_points(bad)
 
 
+@pytest.mark.parametrize("coordinates, kind", [(2, "euclidean"), (8, "euclidean"),
+                                               (3, "sphere:1")])
+def test_no_points_is_an_empty_metric_space(coordinates, kind):
+    with pytest.raises(MetricError, match="empty metric space"):
+        metric_from_points(np.empty((0, coordinates)), kind)
+
+
 def test_load_holds_the_output_and_a_mask():
     # checking symmetry with abs(d - d.T) and mirroring with triu(d, 1)
     # plus its transpose each held two n x n temporaries: +2.00 times the
@@ -337,12 +344,15 @@ def test_top_degree_memory_is_two_row_blocks():
     assert peak < 3 * 8 * metric._BLOCK
 
 
-def test_top_degree_past_int64_matches_full_complex():
-    """600 points, all 2 apart but for a cluster of the last 11, all 1
-    apart: at top degree 5 its 7-vertex cofacets have codes past 2**63,
-    and the barcodes are those of the complex built to dimension 6."""
-    d = np.full((600, 600), 2.0)
-    d[589:, 589:] = 1.0
+@pytest.mark.parametrize("n", [600, 460])
+def test_top_degree_past_int64_matches_full_complex(n):
+    """n points, all 2 apart but for a cluster of the last 11, all 1
+    apart: at top degree 5 the keys of its 7-vertex cofacets, below
+    2 * n**7 (two distinct values up to the scale), pass 2**63 at 600
+    points and stay int64 at 460, and the barcodes are those of the
+    complex built to dimension 6."""
+    d = np.full((n, n), 2.0)
+    d[n - 11:, n - 11:] = 1.0
     np.fill_diagonal(d, 0.0)
     X = FiniteMetricSpace(d)
     ops = [Operation.identity(5), Operation.sq(0, 5), Operation.sq(1, 4),

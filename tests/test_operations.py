@@ -370,23 +370,26 @@ def test_circle_radius_small_grid():
     assert rad == pytest.approx(2 * math.pi / 3, abs=2 * math.pi / 12)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, "circle"])
 def test_sq1_product_formula_with_a_discrete_factor(k):
     """VR_t of an l-infinity product is VR_t X x VR_t Y, and the Cartan
     formula Sq^1(a x b) = Sq^1 a x b + a x Sq^1 b splits the alive Sq^1
     image bars on H^1 as img_t(P) = img_t(X) b0_t(Y) + b0_t(X) img_t(Y),
     and the kernel bars the same way.  Checked at every bar endpoint of
-    X, of Y = k points 2.5 apart and of P = X x Y, each read at its
-    diameter."""
+    X, of Y = k points 2.5 apart or the circle factor Y =
+    ``circle_grid(4, 1)``, and of P = X x Y, each read at its diameter."""
     X = projective_sample(2, 30, seed=1)
-    Y = FiniteMetricSpace(2.5 * (1 - np.eye(k)))
+    Y = circle_grid(4, 1.0) if k == "circle" else FiniteMetricSpace(2.5 * (1 - np.eye(k)))
     op = Operation.sq(1, 1)
     bars = {}
     for name, S in [("X", X), ("Y", Y), ("P", linf_product(X, Y))]:
         bc, images = rips_barcodes(S, 2, [op], S.diameter())
         bars[name] = (bc, *images[op])
-    # a precondition on the data: with no image bar in X, img_t reads 0
+    # preconditions on the data: with no image bar in X, img_t reads 0,
+    # and without an H^1 bar the circle is no circle
     assert len(bars["X"][1]) >= 1
+    if k == "circle":
+        assert len(bars["Y"][0].in_degree(1)) >= 1
     ends = {v for bcs in bars.values() for bc in bcs for b in bc for v in (b.birth, b.death)}
     for t in sorted(ends - {INF}):
         b0 = {name: bcs[0].alive(0, t) for name, bcs in bars.items()}
