@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from itertools import chain, combinations, islice, repeat
-from typing import Iterable, NamedTuple
+from itertools import chain, combinations, repeat
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .gf2 import PivotTable, from_bools, pack, to_bools
+from .gf2 import reduce_column, rows, to_bools
 from .metric import _BLOCK
 from .simplicial import Cochain, FilteredComplex, _facets
 
@@ -175,13 +174,36 @@ class CohomologyBasis:
 
 
 class _Degree(NamedTuple):
-    """Degree p of a reduction: reduced delta_p, its pivots in increasing
-    order and the positive-length bars of H^p as (birth index, death, z)
-    in reverse order of birth index (see :class:`CohomologyReduction`)."""
+    """Degree p of a reduction: ``column(tau)``, the reduced column of
+    delta_p with pivot tau as its sorted rows (tau first) or None if tau
+    is no pivot, its pivots in increasing order and the positive-length
+    bars of H^p as (birth index, death, z) in reverse order of birth
+    index (see :class:`CohomologyReduction`)."""
 
-    table: PivotTable
+    column: Callable[[int], list[int] | None]
     pivots: np.ndarray
     bars: list[tuple[int, float, int | None]]
+
+
+class _Columns(dict):
+    """The columns a pass stores, pivot -> (rows, pivot first; companion),
+    over the reduced columns of delta_p of K (none outside degrees
+    0..dim): a pivot of the reduction is read on its first miss, with
+    companion 0, as adding a coboundary changes no class.  Its
+    ``__getitem__`` is a lookup for :func:`reduce_column`."""
+
+    def __init__(self, K: FilteredComplex, p: int):
+        super().__init__()
+        self.column = reduction(K).degree(K, p).column if 0 <= p <= K.dimension else _no_column
+
+    def __missing__(self, tau: int) -> tuple[list, int] | None:
+        col = self.column(tau)
+        found = self[tau] = None if col is None else (col, 0)
+        return found
+
+
+def _no_column(tau: int) -> None:
+    return None
 
 
 class CohomologyReduction:
@@ -200,7 +222,8 @@ class CohomologyReduction:
     unreduced, and a column without cofacets is zero.
     :func:`_reduce_columns` settles the columns of every degree above 0
     and reduces the few left as sparse columns, each a binary heap of row
-    keys whose equal pairs cancel (Ripser's working column).  Degree 0
+    keys whose equal pairs cancel (Ripser's working column), by
+    :func:`steenrips.gf2.reduce_column`.  Degree 0
     needs no reduction (:func:`_components`): Kruskal's algorithm over the
     edges in canonical order, each component rooted at its least vertex,
     is Ripser's dimension-0 pass.  The edge tau joining roots a < b kills
@@ -214,12 +237,14 @@ class CohomologyReduction:
     without cofacets, so for every bar of the top degree and for a
     component of one vertex.  Each degree is a :class:`_Degree` record,
     and the reduction picks its source.  The rows of delta_p are the
-    (p+1)-simplices of the complex, and a dense column of its table is
-    built only when an insertion reaches its pivot.  A reduction made with
-    the metric (d, scale) of a VR complex reduces the top degree from the
-    metric, with the (top+1)-simplices that were never built as rows, each
-    keyed by one integer from the rank of its value and its vertex rows,
-    and an empty table (:func:`_reduce_top_degree`).  ``operations``
+    (p+1)-simplices of the complex, and the record gives the reduced
+    column of a pivot as sorted rows when it is read: the stored list, an
+    apparent owner's cofacets, or in degree 0 delta(1_B) as edge rows.  A
+    reduction made with the metric (d, scale) of a VR complex reduces its
+    top degree, if above 0, from the metric, with the (top+1)-simplices
+    that were never built as rows, each keyed by one integer from the rank
+    of its value and its vertex rows, and gives no column of it
+    (:func:`_reduce_top_degree`).  ``operations``
     memoises the (image, kernel) barcodes of each operation.  The object
     holds no reference to its complex, so the two are freed together by
     reference counting.
@@ -236,19 +261,12 @@ class CohomologyReduction:
         """The record of delta_p, reduced on first read after the degrees
         below it, whose pivots it clears; 0 <= p <= dim(K)."""
         for q in range(len(self._degrees), p + 1):
-            cleared = self._degrees[q - 1].pivots if q else []
             self._degrees.append(
-                _reduce_top_degree(K, *self._metric, cleared)
+                _components(K) if q == 0
+                else _reduce_top_degree(K, *self._metric, self._degrees[q - 1].pivots)
                 if self._metric is not None and q == K.dimension
-                else _reduce_degree(K, q, cleared) if q else _components(K))
+                else _reduce_degree(K, q, self._degrees[q - 1].pivots))
         return self._degrees[p]
-
-    def pivots(self, K: FilteredComplex, p: int) -> PivotTable:
-        """A copy of reduced delta_p (empty outside degrees 0..dim)."""
-        if not 0 <= p <= K.dimension:
-            return PivotTable()
-        table = self.degree(K, p).table
-        return PivotTable(table.columns, table.build)
 
 
 def _components(K: FilteredComplex) -> _Degree:
@@ -296,17 +314,16 @@ def _components(K: FilteredComplex) -> _Degree:
     bars += ((r, INF, mask.get(r)) for r in range(n) if parent[r] == r)
     bars.sort(key=lambda bar: -bar[0])
 
-    def build(tau: int) -> int | None:
-        """delta(1_B) for the pivot tau that kills B; None if tau is no
-        pivot."""
+    def column(tau: int) -> list[int] | None:
+        """delta(1_B) for the pivot tau that kills B, as edge rows; None
+        if tau is no pivot."""
         if tau not in killed:
             return None
         b, z = killed[tau]
         ends = to_bools(1 << b if z is None else z, n)[edges]
-        return from_bools(ends[:, 0] != ends[:, 1])
+        return np.flatnonzero(ends[:, 0] != ends[:, 1]).tolist()
 
-    return _Degree(PivotTable(build=build), np.fromiter(killed, dtype=np.intp, count=len(killed)),
-                   bars)
+    return _Degree(column, np.fromiter(killed, dtype=np.intp, count=len(killed)), bars)
 
 
 def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]) -> _Degree:
@@ -333,20 +350,16 @@ def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]) 
         lambda cols: first[cols].tolist(), cofacets, values_up.__getitem__, cleared)
     reduced = {tau: col for tau, (col, _) in pivots.items()}
 
-    def build(tau: int) -> int | None:
-        """Dense column of pivot tau: the reduced sparse column that kept
-        it, or the coboundary of its apparent owner; None if tau is no
-        pivot."""
+    def column(tau: int) -> list[int] | None:
+        """The reduced column that kept pivot tau, or the coboundary of
+        its apparent owner; None if tau is no pivot."""
         col = reduced.get(tau)
         if col is None:
             j = owner.get(tau)
-            if j is None:
-                return None
-            col = cofacets(j)
-        return pack(col)
+            return None if j is None else cofacets(j)
+        return col
 
-    return _Degree(PivotTable(build=build),
-                   np.sort(np.fromiter(chain(owner, reduced), dtype=np.intp)), bars)
+    return _Degree(column, np.sort(np.fromiter(chain(owner, reduced), dtype=np.intp)), bars)
 
 
 def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.ndarray,
@@ -365,11 +378,10 @@ def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.nda
     sorted list of keys of column j and ``value_up(tau)`` the value of
     row tau.  A pivot is owned by its apparent column, which is later
     than any column reaching it, or by a column reduced before, so each
-    column left is reduced as in the dense reduction.  The working column
-    is a binary heap in which an entry pushed an even number of times
-    cancels when it reaches the top (Ripser's heap column); a reduced
-    column is stored as its entries of odd count, sorted, its pivot
-    first, as is the sorted list of an owner's cofacets."""
+    column left is reduced as in the dense reduction, by
+    :func:`steenrips.gf2.reduce_column`; a reduced column is stored as
+    its entries of odd count, sorted, its pivot first, as is the sorted
+    list of an owner's cofacets."""
     left = np.ones(len(death), dtype=bool)
     left[cleared] = False
     apparent = apparent & left
@@ -378,21 +390,20 @@ def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.nda
     cols = np.flatnonzero(apparent)
     owner = dict(zip(pivot(cols), cols.tolist()))
     bars, pivots = [], {}
+
+    def lookup(tau) -> tuple[list, int] | None:
+        found = pivots.get(tau)
+        if found is None and (j := owner.get(tau)) is not None:
+            return cofacets(j), 1 << j
+        return found
+
     for s in np.flatnonzero(left)[::-1].tolist():
-        col, z = cofacets(s), 1 << s  # a sorted list is a heap
-        while (tau := _pop_pivot(col)) is not None:
-            if tau in pivots:
-                add, y = pivots[tau]
-            else:
-                j = owner.get(tau)
-                if j is None:
-                    pivots[tau] = [tau, *_odd(col)], z
-                    break
-                add, y = cofacets(j), 1 << j
-            for row in islice(add, 1, None):  # add[0] is tau, popped
-                heappush(col, row)
-            z ^= y
-        end = INF if tau is None else value_up(tau)
+        col = cofacets(s)  # a sorted list is a heap
+        tau, z = reduce_column(col, 1 << s, lookup)
+        end = INF
+        if tau is not None:
+            pivots[tau] = [tau, *col], z
+            end = value_up(tau)
         if values[s] < end:
             bars.append((s, end, z))
     unit = np.flatnonzero(settled & (np.asarray(values) < death))
@@ -401,35 +412,11 @@ def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.nda
     return bars, pivots, owner
 
 
-def _pop_pivot(heap: list):
-    """Pop the least entry of odd count from the heap, and every copy of
-    the entries below it; None if no entry is left."""
-    while heap:
-        tau = heappop(heap)
-        if heap and heap[0] == tau:
-            heappop(heap)
-        else:
-            return tau
-    return None
-
-
-def _odd(heap: list) -> list:
-    """The entries of odd count in the heap, sorted."""
-    heap.sort()
-    out = []
-    for row in heap:
-        if out and out[-1] == row:
-            out.pop()
-        else:
-            out.append(row)
-    return out
-
-
 def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
                        cleared: np.ndarray | list[int]) -> _Degree:
     """Reduce delta_p of K's top degree p, with the columns ``cleared``
     skipped, as if K held the (p+1)-simplices of VR of the distance
-    matrix d at this scale; its table is empty and it has no pivots.
+    matrix d at this scale; it gives no column and has no pivots.
 
     The cofacet sigma + {v} of a p-simplex sigma enters at the IEEE max
     of value(sigma) and d[u, v], u in sigma, if that is <= scale.  Rows of
@@ -509,7 +496,7 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
     level = levels.tolist()
     bars = _reduce_columns(values, death, apparent, pivot, cofacets,
                            lambda tau: level[tau // codes], cleared)[0]
-    return _Degree(PivotTable(), np.empty(0, dtype=np.intp), bars)
+    return _Degree(_no_column, np.empty(0, dtype=np.intp), bars)
 
 
 def reduction(K: FilteredComplex,
@@ -558,4 +545,4 @@ def is_coboundary(c: Cochain) -> bool:
     K, p = c.host, c.degree
     if p == 0 or p > K.dimension:
         return c.is_zero
-    return reduction(K).degree(K, p - 1).table.reduce(c.bits) == 0
+    return reduce_column(rows(c.bits), 0, _Columns(K, p - 1).__getitem__)[0] is None

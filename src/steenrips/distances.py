@@ -241,16 +241,17 @@ def rips_barcodes(X: FiniteMetricSpace, max_degree: int, ops: list[Operation],
     it, so every bar but the essential H0 bar has died by r_enc, and the
     scale is cut at min(max_scale, r_enc) (Ripser uses the same
     threshold; one point keeps max_scale).  And the complex is built to
-    dimension top only: its (top+1)-simplices would serve only as the
-    rows of delta_top, so the complex's reduction is made with the
-    metric, from which it reduces the complex's top degree
-    (:func:`steenrips.cohomology.reduction`).
+    dimension max(top, 1) only: for top >= 1 its (top+1)-simplices would
+    serve only as the rows of delta_top, so the complex's reduction is
+    made with the metric, from which it reduces the complex's top degree
+    (:func:`steenrips.cohomology.reduction`); degree 0 is settled by
+    union-find over the edges, which are built.
     """
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative")
     top = _top_degree(max_degree, ops)
     scale = min(max_scale, float(X.d.max(axis=1).min())) if X.n > 1 else max_scale
-    K = vr_filtration(X, top, scale)
+    K = vr_filtration(X, max(top, 1), scale)
     reduction(K, (X.d, scale))
     return (persistent_barcode(K, max_degree),
             {op: (image_barcode(K, op), kernel_barcode(K, op)) for op in ops})

@@ -1,42 +1,27 @@
-"""Dense bit-packed linear algebra over the two-element field.
+"""Linear algebra over the two-element field: one column reduction.
 
-Vectors are Python ints used as bit-vectors: bit i is the coefficient of
-row i, and a matrix is a sequence of its columns.  Addition is XOR, which
-CPython performs word-parallel in C, so elimination runs at machine-word
-speed without any per-entry Python loop.
+A cochain is a Python int used as a bit-vector: bit i is its value on
+simplex i, and addition is XOR, which CPython performs word-parallel.
+``to_bools`` and ``from_bools`` turn a bit-vector into a boolean array
+and back, for cochain values gathered through face arrays, and ``rows``
+lists its set bits.
 
-Elimination is by columns, pivot = lowest set bit of the (partially
-reduced) column.  Pivoting is deterministic, so reduced forms and ranks
-are reproducible bit-for-bit.  A table may hold pivots whose columns are
-not built: the cohomology reduction finds its pivots sparsely, and an
-int as wide as its last row is built only for a pivot that an insertion
-reaches.  ``to_bools`` and ``from_bools`` turn a bit-vector into a
-boolean array and back, for cochain values gathered through face arrays.
+A column being reduced is a list of its row keys kept as a binary heap,
+with a companion int beside it (Ripser's working column, Bauer,
+"Ripser", 2021).  :func:`reduce_column` is the one routine that reduces
+a column: the cohomology reduction, the image/kernel pass, the
+coboundary test and :func:`rank` all call it.  Pivots are the least row
+of odd count, and reduction is deterministic, so reduced forms and ranks
+are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import islice
 from typing import Callable, Iterable
 
 import numpy as np
-
-
-def _low(bits: int) -> int:
-    """Index of the lowest set bit (bits must be nonzero)."""
-    return (bits & -bits).bit_length() - 1
-
-
-def _unbuilt(pivot: int) -> None:
-    return None
-
-
-def pack(rows: Iterable[int]) -> int:
-    """The bit-vector with exactly the given (distinct) rows set."""
-    bits = 0
-    # last row first: bits takes its final size at its first row
-    for row in sorted(rows, reverse=True):
-        bits |= 1 << row
-    return bits
 
 
 def to_bools(bits: int, n: int) -> np.ndarray:
@@ -51,73 +36,63 @@ def from_bools(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
-class PivotTable:
-    """Incremental column elimination with lowest-set-bit pivots.
+def rows(bits: int) -> list[int]:
+    """The set bits of a bit-vector, increasing: a column as a heap."""
+    return np.flatnonzero(to_bools(bits, bits.bit_length())).tolist()
 
-    Inserted columns are reduced against the stored ones; a nonzero
-    residual is stored under its pivot.  ``columns`` maps each pivot to
-    its stored column: the stored columns always have pairwise distinct
-    lowest set bits and span the same space as everything inserted so
-    far.  ``build(p)`` gives the column of a pivot p that is not in
-    ``columns`` yet, or None when p is no such pivot; a reduction that
-    reaches p stores it.  So a table whose pivots were found sparsely
-    (the cohomology reduction's, which reduces every degree in one
-    sparse loop) builds a dense column only where an insertion reaches
-    its pivot.  A table may start from a copy of another's ``columns``
-    and its ``build``.  ``len`` counts the stored columns.
+
+def reduce_column(heap: list[int], z: int,
+                  lookup: Callable[[int], tuple[list[int], int] | None]) -> tuple[int | None, int]:
+    """Reduce the column ``heap``, with companion z, against the stored
+    columns: ``lookup(tau)`` is the column with pivot tau, as its rows
+    with tau first and its companion, or None if none is stored.
+
+    The pivot is the least entry of odd count: entries pushed an even
+    number of times cancel when they reach the top.  While a column is
+    stored under the pivot, it is added, and its companion is XORed into
+    z.  Returns the pivot, None if the column reduced to zero, and z.  A
+    pivot is popped and the heap left holding the rest of the column,
+    sorted and without pairs, so ``[pivot, *heap]`` is the column to
+    store under it: a stored column that kept its pairs would hand them
+    to every column it reduces, and those to theirs.
     """
+    while heap:
+        tau = heappop(heap)
+        if heap and heap[0] == tau:
+            heappop(heap)
+            continue
+        found = lookup(tau)
+        if found is None:
+            _drop_pairs(heap)
+            return tau, z
+        add, y = found
+        for row in islice(add, 1, None):  # add[0] is tau, popped
+            heappush(heap, row)
+        z ^= y
+    return None, z
 
-    __slots__ = ("columns", "build")
 
-    def __init__(self, columns: dict[int, int] | None = None,
-                 build: Callable[[int], int | None] = _unbuilt):
-        self.columns: dict[int, int] = dict(columns or {})
-        self.build = build
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def reduce(self, bits: int) -> int:
-        cols = self.columns
-        while bits:
-            low = (bits & -bits).bit_length() - 1
-            col = cols.get(low)
-            if col is None:
-                col = self.build(low)
-                if col is None:
-                    break
-                cols[low] = col
-            bits ^= col
-        return bits
-
-    def insert(self, bits: int) -> int | None:
-        """Reduce and store; return the new pivot, or None if dependent."""
-        bits = self.reduce(bits)
-        if bits == 0:
-            return None
-        p = _low(bits)
-        self.columns[p] = bits
-        return p
-
-    def insert_augmented(self, bits: int, rows: int) -> tuple[int | None, int]:
-        """Reduce a column that carries a companion at bit ``rows`` and up,
-        and store it only if its row part stays nonzero.
-
-        Returns the new pivot (None if the row part reduced to zero) and
-        the reduced companion ``bits >> rows``.  Stored pivots must lie
-        below ``rows``, so the companion never picks a pivot.
-        """
-        bits = self.reduce(bits)
-        if bits & ((1 << rows) - 1):
-            p = _low(bits)
-            self.columns[p] = bits
-            return p, bits >> rows
-        return None, bits >> rows
+def _drop_pairs(heap: list[int]) -> None:
+    """Sort the heap and keep one copy of each entry of odd count."""
+    heap.sort()
+    kept = 0
+    for row in heap:  # writes only behind the read
+        if kept and heap[kept - 1] == row:
+            kept -= 1
+        else:
+            heap[kept] = row
+            kept += 1
+    del heap[kept:]
 
 
 def rank(columns: Iterable[int]) -> int:
-    """Dimension of the span of the columns over F2."""
-    table = PivotTable()
-    for bits in columns:
-        table.insert(bits)
+    """Dimension of the span of the bit-vector columns over F2."""
+    table: dict[int, tuple[list[int], int]] = {}
+    # last column first, as the cohomology reduction goes: on a coboundary
+    # matrix in canonical order that keeps the heap columns short
+    for bits in reversed(list(columns)):
+        heap = rows(bits)
+        tau, _ = reduce_column(heap, 0, table.get)
+        if tau is not None:
+            table[tau] = [tau, *heap], 0
     return len(table)

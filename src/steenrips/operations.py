@@ -9,7 +9,7 @@ order:
   simplex outside K_i masks to zero there (faces precede cofaces), so
   one global coboundary matrix serves every sublevel;
 * a masked rank is a pivot count: columns reduced to distinct lowest
-  set bits stay independent when masked to a prefix, and exactly those
+  rows stay independent when masked to a prefix, and exactly those
   with a pivot inside it stay nonzero, so the rank of a masked span is
   the number of pivots below the prefix length.
 
@@ -18,24 +18,25 @@ The pass has three steps.
 1. The bars of H^ell, each with a representative cocycle z, come from
    the cohomology reduction of K (steenrips.cohomology), which the
    ordinary barcode reads too.
-2. Image: theta(z) is evaluated once per bar, below the bar's death, and
-   inserted with z as companion into the global delta_{m-1} pivots, by
-   decreasing death.  The bars alive past v_j are a prefix of that
-   order, so r(i, j) is the number of new pivots below K_i's prefix
-   that they add: each new pivot p gives the image bar [value p, death).
-   The companion left over is a kernel candidate kappa, a combination
-   of representatives whose image vanishes below
-   e = min(death, value p).
-3. Kernel: the kappa are inserted by decreasing e into the global
-   delta_{ell-1} pivots, and each new pivot q gives the kernel bar
-   [value q, e) by the same count.
+2. Image: theta(z) is evaluated once per bar, below the bar's death,
+   and its rows are reduced, with z as companion, against the global
+   delta_{m-1} pivots and stored among them, by decreasing death.  The
+   bars alive past v_j are a prefix of that order, so r(i, j) is the
+   number of new pivots below K_i's prefix that they add: each new
+   pivot p gives the image bar [value p, death).  The companion left
+   over is a kernel candidate kappa, a combination of representatives
+   whose image vanishes below e = min(death, value p).
+3. Kernel: the kappa are reduced and stored by decreasing e among the
+   global delta_{ell-1} pivots, and each new pivot q gives the kernel
+   bar [value q, e) by the same count.
 
 In both modules r(i, j) is then the number of bars alive at v_i and
 v_j.  Tests pin both barcodes to the literal per-pair ranks of the
-reference implementations in tests/oracles.py.  The delta_{m-1} and
-delta_{ell-1} pivots are copies of the reduction's tables, which build
-a pivot's column only when an insertion reaches it, and both barcodes
-are memoised with the reduction.
+reference implementations in tests/oracles.py.  Each pass reduces its
+columns with :func:`steenrips.gf2.reduce_column`, the routine of the
+cohomology reduction, and keeps the columns it stores in a dict layered
+over that reduction's columns, which it reads only where a reduction
+reaches their pivot.  Both barcodes are memoised with the reduction.
 """
 
 from __future__ import annotations
@@ -44,9 +45,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .cohomology import Bar, Barcode, reduction
+import numpy as np
+
+from .cohomology import Bar, Barcode, _Columns, reduction
 from .errors import ValidationError
-from .gf2 import to_bools
+from .gf2 import reduce_column, rows, to_bools
 from .simplicial import FilteredComplex
 from .steenrod import _cup_bits, _cup_faces
 
@@ -110,29 +113,34 @@ def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
     values_m = K.dim_values[m] if n_m else ()
     cup = op.kind == "sq" and op.k <= ell
     faces = _cup_faces(K, ell, ell, ell - op.k) if cup else None
-    d_m = red.pivots(K, m - 1)
+    d_m = _Columns(K, m - 1)
     image, candidates = [], []
     for s, death, z in sorted(red.degree(K, ell).bars, key=lambda bar: -bar[1]):
         z = 1 << s if z is None else z
         count = bisect_left(values_m, death)
         if cup:
             a = to_bools(z, len(values_ell))
-            img = _cup_bits(*faces, a, a, count)
+            img = np.flatnonzero(_cup_bits(*faces, a, a, count)).tolist()
         else:
-            img = z & ((1 << count) - 1) if op.kind == "identity" else 0
-        p, kappa = d_m.insert_augmented(img | z << n_m, n_m)
+            img = rows(z & ((1 << count) - 1)) if op.kind == "identity" else []
+        p, kappa = reduce_column(img, z, d_m.__getitem__)
         e = death
-        if p is not None and values_m[p] < death:
-            image.append(Bar(m, values_m[p], death))
-            e = values_m[p]
+        if p is not None:
+            d_m[p] = [p, *img], kappa
+            if values_m[p] < death:
+                image.append(Bar(m, values_m[p], death))
+                e = values_m[p]
         candidates.append((e, kappa))
     # step 3: kernel, the candidates in the global delta_{ell-1} pivots
-    d_ell = red.pivots(K, ell - 1)
+    d_ell = _Columns(K, ell - 1)
     kernel = []
     for e, kappa in sorted(candidates, key=lambda c: -c[0]):
-        q = d_ell.insert(kappa)
-        if q is not None and values_ell[q] < e:
-            kernel.append(Bar(ell, values_ell[q], e))
+        col = rows(kappa)
+        q, _ = reduce_column(col, 0, d_ell.__getitem__)
+        if q is not None:
+            d_ell[q] = [q, *col], 0
+            if values_ell[q] < e:
+                kernel.append(Bar(ell, values_ell[q], e))
     memo = red.operations[op] = (Barcode(image), Barcode(kernel))
     return memo
 

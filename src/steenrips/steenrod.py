@@ -55,11 +55,12 @@ def _cup_faces(K: FilteredComplex, p: int, q: int,
 
 
 def _cup_bits(fa: np.ndarray, fb: np.ndarray, a: np.ndarray, b: np.ndarray,
-              count: int | None = None) -> int:
-    """Support bits of (alpha cup_i beta) on the first ``count`` target
-    simplices (all of them when count is None), from the face arrays of
-    :func:`_cup_faces` and the values a of alpha and b of beta."""
-    return from_bools(np.bitwise_xor.reduce(a[fa[:count]] & b[fb[:count]], axis=1))
+              count: int | None = None) -> np.ndarray:
+    """Values of (alpha cup_i beta) on the first ``count`` target
+    simplices (all of them when count is None), a boolean array, from
+    the face arrays of :func:`_cup_faces` and the values a of alpha and b
+    of beta."""
+    return np.bitwise_xor.reduce(a[fa[:count]] & b[fb[:count]], axis=1)
 
 
 def cup_i(alpha: Cochain, beta: Cochain, i: int) -> Cochain:
@@ -70,9 +71,9 @@ def cup_i(alpha: Cochain, beta: Cochain, i: int) -> Cochain:
     if not 0 <= i <= min(p, q):
         raise ValidationError(f"cup-{i} undefined for degrees ({p}, {q})")
     K = alpha.host
-    bits = _cup_bits(*_cup_faces(K, p, q, i), to_bools(alpha.bits, K.n_simplices(p)),
-                     to_bools(beta.bits, K.n_simplices(q)))
-    return Cochain(K, p + q - i, bits)
+    values = _cup_bits(*_cup_faces(K, p, q, i), to_bools(alpha.bits, K.n_simplices(p)),
+                       to_bools(beta.bits, K.n_simplices(q)))
+    return Cochain(K, p + q - i, from_bools(values))
 
 
 def sq(k: int, c: Cochain) -> Cochain:

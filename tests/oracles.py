@@ -3,9 +3,11 @@
 Everything here goes through homology-side cycle/boundary spaces, or
 through explicit sublevel complexes and restriction, and plain rank
 computations; nothing reads the cohomology reduction that the
-production barcodes and bases come from.  Slow but first-principles.
-The one column-reduction pairing here, :func:`dense_reduction`, is the
-dense elimination that the sparse reduction replaced; it pins that
+production barcodes and bases come from, and the elimination here is
+its own: bit-vector columns in a dict of pivots (:func:`insert`), not
+the library's heap column.  Slow but first-principles.  The one
+column-reduction pairing here, :func:`dense_reduction`, is the dense
+elimination that the sparse reduction replaced; it pins that
 reduction's bars, companions and pivot columns.
 """
 
@@ -17,7 +19,6 @@ from typing import Iterable, Sequence
 
 from steenrips.cohomology import Bar, Barcode
 from steenrips.errors import DimensionMismatchError, ValidationError
-from steenrips.gf2 import PivotTable, rank
 from steenrips.operations import Operation
 from steenrips.simplicial import (
     Cochain,
@@ -73,12 +74,46 @@ def _chain_boundary_columns(K: FilteredComplex, p: int) -> list[int]:
     return cols
 
 
+def reduce_bits(table: dict[int, tuple[int, int]], bits: int, comp: int = 0) -> tuple[int, int]:
+    """The bit-vector ``bits`` reduced by the columns of a table, pivot ->
+    (column, companion), each pivot its column's lowest set bit, and
+    ``comp`` with the companions of the columns added."""
+    while bits:
+        entry = table.get((bits & -bits).bit_length() - 1)
+        if entry is None:
+            break
+        bits ^= entry[0]
+        comp ^= entry[1]
+    return bits, comp
+
+
+def insert(table: dict[int, tuple[int, int]], bits: int,
+           comp: int = 0) -> tuple[int | None, int]:
+    """Reduce bits, carrying comp, and store a nonzero residual under its
+    lowest set bit; return that pivot (None if bits reduced to zero) and
+    the companion."""
+    bits, comp = reduce_bits(table, bits, comp)
+    if not bits:
+        return None, comp
+    piv = (bits & -bits).bit_length() - 1
+    table[piv] = bits, comp
+    return piv, comp
+
+
+def rank(columns: Iterable[int]) -> int:
+    """Dimension of the span of the columns over F2."""
+    table: dict[int, tuple[int, int]] = {}
+    for bits in columns:
+        insert(table, bits)
+    return len(table)
+
+
 def quotient_rank(span: Iterable[int], base: Iterable[int]) -> int:
     """dim((span + base) / base), i.e. rank(span + base) - rank(base)."""
-    table = PivotTable()
+    table: dict[int, tuple[int, int]] = {}
     for bits in base:
-        table.insert(bits)
-    return sum(table.insert(bits) is not None for bits in span)
+        insert(table, bits)
+    return sum(insert(table, bits)[0] is not None for bits in span)
 
 
 def nullspace(columns: Sequence[int]) -> list[int]:
@@ -91,16 +126,8 @@ def nullspace(columns: Sequence[int]) -> list[int]:
     table: dict[int, tuple[int, int]] = {}
     out = []
     for j, bits in enumerate(columns):
-        comp = 1 << j
-        while bits:
-            piv = (bits & -bits).bit_length() - 1
-            entry = table.get(piv)
-            if entry is None:
-                table[piv] = (bits, comp)
-                break
-            bits ^= entry[0]
-            comp ^= entry[1]
-        else:
+        piv, comp = insert(table, bits, 1 << j)
+        if piv is None:
             out.append(comp)
     return out
 
@@ -211,11 +238,11 @@ def oracle_cohomology_basis(K: FilteredComplex, p: int) -> list[Cochain]:
     """Cocycles whose classes form a basis of H^p(K): the nullspace
     vectors of delta_p that are independent modulo the coboundaries and
     the cocycles kept before them."""
-    kept = PivotTable()
+    kept: dict[int, tuple[int, int]] = {}
     for col in _coboundary_span(K, p):
-        kept.insert(col)
+        insert(kept, col)
     return [Cochain(K, p, z) for z in nullspace(coboundary_matrix(K, p))
-            if kept.insert(z) is not None]
+            if insert(kept, z)[0] is not None]
 
 
 def apply_operation(op: Operation, c: Cochain) -> Cochain:
@@ -287,30 +314,29 @@ def cup_i_oracle(alpha: Cochain, beta: Cochain, i: int) -> Cochain:
 
 def dense_reduction(K: FilteredComplex, p: int) -> tuple[list, list]:
     """delta_0..delta_p reduced with every column built: each degree's
-    pivot columns (pivot -> column masked to the rows) and its bars (birth
+    pivot columns (pivot -> column) and its bars (birth
     index, death, companion z) in reverse order of birth index.
 
-    Columns are reduced in reverse order, each augmented with its unit bit
-    above the rows, after clearing the pivots of the degree below, and z
-    is None in the top degree (no rows)."""
+    Columns are reduced in reverse order, each carrying its unit bit as
+    companion, after clearing the pivots of the degree below, and z is
+    None in the top degree (no rows)."""
     tables, all_bars = [], []
     for q in range(p + 1):
         cleared = tables[q - 1] if q else {}
         rows = K.n_simplices(q + 1)
         values = K.dim_values[q]
         values_up = K.dim_values[q + 1] if rows else ()
-        table, bars = PivotTable(), []
+        table, bars = {}, []
         cols = list(coboundary_matrix(K, q))
         while cols:
             col = cols.pop()
             s = len(cols)
             if s in cleared:
                 continue
-            tau, z = table.insert_augmented(col | 1 << (rows + s), rows)
+            tau, z = insert(table, col, 1 << s)
             death = math.inf if tau is None else values_up[tau]
             if values[s] < death:
                 bars.append((s, death, z if rows else None))
-        mask = (1 << rows) - 1
-        tables.append({tau: col & mask for tau, col in table.columns.items()})
+        tables.append({tau: col for tau, (col, _) in table.items()})
         all_bars.append(bars)
     return tables, all_bars

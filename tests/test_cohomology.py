@@ -259,8 +259,9 @@ def _workload_complexes(monkeypatch) -> list[FilteredComplex]:
 @pytest.mark.parametrize("source", ["random", "tied", "rp2", "workloads"])
 def test_sparse_reduction_matches_dense_oracle(source, monkeypatch):
     """In every degree the bars, companions (None is the unit cochain),
-    pivots and pivot columns equal those of the dense reduction, whether a
-    column is built by ``build`` or by a reduction that reaches it."""
+    pivots and pivot columns equal those of the dense reduction: each
+    pivot's column, a reduced list or an apparent owner's cofacets, lists
+    the rows of the dense column, and no other row has one."""
     rng = np.random.default_rng(41)
     complexes = {
         "random": lambda: [random_filtered_complex(rng, target_size=24) for _ in range(30)],
@@ -273,19 +274,21 @@ def test_sparse_reduction_matches_dense_oracle(source, monkeypatch):
         tables, bars = dense_reduction(K, K.dimension)
         red = reduction(K)
         for p in range(K.dimension + 1):
-            table, pivots, got = red.degree(K, p)
+            column, pivots, got = red.degree(K, p)
             assert ([(s, d, 1 << s if z is None else z) for s, d, z in got]
                     == [(s, d, 1 << s if z is None else z) for s, d, z in bars[p]])
             assert pivots.tolist() == sorted(tables[p])
-            assert not table.columns
-            # a coboundary of delta_p's pivot columns is one; reducing it
-            # builds the columns it reaches into the table
+            # a coboundary of delta_p's pivot columns is one
             for tau in list(tables[p])[::3]:
                 c = Cochain(K, p + 1, tables[p][tau])
                 assert is_coboundary(c)
-            assert all(tables[p][tau] == col for tau, col in table.columns.items())
-            for tau in range(K.n_simplices(p + 1) + 2):  # and the unit bits above
-                assert table.build(tau) == tables[p].get(tau)
+            for tau in range(K.n_simplices(p + 1) + 2):  # and rows past the last
+                assert column(tau) == _rows(tables[p].get(tau))
+
+
+def _rows(bits: int | None) -> list[int] | None:
+    """The set bits of a dense column, increasing (its pivot first)."""
+    return None if bits is None else [i for i in range(bits.bit_length()) if bits >> i & 1]
 
 
 def _random_graph(rng: np.random.Generator, levels: int) -> FilteredComplex:
@@ -334,13 +337,13 @@ def test_union_find_matches_dense_oracle(levels):
     seen = {"components": 0, "zero-length": 0, "vertex-only": 0}
     for K in complexes:
         tables, bars = dense_reduction(K, 0)
-        table, pivots, got = reduction(K).degree(K, 0)
+        column, pivots, got = reduction(K).degree(K, 0)
         assert [(s, d) for s, d, _ in got] == [(s, d) for s, d, _ in bars[0]]
         for (s, _, z), (_, _, want) in zip(got, bars[0]):
             assert z == (None if want == 1 << s else want)
         assert pivots.tolist() == sorted(tables[0])
         for tau in range(K.n_simplices(1) + 2):
-            assert table.build(tau) == tables[0].get(tau)
+            assert column(tau) == _rows(tables[0].get(tau))
         for tau, col in tables[0].items():
             assert is_coboundary(Cochain(K, 1, col))
         components = _components_of(K)

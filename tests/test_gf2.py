@@ -3,9 +3,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from steenrips.gf2 import PivotTable, from_bools, rank, to_bools
+from steenrips.gf2 import from_bools, rank, reduce_column, rows, to_bools
 
-from oracles import nullspace, quotient_rank
+from oracles import insert, nullspace, quotient_rank, reduce_bits
 
 
 def dense(array) -> tuple[int, ...]:
@@ -20,10 +20,10 @@ def identity(n: int) -> tuple[int, ...]:
 
 
 def in_span(columns, v: int) -> bool:
-    table = PivotTable()
+    table = {}
     for bits in columns:
-        table.insert(bits)
-    return table.reduce(v) == 0
+        insert(table, bits)
+    return reduce_bits(table, v)[0] == 0
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 13, 64, 100])
@@ -122,3 +122,29 @@ def test_operations_are_pure():
     assert rank(m) == rank(m)
     assert in_span(m, 0b10) == in_span(m, 0b10)
     assert m == (0b11, 0b10)
+
+
+def test_reduce_column_companion_records_the_sum():
+    """Columns reduced one after another, each with its unit companion,
+    the pivot ones stored as [pivot, *heap]: the rows left, sorted and
+    without pairs, are the XOR of the columns the companion selects, the
+    pivot is their least, and a column reduces to zero exactly where the
+    oracle's does."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        m = dense(rng.integers(0, 2, size=(int(rng.integers(1, 40)), int(rng.integers(1, 30)))))
+        table, oracle = {}, {}
+        for j, bits in enumerate(m):
+            heap = rows(bits)
+            tau, z = reduce_column(heap, 1 << j, table.get)
+            assert insert(oracle, bits)[0] == tau
+            want = 0
+            for i in range(len(m)):
+                if z >> i & 1:
+                    want ^= m[i]
+            if tau is None:
+                assert want == 0
+            else:
+                assert heap == sorted(set(heap)) and all(row > tau for row in heap)
+                assert want == sum(1 << row for row in [tau, *heap])
+                table[tau] = [tau, *heap], z

@@ -286,9 +286,34 @@ def test_rips_barcodes_match_full_complex(top, monkeypatch):
         off = X.d[~np.eye(n, dtype=bool)]
         scale = [X.diameter() + 1e-9, float(rng.choice(off))][case % 2]
         got = _barcode_json(*rips_barcodes(X, top, ops, scale), ops)
-        assert built.pop() <= top
+        assert built.pop() <= max(top, 1)
         full = vr_filtration(X, top + 1, scale)
         assert got == _complex_json(full, top, ops)
+
+
+def test_top_degree_zero_is_union_find(monkeypatch):
+    """With top degree 0 the complex is built to dimension 1, degree 0 is
+    settled by union-find once, and the metric top degree, here degree 1,
+    is never reduced; the barcode is that of the full complex."""
+    calls = {"_components": 0, "_reduce_top_degree": 0}
+
+    def counting(name):
+        f = getattr(cohomology, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(cohomology, name, counting(name))
+    X = metric_from_points(np.random.default_rng(5).uniform(size=(300, 2)))
+    ops = [Operation.identity(0), Operation.sq(0, 0)]
+    bc, images = rips_barcodes(X, 0, ops, 0.2)
+    assert calls == {"_components": 1, "_reduce_top_degree": 0}
+    K = vr_filtration(X, 1, 0.2)
+    assert bc == persistent_barcode(K, 0)
+    assert images == {op: (image_barcode(K, op), kernel_barcode(K, op)) for op in ops}
 
 
 def test_metric_reduction_reads_in_any_order():

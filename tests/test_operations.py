@@ -204,22 +204,27 @@ def test_barcode_image_kernel_share_one_reduction(cup_bits_calls, monkeypatch):
     assert len(components) == 1
 
 
-def test_dense_columns_only_where_an_insertion_reaches(monkeypatch):
-    """The barcode builds no dense column; the image barcode builds only
-    the delta_1 and delta_0 pivot columns that its insertions reach."""
-    built = []
-    pack = cohomology.pack
-
-    def counting(rows):
-        built.append(rows)
-        return pack(rows)
-
-    monkeypatch.setattr(cohomology, "pack", counting)
+def test_columns_read_only_where_an_insertion_reaches(monkeypatch):
+    """The barcode computes no delta(1_B), the column of a degree-0 pivot;
+    the image barcode reads each delta_1 pivot column that its insertions
+    reach once, and fewer of them than there are pivots."""
+    indicators = spy(monkeypatch, cohomology, "to_bools")
     K = vr_filtration(projective_sample(2, 20, seed=1), 3, 2.3)
     persistent_barcode(K, 2)
-    assert built == []
+    assert indicators == []
+    red = cohomology.reduction(K)
+    degree = red.degree(K, 1)
+    read = []
+
+    def column(tau):
+        col = degree.column(tau)
+        if col is not None:
+            read.append(tau)
+        return col
+
+    red._degrees[1] = degree._replace(column=column)
     image_barcode(K, Operation.sq(1, 1))
-    assert 0 < len(built) < len(cohomology.reduction(K).degree(K, 1).pivots)
+    assert 0 < len(read) == len(set(read)) < len(degree.pivots)
 
 
 def test_tied_values_match_literal_ops():
