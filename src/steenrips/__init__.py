@@ -25,7 +25,6 @@ from .simplicial import (
     dump_complex,
     load_complex,
     rp2_complex,
-    sublevel,
     zero_cochain,
 )
 from .metric import (
@@ -118,7 +117,6 @@ __all__ = [
     "sphere_sample",
     "sq",
     "stability_check",
-    "sublevel",
     "theta_radius",
     "vr_filtration",
     "zero_cochain",

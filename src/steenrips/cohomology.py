@@ -6,9 +6,11 @@ lazily built cohomology reduction per complex, which the image/kernel
 barcodes of :mod:`steenrips.operations` read too.  Its degree 0 is
 settled by union-find: Kruskal's algorithm with the elder rule, whose
 companions are component indicators 1_B and whose pivot columns are
-their coboundaries delta(1_B).  Static bases are
-read from it as well: they carry explicit cocycle representatives, which
-the Steenrod stage consumes.
+their coboundaries delta(1_B).  Higher degrees store their reduced
+columns with :func:`steenrips.gf2.insert`, and each degree's
+``column(tau)`` gives its pivot columns as (rows, companion).  Static
+bases are read from it as well: they carry explicit cocycle
+representatives, which the Steenrod stage consumes.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .gf2 import reduce_column, rows, to_bools
+from .gf2 import insert, reduce_column, rows
 from .metric import _BLOCK
-from .simplicial import Cochain, FilteredComplex, _facets
+from .simplicial import Cochain, FilteredComplex, _facets, coboundary
 
 INF = math.inf
 _JSON_KINDS = (int, (int, float), (int, float), int)  # degree, birth, death, mult
@@ -174,13 +176,14 @@ class CohomologyBasis:
 
 
 class _Degree(NamedTuple):
-    """Degree p of a reduction: ``column(tau)``, the reduced column of
-    delta_p with pivot tau as its sorted rows (tau first) or None if tau
-    is no pivot, its pivots in increasing order and the positive-length
+    """Degree p of a reduction: ``column(tau)``, the lookup its reduction
+    reduced with, which gives the reduced column of delta_p with pivot
+    tau as (its sorted rows, tau first; its companion) or None if tau is
+    no pivot, its pivots in increasing order and the positive-length
     bars of H^p as (birth index, death, z) in reverse order of birth
     index (see :class:`CohomologyReduction`)."""
 
-    column: Callable[[int], list[int] | None]
+    column: Callable[[int], tuple[list[int], int] | None]
     pivots: np.ndarray
     bars: list[tuple[int, float, int | None]]
 
@@ -188,17 +191,17 @@ class _Degree(NamedTuple):
 class _Columns(dict):
     """The columns a pass stores, pivot -> (rows, pivot first; companion),
     over the reduced columns of delta_p of K (none outside degrees
-    0..dim): a pivot of the reduction is read on its first miss, with
-    companion 0, as adding a coboundary changes no class.  Its
-    ``__getitem__`` is a lookup for :func:`reduce_column`."""
+    0..dim): a pivot of the reduction is read on its first miss and
+    stored with companion 0, as adding a coboundary changes no class.
+    Its ``__getitem__`` is a lookup for :func:`steenrips.gf2.insert`."""
 
     def __init__(self, K: FilteredComplex, p: int):
         super().__init__()
         self.column = reduction(K).degree(K, p).column if 0 <= p <= K.dimension else _no_column
 
     def __missing__(self, tau: int) -> tuple[list, int] | None:
-        col = self.column(tau)
-        found = self[tau] = None if col is None else (col, 0)
+        found = self.column(tau)
+        found = self[tau] = None if found is None else (found[0], 0)
         return found
 
 
@@ -223,7 +226,7 @@ class CohomologyReduction:
     :func:`_reduce_columns` settles the columns of every degree above 0
     and reduces the few left as sparse columns, each a binary heap of row
     keys whose equal pairs cancel (Ripser's working column), by
-    :func:`steenrips.gf2.reduce_column`.  Degree 0
+    :func:`steenrips.gf2.insert`.  Degree 0
     needs no reduction (:func:`_components`): Kruskal's algorithm over the
     edges in canonical order, each component rooted at its least vertex,
     is Ripser's dimension-0 pass.  The edge tau joining roots a < b kills
@@ -237,9 +240,11 @@ class CohomologyReduction:
     without cofacets, so for every bar of the top degree and for a
     component of one vertex.  Each degree is a :class:`_Degree` record,
     and the reduction picks its source.  The rows of delta_p are the
-    (p+1)-simplices of the complex, and the record gives the reduced
-    column of a pivot as sorted rows when it is read: the stored list, an
-    apparent owner's cofacets, or in degree 0 delta(1_B) as edge rows.  A
+    (p+1)-simplices of the complex, and the record's ``column(tau)`` is
+    the lookup its reduction reduced with: the reduced column of a pivot
+    as (sorted rows, companion), the stored column, an apparent owner's
+    cofacets with its unit cochain, or in degree 0 delta(1_B) with 1_B,
+    computed when it is read.  A
     reduction made with the metric (d, scale) of a VR complex reduces its
     top degree, if above 0, from the metric, with the (top+1)-simplices
     that were never built as rows, each keyed by one integer from the rank
@@ -279,7 +284,8 @@ def _components(K: FilteredComplex) -> _Degree:
     value tau, 1_B) if value b < value tau, and a root left at the end
     the essential bar (r, inf, 1 of its component).  An indicator is
     None, the unit cochain, for a single vertex, which is exactly an
-    apparent column, so an int is made only for two or more vertices."""
+    apparent column, so an int is made only for two or more vertices.
+    The record's column of tau is (delta(1_B) as edge rows, 1_B)."""
     n = K.n_simplices(0)
     values = K.dim_values[0]
     edges = K.dim_rows[1] if K.dimension else np.empty((0, 2), dtype=np.intp)
@@ -290,8 +296,8 @@ def _components(K: FilteredComplex) -> _Degree:
     bars = []
     merges = n - 1
     # in blocks of edges, as the loop mostly stops well before the last
-    rows = chain.from_iterable(edges[i:i + 1024].tolist() for i in range(0, len(edges), 1024))
-    for tau, (a, b) in enumerate(rows):
+    ends = chain.from_iterable(edges[i:i + 1024].tolist() for i in range(0, len(edges), 1024))
+    for tau, (a, b) in enumerate(ends):
         while parent[a] != a:  # path halving
             parent[a] = parent[parent[a]]
             a = parent[a]
@@ -314,14 +320,16 @@ def _components(K: FilteredComplex) -> _Degree:
     bars += ((r, INF, mask.get(r)) for r in range(n) if parent[r] == r)
     bars.sort(key=lambda bar: -bar[0])
 
-    def column(tau: int) -> list[int] | None:
-        """delta(1_B) for the pivot tau that kills B, as edge rows; None
-        if tau is no pivot."""
+    # K's vertices and edges: a column holding K would be a reference
+    # cycle through K's reduction
+    skeleton = FilteredComplex(K._vertices, K.dim_rows[:2], K.dim_values[:2])
+
+    def column(tau: int) -> tuple[list[int], int] | None:
         if tau not in killed:
             return None
         b, z = killed[tau]
-        ends = to_bools(1 << b if z is None else z, n)[edges]
-        return np.flatnonzero(ends[:, 0] != ends[:, 1]).tolist()
+        z = 1 << b if z is None else z
+        return rows(coboundary(Cochain(skeleton, 0, z)).bits), z
 
     return _Degree(column, np.fromiter(killed, dtype=np.intp, count=len(killed)), bars)
 
@@ -345,30 +353,19 @@ def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]) 
     def cofacets(j: int) -> list:
         return cof[ptr[j]:ptr[j + 1]].tolist()
 
-    bars, pivots, owner = _reduce_columns(
+    bars, column, pivots = _reduce_columns(
         K.dim_values[q], np.append(values_up, INF)[first], apparent,
         lambda cols: first[cols].tolist(), cofacets, values_up.__getitem__, cleared)
-    reduced = {tau: col for tau, (col, _) in pivots.items()}
-
-    def column(tau: int) -> list[int] | None:
-        """The reduced column that kept pivot tau, or the coboundary of
-        its apparent owner; None if tau is no pivot."""
-        col = reduced.get(tau)
-        if col is None:
-            j = owner.get(tau)
-            return None if j is None else cofacets(j)
-        return col
-
-    return _Degree(column, np.sort(np.fromiter(chain(owner, reduced), dtype=np.intp)), bars)
+    return _Degree(column, np.sort(np.fromiter(pivots, dtype=np.intp)), bars)
 
 
 def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.ndarray,
-                    pivot, cofacets, value_up, cleared) -> tuple[list, dict, dict]:
+                    pivot, cofacets, value_up, cleared) -> tuple[list, Callable, Iterable]:
     """Settle the columns of delta_p, one per p-simplex s, as the dense
     reduction would (see :class:`CohomologyReduction`): the bars (s,
-    death, z) in reverse order of s, the pivots that the sparse loop
-    reached, tau -> (reduced column, z), and the apparent owners, pivot
-    -> column.  The columns ``cleared`` are skipped.
+    death, z) in reverse order of s, the lookup the sparse loop reduced
+    with, pivot -> (rows, companion) or None, and the pivots, unordered.
+    The columns ``cleared`` are skipped.
 
     ``values[s]`` is the value of s, ``death[s]`` that of its earliest
     cofacet (inf if none) and ``apparent[s]`` whether s is that
@@ -378,10 +375,10 @@ def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.nda
     sorted list of keys of column j and ``value_up(tau)`` the value of
     row tau.  A pivot is owned by its apparent column, which is later
     than any column reaching it, or by a column reduced before, so each
-    column left is reduced as in the dense reduction, by
-    :func:`steenrips.gf2.reduce_column`; a reduced column is stored as
-    its entries of odd count, sorted, its pivot first, as is the sorted
-    list of an owner's cofacets."""
+    column left is reduced and stored as in the dense reduction, by
+    :func:`steenrips.gf2.insert`.  The lookup gives a stored column, or
+    an owner's sorted cofacets with its unit cochain, computed on each
+    read: an owner's unit cochain is an int as long as its index."""
     left = np.ones(len(death), dtype=bool)
     left[cleared] = False
     apparent = apparent & left
@@ -389,27 +386,23 @@ def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.nda
     left &= ~settled
     cols = np.flatnonzero(apparent)
     owner = dict(zip(pivot(cols), cols.tolist()))
-    bars, pivots = [], {}
+    bars, columns = [], {}
 
     def lookup(tau) -> tuple[list, int] | None:
-        found = pivots.get(tau)
+        found = columns.get(tau)
         if found is None and (j := owner.get(tau)) is not None:
             return cofacets(j), 1 << j
         return found
 
     for s in np.flatnonzero(left)[::-1].tolist():
-        col = cofacets(s)  # a sorted list is a heap
-        tau, z = reduce_column(col, 1 << s, lookup)
-        end = INF
-        if tau is not None:
-            pivots[tau] = [tau, *col], z
-            end = value_up(tau)
+        tau, z = insert(columns, cofacets(s), 1 << s, lookup)  # a sorted list is a heap
+        end = INF if tau is None else value_up(tau)
         if values[s] < end:
             bars.append((s, end, z))
     unit = np.flatnonzero(settled & (np.asarray(values) < death))
     bars += zip(unit.tolist(), death[unit].tolist(), repeat(None))
     bars.sort(key=lambda bar: -bar[0])
-    return bars, pivots, owner
+    return bars, lookup, chain(owner, columns)
 
 
 def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,

@@ -9,10 +9,11 @@ lists its set bits.
 A column being reduced is a list of its row keys kept as a binary heap,
 with a companion int beside it (Ripser's working column, Bauer,
 "Ripser", 2021).  :func:`reduce_column` is the one routine that reduces
-a column: the cohomology reduction, the image/kernel pass, the
-coboundary test and :func:`rank` all call it.  Pivots are the least row
-of odd count, and reduction is deterministic, so reduced forms and ranks
-are reproducible bit-for-bit.
+a column, and :func:`insert` the one that stores it: the cohomology
+reduction, the image/kernel pass and :func:`rank` insert their columns,
+and the coboundary test only reduces.  Pivots are the least row of odd
+count, and reduction is deterministic, so reduced forms and ranks are
+reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -52,9 +53,7 @@ def reduce_column(heap: list[int], z: int,
     stored under the pivot, it is added, and its companion is XORed into
     z.  Returns the pivot, None if the column reduced to zero, and z.  A
     pivot is popped and the heap left holding the rest of the column,
-    sorted and without pairs, so ``[pivot, *heap]`` is the column to
-    store under it: a stored column that kept its pairs would hand them
-    to every column it reduces, and those to theirs.
+    pairs included.
     """
     while heap:
         tau = heappop(heap)
@@ -63,13 +62,27 @@ def reduce_column(heap: list[int], z: int,
             continue
         found = lookup(tau)
         if found is None:
-            _drop_pairs(heap)
             return tau, z
         add, y = found
         for row in islice(add, 1, None):  # add[0] is tau, popped
             heappush(heap, row)
         z ^= y
     return None, z
+
+
+def insert(columns: dict, heap: list[int], z: int,
+           lookup: Callable[[int], tuple[list[int], int] | None]) -> tuple[int | None, int]:
+    """Reduce the column ``heap`` with companion z against ``lookup`` and
+    store it in ``columns`` under its pivot tau, if any, as ``[tau,
+    *rest], z``: the rest sorted and without pairs, as a stored column
+    that kept its pairs would hand them to every column it reduces, and
+    those to theirs.  Returns the pivot, None if the column reduced to
+    zero, and z."""
+    tau, z = reduce_column(heap, z, lookup)
+    if tau is not None:
+        _drop_pairs(heap)
+        columns[tau] = [tau, *heap], z
+    return tau, z
 
 
 def _drop_pairs(heap: list[int]) -> None:
@@ -91,8 +104,5 @@ def rank(columns: Iterable[int]) -> int:
     # last column first, as the cohomology reduction goes: on a coboundary
     # matrix in canonical order that keeps the heap columns short
     for bits in reversed(list(columns)):
-        heap = rows(bits)
-        tau, _ = reduce_column(heap, 0, table.get)
-        if tau is not None:
-            table[tau] = [tau, *heap], 0
+        insert(table, rows(bits), 0, table.get)
     return len(table)

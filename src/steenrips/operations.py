@@ -32,11 +32,12 @@ The pass has three steps.
 
 In both modules r(i, j) is then the number of bars alive at v_i and
 v_j.  Tests pin both barcodes to the literal per-pair ranks of the
-reference implementations in tests/oracles.py.  Each pass reduces its
-columns with :func:`steenrips.gf2.reduce_column`, the routine of the
-cohomology reduction, and keeps the columns it stores in a dict layered
-over that reduction's columns, which it reads only where a reduction
-reaches their pivot.  Both barcodes are memoised with the reduction.
+reference implementations in tests/oracles.py.  Each pass reduces and
+stores its columns with :func:`steenrips.gf2.insert`, the routine of the
+cohomology reduction, in a dict layered over that reduction's columns,
+``column(tau)`` of a degree, which it reads only where a reduction
+reaches their pivot, with companion 0.  Both barcodes are memoised with
+the reduction.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from .cohomology import Bar, Barcode, _Columns, reduction
 from .errors import ValidationError
-from .gf2 import reduce_column, rows, to_bools
+from .gf2 import insert, rows, to_bools
 from .simplicial import FilteredComplex
 from .steenrod import _cup_bits, _cup_faces
 
@@ -123,24 +124,19 @@ def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
             img = np.flatnonzero(_cup_bits(*faces, a, a, count)).tolist()
         else:
             img = rows(z & ((1 << count) - 1)) if op.kind == "identity" else []
-        p, kappa = reduce_column(img, z, d_m.__getitem__)
+        p, kappa = insert(d_m, img, z, d_m.__getitem__)
         e = death
-        if p is not None:
-            d_m[p] = [p, *img], kappa
-            if values_m[p] < death:
-                image.append(Bar(m, values_m[p], death))
-                e = values_m[p]
+        if p is not None and values_m[p] < death:
+            image.append(Bar(m, values_m[p], death))
+            e = values_m[p]
         candidates.append((e, kappa))
     # step 3: kernel, the candidates in the global delta_{ell-1} pivots
     d_ell = _Columns(K, ell - 1)
     kernel = []
     for e, kappa in sorted(candidates, key=lambda c: -c[0]):
-        col = rows(kappa)
-        q, _ = reduce_column(col, 0, d_ell.__getitem__)
-        if q is not None:
-            d_ell[q] = [q, *col], 0
-            if values_ell[q] < e:
-                kernel.append(Bar(ell, values_ell[q], e))
+        q, _ = insert(d_ell, rows(kappa), 0, d_ell.__getitem__)
+        if q is not None and values_ell[q] < e:
+            kernel.append(Bar(ell, values_ell[q], e))
     memo = red.operations[op] = (Barcode(image), Barcode(kernel))
     return memo
 

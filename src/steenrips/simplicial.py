@@ -18,7 +18,6 @@ products find faces from the rows, with :func:`_faces` alone.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
@@ -79,8 +78,8 @@ class FilteredComplex:
     them to be sorted, duplicate-free, closed under faces and monotone,
     with float values.  :func:`build`, the one place where vertex tuples
     become rows, validates and sorts arbitrary input into them;
-    :func:`steenrips.metric.vr_filtration` and :func:`sublevel` make
-    them sorted by construction.  Instances are immutable but for two
+    :func:`steenrips.metric.vr_filtration` makes them sorted by
+    construction.  Instances are immutable but for two
     caches: the distinct values and ``_reduction``, the cohomology
     reduction that :mod:`steenrips.cohomology` builds on first use.
     """
@@ -194,26 +193,6 @@ def build(filtered_simplices: Iterable[tuple[Iterable[int], float]]) -> Filtered
         np.fromiter(map(position.__getitem__, chain.from_iterable(ss)),
                     dtype=np.intp, count=len(ss) * (p + 1)).reshape(len(ss), p + 1)
         for p, ss in enumerate(dims)], [[entries[s] for s in ss] for ss in dims])
-
-
-def sublevel(K: FilteredComplex, i: int) -> FilteredComplex:
-    """Prefix complex of everything with value <= the i-th distinct value.
-
-    Its rows, values and vertex ids are prefixes of K's: the 0-simplices
-    it keeps are K's first ones, so its rows need no renumbering.  The
-    i-th value is found from K's values, so K's distinct values are not
-    derived."""
-    values = _distinct(K.dim_values)
-    if not 0 <= i < len(values):
-        raise ValidationError(
-            f"filtration index {i} out of range [0, {len(values)})"
-        )
-    t = values[i]
-    # a dimension with nothing at or below t has no cofaces there either
-    ends = [m for m in (bisect_right(vv, t) for vv in K.dim_values) if m]
-    return FilteredComplex(K._vertices[:ends[0]],
-                           [rows[:m] for rows, m in zip(K.dim_rows, ends)],
-                           [vv[:m] for vv, m in zip(K.dim_values, ends)])
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,21 @@
 """Independent brute-force oracles the production code is tested against.
 
 Everything here goes through homology-side cycle/boundary spaces, or
-through explicit sublevel complexes and restriction, and plain rank
-computations; nothing reads the cohomology reduction that the
-production barcodes and bases come from, and the elimination here is
-its own: bit-vector columns in a dict of pivots (:func:`insert`), not
-the library's heap column.  Slow but first-principles.  The one
-column-reduction pairing here, :func:`dense_reduction`, is the dense
-elimination that the sparse reduction replaced; it pins that
-reduction's bars, companions and pivot columns.
+through explicit sublevel complexes (:func:`sublevel`) and restriction,
+and plain rank computations; nothing reads the cohomology reduction
+that the production barcodes and bases come from, and the elimination
+here is its own: bit-vector columns in a dict of pivots
+(:func:`insert`), not the library's heap column.  Slow but
+first-principles.  The one column-reduction pairing here,
+:func:`dense_reduction`, is the dense elimination that the sparse
+reduction replaced; it pins that reduction's bars, companions and
+pivot columns.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -24,12 +26,32 @@ from steenrips.simplicial import (
     Cochain,
     FilteredComplex,
     Simplex,
+    _distinct,
     coboundary_matrix,
     normalize_simplex,
-    sublevel,
     zero_cochain,
 )
 from steenrips.steenrod import sq
+
+
+def sublevel(K: FilteredComplex, i: int) -> FilteredComplex:
+    """Prefix complex of everything with value <= the i-th distinct value.
+
+    Its rows, values and vertex ids are prefixes of K's: the 0-simplices
+    it keeps are K's first ones, so its rows need no renumbering.  The
+    i-th value is found from K's values, so K's distinct values are not
+    derived."""
+    values = _distinct(K.dim_values)
+    if not 0 <= i < len(values):
+        raise ValidationError(
+            f"filtration index {i} out of range [0, {len(values)})"
+        )
+    t = values[i]
+    # a dimension with nothing at or below t has no cofaces there either
+    ends = [m for m in (bisect_right(vv, t) for vv in K.dim_values) if m]
+    return FilteredComplex(K._vertices[:ends[0]],
+                           [rows[:m] for rows, m in zip(K.dim_rows, ends)],
+                           [vv[:m] for vv, m in zip(K.dim_values, ends)])
 
 
 def simplex_index(K: FilteredComplex, p: int) -> dict[Simplex, int]:
@@ -314,7 +336,7 @@ def cup_i_oracle(alpha: Cochain, beta: Cochain, i: int) -> Cochain:
 
 def dense_reduction(K: FilteredComplex, p: int) -> tuple[list, list]:
     """delta_0..delta_p reduced with every column built: each degree's
-    pivot columns (pivot -> column) and its bars (birth
+    pivot columns (pivot -> (column, companion)) and its bars (birth
     index, death, companion z) in reverse order of birth index.
 
     Columns are reduced in reverse order, each carrying its unit bit as
@@ -337,6 +359,6 @@ def dense_reduction(K: FilteredComplex, p: int) -> tuple[list, list]:
             death = math.inf if tau is None else values_up[tau]
             if values[s] < death:
                 bars.append((s, death, z if rows else None))
-        tables.append({tau: col for tau, (col, _) in table.items()})
+        tables.append(table)
         all_bars.append(bars)
     return tables, all_bars

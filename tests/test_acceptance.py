@@ -41,7 +41,6 @@ from steenrips.simplicial import (
     Cochain,
     coboundary,
     rp2_complex,
-    sublevel,
 )
 from steenrips.steenrod import cup_i, sq
 from steenrips.synthetic import random_barcode, random_filtered_complex
@@ -52,7 +51,7 @@ from steenrips.verify import (
     verify_wedge,
 )
 
-from oracles import kernel_rank, oracle_cohomology_basis, theta_rank
+from oracles import kernel_rank, oracle_cohomology_basis, sublevel, theta_rank
 
 INF = math.inf
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from itertools import combinations
@@ -25,7 +26,6 @@ from steenrips.simplicial import (
     coboundary,
     coboundary_matrix,
     rp2_complex,
-    sublevel,
 )
 from steenrips.synthetic import random_filtered_complex
 
@@ -35,6 +35,7 @@ from oracles import (
     dense_reduction,
     oracle_cohomology_basis,
     quotient_rank,
+    sublevel,
 )
 
 INF = math.inf
@@ -261,7 +262,8 @@ def test_sparse_reduction_matches_dense_oracle(source, monkeypatch):
     """In every degree the bars, companions (None is the unit cochain),
     pivots and pivot columns equal those of the dense reduction: each
     pivot's column, a reduced list or an apparent owner's cofacets, lists
-    the rows of the dense column, and no other row has one."""
+    the rows of the dense column with its companion, and no other row has
+    one."""
     rng = np.random.default_rng(41)
     complexes = {
         "random": lambda: [random_filtered_complex(rng, target_size=24) for _ in range(30)],
@@ -280,15 +282,19 @@ def test_sparse_reduction_matches_dense_oracle(source, monkeypatch):
             assert pivots.tolist() == sorted(tables[p])
             # a coboundary of delta_p's pivot columns is one
             for tau in list(tables[p])[::3]:
-                c = Cochain(K, p + 1, tables[p][tau])
+                c = Cochain(K, p + 1, tables[p][tau][0])
                 assert is_coboundary(c)
             for tau in range(K.n_simplices(p + 1) + 2):  # and rows past the last
-                assert column(tau) == _rows(tables[p].get(tau))
+                assert column(tau) == _column(tables[p].get(tau))
 
 
-def _rows(bits: int | None) -> list[int] | None:
-    """The set bits of a dense column, increasing (its pivot first)."""
-    return None if bits is None else [i for i in range(bits.bit_length()) if bits >> i & 1]
+def _column(found: tuple[int, int] | None) -> tuple[list[int], int] | None:
+    """A dense pivot column as the set bits of its column, increasing (its
+    pivot first), and its companion."""
+    if found is None:
+        return None
+    bits, z = found
+    return [i for i in range(bits.bit_length()) if bits >> i & 1], z
 
 
 def _random_graph(rng: np.random.Generator, levels: int) -> FilteredComplex:
@@ -325,10 +331,10 @@ def _components_of(K: FilteredComplex) -> list[int]:
 @pytest.mark.parametrize("levels", [1000, 3, 1])
 def test_union_find_matches_dense_oracle(levels):
     """Degree 0 by union-find gives the dense reduction's bars, companions
-    (None exactly for one vertex), pivots and every pivot column, on graphs
-    with several components, non-VR vertex values, distinct or tied, and
-    zero-length H0 bars, on random complexes and on vertex-only ones; the
-    H^0 basis is the components' indicators."""
+    (None exactly for one vertex), pivots and every pivot column with its
+    companion, on graphs with several components, non-VR vertex values,
+    distinct or tied, and zero-length H0 bars, on random complexes and on
+    vertex-only ones; the H^0 basis is the components' indicators."""
     rng = np.random.default_rng(53 + levels)
     complexes = [_random_graph(rng, levels) for _ in range(60)]
     complexes += [random_filtered_complex(rng, target_size=16, random_values=levels > 1)
@@ -343,8 +349,8 @@ def test_union_find_matches_dense_oracle(levels):
             assert z == (None if want == 1 << s else want)
         assert pivots.tolist() == sorted(tables[0])
         for tau in range(K.n_simplices(1) + 2):
-            assert column(tau) == _rows(tables[0].get(tau))
-        for tau, col in tables[0].items():
+            assert column(tau) == _column(tables[0].get(tau))
+        for tau, (col, _) in tables[0].items():
             assert is_coboundary(Cochain(K, 1, col))
         components = _components_of(K)
         assert sorted(c.bits for c in cohomology_basis(K, 0).cocycles) == components
@@ -352,6 +358,25 @@ def test_union_find_matches_dense_oracle(levels):
         seen["zero-length"] += len(tables[0]) > sum(d < INF for _, d, _ in bars[0])
         seen["vertex-only"] += K.dimension == 0
     assert min(seen.values()) > 0, seen
+
+
+def test_reduction_is_freed_by_reference_counting():
+    """A complex whose reduction has read the pivot columns of degrees 0
+    and 1 (the Sq^1 image and kernel passes) holds no reference cycle, so
+    it is freed as soon as it is dropped: the collector finds nothing."""
+    from steenrips.operations import Operation, image_barcode, kernel_barcode
+
+    X = projective_sample(2, 20, seed=1)
+    gc.collect()
+    gc.disable()
+    try:
+        K = vr_filtration(X, 3, 2.3)
+        persistent_barcode(K, 2)
+        image_barcode(K, Operation.sq(1, 1)), kernel_barcode(K, Operation.sq(1, 1))
+        del K
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_facet_lookup_is_exact_for_any_vertex_ids():

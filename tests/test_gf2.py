@@ -3,7 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from steenrips.gf2 import from_bools, rank, reduce_column, rows, to_bools
+from steenrips import gf2
+from steenrips.gf2 import from_bools, rank, rows, to_bools
 
 from oracles import insert, nullspace, quotient_rank, reduce_bits
 
@@ -125,18 +126,17 @@ def test_operations_are_pure():
 
 
 def test_reduce_column_companion_records_the_sum():
-    """Columns reduced one after another, each with its unit companion,
-    the pivot ones stored as [pivot, *heap]: the rows left, sorted and
-    without pairs, are the XOR of the columns the companion selects, the
-    pivot is their least, and a column reduces to zero exactly where the
-    oracle's does."""
+    """Columns inserted one after another, each with its unit companion:
+    a stored column is [pivot, *rows left] with the companion, the rows
+    left, sorted and without pairs, are the XOR of the columns the
+    companion selects, the pivot is their least, and a column reduces to
+    zero exactly where the oracle's does."""
     rng = np.random.default_rng(11)
     for _ in range(40):
         m = dense(rng.integers(0, 2, size=(int(rng.integers(1, 40)), int(rng.integers(1, 30)))))
         table, oracle = {}, {}
         for j, bits in enumerate(m):
-            heap = rows(bits)
-            tau, z = reduce_column(heap, 1 << j, table.get)
+            tau, z = gf2.insert(table, rows(bits), 1 << j, table.get)
             assert insert(oracle, bits)[0] == tau
             want = 0
             for i in range(len(m)):
@@ -145,6 +145,7 @@ def test_reduce_column_companion_records_the_sum():
             if tau is None:
                 assert want == 0
             else:
+                (pivot, *heap), y = table[tau]
+                assert (pivot, y) == (tau, z)
                 assert heap == sorted(set(heap)) and all(row > tau for row in heap)
                 assert want == sum(1 << row for row in [tau, *heap])
-                table[tau] = [tau, *heap], z

@@ -31,14 +31,14 @@ from steenrips.metric import (
 )
 from steenrips import cohomology, distances, metric, simplicial
 from steenrips.operations import Operation, image_barcode, kernel_barcode
-from steenrips.simplicial import build, sublevel
+from steenrips.simplicial import build
 from steenrips.synthetic import random_bounded_metric, random_metric_space
 
 import io
 import json
 from itertools import chain, combinations
 
-from oracles import simplex_index, value_of
+from oracles import simplex_index, sublevel, value_of
 
 
 def three_point_space(dist=1.0):

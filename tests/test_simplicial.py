@@ -21,7 +21,6 @@ from steenrips.simplicial import (
     dump_complex,
     load_complex,
     rp2_complex,
-    sublevel,
     zero_cochain,
 )
 from steenrips.synthetic import random_filtered_complex
@@ -30,6 +29,7 @@ from oracles import (
     _chain_boundary_columns,
     cochain_from_simplices,
     restrict_cochain,
+    sublevel,
     value_of,
 )
 
