@@ -223,9 +223,11 @@ class CohomologyReduction:
     apparent when its earliest cofacet tau has sigma as its latest facet,
     so no later column reaches row tau and it keeps the pivot tau
     unreduced, and a column without cofacets is zero.
-    :func:`_reduce_columns` settles the columns of every degree above 0
-    and reduces the few left as sparse columns, each a binary heap of row
-    keys whose equal pairs cancel (Ripser's working column), by
+    :func:`_reduce_columns` settles the columns of every degree above 0.
+    Of the columns left, one whose earliest cofacet is no pivot yet when
+    its turn comes keeps it unreduced too (an emergent pair), and the
+    others are reduced as sparse columns, each a binary heap of row keys
+    whose equal pairs cancel (Ripser's working column), by
     :func:`steenrips.gf2.insert`.  Degree 0
     needs no reduction (:func:`_components`): Kruskal's algorithm over the
     edges in canonical order, each component rooted at its least vertex,
@@ -236,20 +238,20 @@ class CohomologyReduction:
     bar is supported on sigma and later simplices, so it restricts to 0
     below the birth and to a cocycle below the death; the representatives
     of the bars alive at a value form a basis of H^p there.  z is None
-    where it is the unit cochain of sigma: for apparent bars and columns
-    without cofacets, so for every bar of the top degree and for a
-    component of one vertex.  Each degree is a :class:`_Degree` record,
-    and the reduction picks its source.  The rows of delta_p are the
-    (p+1)-simplices of the complex, and the record's ``column(tau)`` is
-    the lookup its reduction reduced with: the reduced column of a pivot
-    as (sorted rows, companion), the stored column, an apparent owner's
-    cofacets with its unit cochain, or in degree 0 delta(1_B) with 1_B,
-    computed when it is read.  A
-    reduction made with the metric (d, scale) of a VR complex reduces its
-    top degree, if above 0, from the metric, with the (top+1)-simplices
-    that were never built as rows, each keyed by one integer from the rank
-    of its value and its vertex rows, and gives no column of it
-    (:func:`_reduce_top_degree`).  ``operations``
+    where it is the unit cochain of sigma: for apparent and emergent bars
+    and columns without cofacets, so for every bar of the top degree and
+    for a component of one vertex.  Each degree is a :class:`_Degree`
+    record, and the reduction picks its source.  The rows of delta_p are
+    the (p+1)-simplices of the complex, and the record's ``column(tau)``
+    is the lookup its reduction reduced with: the reduced column of a pivot
+    as (sorted rows, companion), the stored column, an apparent or
+    emergent owner's cofacets with its unit cochain, or in degree 0
+    delta(1_B) with 1_B, computed when it is read.  A reduction made with
+    the metric (d, scale) of a VR complex reduces its top degree, if above
+    0, from the metric, with the (top+1)-simplices that were never built
+    as rows, each keyed by one integer from the rank of its value and its
+    vertex rows, computing cofacets only for the columns not cleared, and
+    gives no column of it (:func:`_reduce_top_degree`).  ``operations``
     memoises the (image, kernel) barcodes of each operation.  The object
     holds no reference to its complex, so the two are freed together by
     reference counting.
@@ -374,11 +376,14 @@ def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.nda
     earliest cofacets of the columns ``cols``, ``cofacets(j)`` is the
     sorted list of keys of column j and ``value_up(tau)`` the value of
     row tau.  A pivot is owned by its apparent column, which is later
-    than any column reaching it, or by a column reduced before, so each
-    column left is reduced and stored as in the dense reduction, by
-    :func:`steenrips.gf2.insert`.  The lookup gives a stored column, or
-    an owner's sorted cofacets with its unit cochain, computed on each
-    read: an owner's unit cochain is an int as long as its index."""
+    than any column reaching it, or by a column settled before.  A column
+    left whose earliest cofacet has no owner yet keeps it as its pivot
+    unreduced (an emergent pair, found without reading its cofacets) and
+    becomes its owner; every other column left is reduced and stored as
+    in the dense reduction, by :func:`steenrips.gf2.insert`.  The lookup
+    gives a stored column, or an apparent or emergent owner's sorted
+    cofacets with its unit cochain, computed on each read: an owner's
+    unit cochain is an int as long as its index."""
     left = np.ones(len(death), dtype=bool)
     left[cleared] = False
     apparent = apparent & left
@@ -394,8 +399,12 @@ def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.nda
             return cofacets(j), 1 << j
         return found
 
-    for s in np.flatnonzero(left)[::-1].tolist():
-        tau, z = insert(columns, cofacets(s), 1 << s, lookup)  # a sorted list is a heap
+    cols = np.flatnonzero(left)[::-1]
+    for s, tau in zip(cols.tolist(), pivot(cols)):
+        if tau in columns or tau in owner:
+            tau, z = insert(columns, cofacets(s), 1 << s, lookup)  # a sorted list is a heap
+        else:  # emergent: its earliest cofacet is the pivot, unreduced
+            owner[tau], z = s, None
         end = INF if tau is None else value_up(tau)
         if values[s] < end:
             bars.append((s, end, z))
@@ -412,48 +421,57 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
     matrix d at this scale; it gives no column and has no pivots.
 
     The cofacet sigma + {v} of a p-simplex sigma enters at the IEEE max
-    of value(sigma) and d[u, v], u in sigma, if that is <= scale.  Rows of
-    d are indexed by K's vertex rows, which is valid because the
-    0-simplices of a VR complex are the points 0..n-1 in order.  These
-    values are computed for blocks of at most ``_BLOCK`` (sigma, v)
-    pairs, and again for one sigma outside the last block whenever the
+    of value(sigma) and d[u, v], u in sigma, if that is <= scale.  Values
+    are handled as their ranks, their positions among the distinct
+    entries of d up to the scale (every value is one): d is ranked once,
+    an entry past the scale taking the rank one past the last, and the
+    rank of a max is the max of the ranks.  Rows of d are indexed by K's
+    vertex rows, which is valid because the 0-simplices of a VR complex
+    are the points 0..n-1 in order.  The cofacet ranks are computed for
+    the columns not cleared in each slice of at most ``_BLOCK`` (sigma,
+    v) pairs, and again for one sigma outside the last slice whenever the
     sparse loop needs its cofacets.  The earliest cofacet tau of sigma is
     the least by (value, v), and sigma is its latest facet when every
     other facet tau - {x} has a smaller value, or an equal one and x > v.
     :func:`_reduce_columns` settles the columns with each (p+1)-simplex
     keyed by one integer, rank(value) * n^(p+2) + the base-n code of its
-    sorted vertex rows, where rank is the value's position among the
-    distinct entries of d up to the scale (every value is one).  These
-    keys order as the (p+1)-simplices do, as Ripser's do, so the bars and
-    companions are those of the explicit reduction.  They are int64 where
-    every key fits, and Python ints otherwise, so exact for any n.  They
-    hold vertex positions, so no vertex tuple of the complex is derived.
+    sorted vertex rows.  These keys order as the (p+1)-simplices do, as
+    Ripser's do, so the bars and companions are those of the explicit
+    reduction.  They are int64 where every key fits, and Python ints
+    otherwise, so exact for any n.  They hold vertex positions, so no
+    vertex tuple of the complex is derived.
     """
     p = K.dimension
     S, values = K.dim_rows[p], K.dim_values[p]
     vals, n = np.array(values), d.shape[0]
     levels = np.unique(d[d <= scale])
+    past = len(levels)  # the rank of every entry past the scale
+    rank = levels.searchsorted(d).astype(np.min_scalar_type(past))
+    ranks = levels.searchsorted(vals).astype(rank.dtype)
     codes = n ** (p + 2)  # base-n codes of p + 2 vertex rows
-    dtype = np.int64 if len(levels) * codes < 2 ** 63 else object
+    dtype = np.int64 if past * codes < 2 ** 63 else object
 
-    def cofacet_values(block: slice) -> np.ndarray:
-        """value(sigma + {v}) for the sigma of the block and every vertex
-        v, inf where that is no cofacet within the scale."""
-        cof = np.repeat(vals[block, None], n, axis=1)
+    def cofacet_ranks(sigma) -> np.ndarray:
+        """rank(value(sigma + {v})) for the rows sigma and every vertex v,
+        ``past`` where that is no cofacet within the scale."""
+        cof = np.repeat(ranks[sigma, None], n, axis=1)
         for i in range(p + 1):
-            np.maximum(cof, d[S[block, i]], out=cof)
-        cof[np.arange(len(cof))[:, None], S[block]] = INF
-        cof[cof > scale] = INF
+            np.maximum(cof, rank[S[sigma, i]], out=cof)
+        cof[np.arange(len(cof))[:, None], S[sigma]] = past
         return cof
 
-    v = np.empty(len(S), dtype=np.intp)
-    death = np.empty(len(S))
+    kept = np.ones(len(S), dtype=bool)
+    kept[cleared] = False
+    v = np.zeros(len(S), dtype=np.intp)
+    first = np.full(len(S), past, dtype=rank.dtype)  # earliest cofacet ranks; past if cleared
     step = max(1, _BLOCK // n)
     for last in range(0, len(S), step):
         block = None  # freed before the next one is made
-        block = cofacet_values(slice(last, last + step))
-        v[last:last + step] = block.argmin(axis=1)
-        death[last:last + step] = block[np.arange(len(block)), v[last:last + step]]
+        sigma = last + np.flatnonzero(kept[last:last + step])
+        block = cofacet_ranks(sigma)
+        v[sigma] = block.argmin(axis=1)
+        first[sigma] = block[np.arange(len(block)), v[sigma]]
+    death = np.append(levels, INF)[first]
     T = np.column_stack([S, v])
     apparent = death < INF
     for x in range(p + 1):
@@ -470,18 +488,18 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
 
     def keys(cols, ws: np.ndarray, k: np.ndarray, at: np.ndarray) -> np.ndarray:
         """The keys of the cofacets sigma + {w} of the columns cols that
-        enter at the values ``at``; k counts the rows of sigma below w."""
-        return (levels.searchsorted(at).astype(dtype, copy=False) * codes
+        enter at the ranks ``at``; k counts the rows of sigma below w."""
+        return (at.astype(dtype) * codes
                 + gapped[cols, k] + ws.astype(dtype, copy=False) * power[k])
 
     def pivot(cols: np.ndarray) -> list:
         below = (S[cols] < v[cols, None]).sum(axis=1)
-        return keys(cols, v[cols], below, death[cols]).tolist()
+        return keys(cols, v[cols], below, first[cols]).tolist()
 
     def cofacets(j: int) -> list:
-        # the last block is kept, other rows are computed again
-        cof = block[j - last] if j >= last else cofacet_values(slice(j, j + 1))[0]
-        ws = (cof < INF).nonzero()[0]
+        # the last slice's block is kept, other rows are computed again
+        cof = block[sigma.searchsorted(j)] if j >= last else cofacet_ranks(slice(j, j + 1))[0]
+        ws = (cof < past).nonzero()[0]
         key = keys(j, ws, S[j].searchsorted(ws), cof[ws])
         key.sort()
         return key.tolist()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import steenrips
-from steenrips import distances
+from steenrips import cohomology, distances
 from steenrips.cohomology import (
     Bar,
     Barcode,
@@ -257,35 +257,120 @@ def _workload_complexes(monkeypatch) -> list[FilteredComplex]:
     return [FilteredComplex(K._vertices, K.dim_rows, K.dim_values) for K in built]
 
 
-@pytest.mark.parametrize("source", ["random", "tied", "rp2", "workloads"])
-def test_sparse_reduction_matches_dense_oracle(source, monkeypatch):
-    """In every degree the bars, companions (None is the unit cochain),
-    pivots and pivot columns equal those of the dense reduction: each
-    pivot's column, a reduced list or an apparent owner's cofacets, lists
-    the rows of the dense column with its companion, and no other row has
-    one."""
+# four vertices at 0; of the edges left after degree 0, 23 is apparent
+# (owning 023), 12 emergent (owning 123) and 13, whose earliest cofacet
+# is 123, reaches 12's column
+_EMERGENT_REACHED = [([0], 0), ([1], 0), ([2], 0), ([3], 0), ([0, 3], 1), ([0, 1], 2),
+                     ([1, 3], 2), ([0, 2], 6), ([1, 2], 7), ([2, 3], 7),
+                     ([0, 2, 3], 7), ([1, 2, 3], 7)]
+# of the edges left, 03 is apparent (owning 023), 13 emergent (owning 013,
+# the bar [7, 11)) and 12 has no cofacet: no column reaches 13's
+_EMERGENT_UNREACHED = [([0], 0), ([1], 0), ([2], 0), ([3], 0), ([2, 3], 2), ([0, 1], 4),
+                       ([0, 2], 4), ([1, 3], 7), ([0, 3], 9), ([1, 2], 9),
+                       ([0, 2, 3], 9), ([0, 1, 3], 11)]
+
+
+def _oracle_complexes(source: str, monkeypatch) -> list[FilteredComplex]:
     rng = np.random.default_rng(41)
-    complexes = {
+    return {
         "random": lambda: [random_filtered_complex(rng, target_size=24) for _ in range(30)],
         "tied": lambda: [random_filtered_complex(rng, target_size=24, random_values=False)
                          for _ in range(30)],
         "rp2": lambda: [rp2_complex()],
         "workloads": lambda: _workload_complexes(monkeypatch),
+        "reached": lambda: [build(_EMERGENT_REACHED)],
+        "unreached": lambda: [build(_EMERGENT_UNREACHED)],
     }[source]()
-    for K in complexes:
+
+
+def _assert_matches_dense(K: FilteredComplex, tables: list, bars: list) -> None:
+    """In every degree the bars, companions (None is the unit cochain),
+    pivots and pivot columns of K's reduction equal the dense ones."""
+    red = reduction(K)
+    for p in range(K.dimension + 1):
+        column, pivots, got = red.degree(K, p)
+        assert ([(s, d, 1 << s if z is None else z) for s, d, z in got]
+                == [(s, d, 1 << s if z is None else z) for s, d, z in bars[p]])
+        assert pivots.tolist() == sorted(tables[p])
+        # a coboundary of delta_p's pivot columns is one
+        for tau in list(tables[p])[::3]:
+            c = Cochain(K, p + 1, tables[p][tau][0])
+            assert is_coboundary(c)
+        for tau in range(K.n_simplices(p + 1) + 2):  # and rows past the last
+            assert column(tau) == _column(tables[p].get(tau))
+
+
+@pytest.mark.parametrize("source", ["random", "tied", "rp2", "workloads"])
+def test_sparse_reduction_matches_dense_oracle(source, monkeypatch):
+    """In every degree the bars, companions (None is the unit cochain),
+    pivots and pivot columns equal those of the dense reduction: each
+    pivot's column, a reduced list or an apparent or emergent owner's
+    cofacets, lists the rows of the dense column with its companion, and
+    no other row has one."""
+    for K in _oracle_complexes(source, monkeypatch):
+        _assert_matches_dense(K, *dense_reduction(K, K.dimension))
+
+
+@pytest.mark.parametrize("source, emergent, reaches", [
+    ("random", 4, 0), ("tied", 4, 0), ("workloads", 50, 8), ("reached", 1, 1),
+    ("unreached", 1, 0)])
+def test_emergent_columns_are_read_only_when_reached(source, emergent, reaches, monkeypatch):
+    """A column left after clearing and apparent pairs whose earliest
+    cofacet tau has no owner yet keeps tau as its pivot unreduced (an
+    emergent pair; its dense companion is its unit bit).  The sparse loop
+    reads its cofacets only after a later column's reduction has looked
+    tau up, and never where none reaches it; bars, pivots and columns
+    stay the dense reduction's.  The source's complexes have ``emergent``
+    emergent columns, of which ``reaches`` are reached."""
+    events: list[tuple[str, int, int]] = []  # ("read", call, s), ("lookup", call, tau)
+    calls = []
+    reduce_columns, insert = cohomology._reduce_columns, cohomology.insert
+
+    def spy(values, death, apparent, pivot, cofacets, value_up, cleared):
+        call = len(calls)
+        calls.append((death, apparent, pivot, cleared))
+
+        def reading(j):
+            events.append(("read", call, j))
+            return cofacets(j)
+
+        return reduce_columns(values, death, apparent, pivot, reading, value_up, cleared)
+
+    def inserting(columns, heap, z, lookup):
+        call = len(calls) - 1
+
+        def looking(tau):
+            events.append(("lookup", call, tau))
+            return lookup(tau)
+
+        return insert(columns, heap, z, looking)
+
+    found = reached = 0
+    for K in _oracle_complexes(source, monkeypatch):
         tables, bars = dense_reduction(K, K.dimension)
-        red = reduction(K)
-        for p in range(K.dimension + 1):
-            column, pivots, got = red.degree(K, p)
-            assert ([(s, d, 1 << s if z is None else z) for s, d, z in got]
-                    == [(s, d, 1 << s if z is None else z) for s, d, z in bars[p]])
-            assert pivots.tolist() == sorted(tables[p])
-            # a coboundary of delta_p's pivot columns is one
-            for tau in list(tables[p])[::3]:
-                c = Cochain(K, p + 1, tables[p][tau][0])
-                assert is_coboundary(c)
-            for tau in range(K.n_simplices(p + 1) + 2):  # and rows past the last
-                assert column(tau) == _column(tables[p].get(tau))
+        events.clear()
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(cohomology, "_reduce_columns", spy)
+            m.setattr(cohomology, "insert", inserting)
+            reduction(K).degree(K, K.dimension)
+        seen = {}
+        for i, event in enumerate(events):
+            seen.setdefault(event, i)
+        for call, (death, apparent, pivot, cleared) in enumerate(calls):
+            table = tables[call + 1]  # degree 0 is union-find
+            left = death < INF
+            left[cleared] = False
+            for s in np.flatnonzero(left & ~apparent).tolist():
+                (tau,) = pivot(np.array([s]))
+                if table[tau][1] != 1 << s:
+                    continue  # reduced, or cancelled by an owner of tau
+                found += 1
+                if ("read", call, s) in seen:
+                    reached += 1
+                    assert seen.get(("lookup", call, tau), INF) < seen["read", call, s]
+        _assert_matches_dense(K, tables, bars)
+    assert (found, reached) == (emergent, reaches)
 
 
 def _column(found: tuple[int, int] | None) -> tuple[list[int], int] | None:

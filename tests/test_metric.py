@@ -386,6 +386,34 @@ def test_top_degree_past_int64_matches_full_complex(n):
     assert got == _complex_json(vr_filtration(X, 6, 1.5), 5, ops)
 
 
+def test_top_degree_reads_fewer_cofacet_rows(monkeypatch):
+    """An emergent column needs no cofacet row until a later column
+    reaches it.  With Sq^1 on a 20-orbit RP^2 sample at its enclosing
+    radius, the rows read through each degree's ``cofacets``, by the
+    sparse loop and by lookups, are 34 in degree 1 and 55 in the metric
+    top degree 2.  Before emergent pairs they were 32 and 73: degree 1
+    reads two more, as a reached emergent column's row is read on each
+    lookup, where a stored column was kept."""
+    reads = []
+    reduce_columns = cohomology._reduce_columns
+
+    def spy(values, death, apparent, pivot, cofacets, value_up, cleared):
+        call = len(reads)
+        reads.append(0)
+
+        def counting(j):
+            reads[call] += 1
+            return cofacets(j)
+
+        return reduce_columns(values, death, apparent, pivot, counting, value_up, cleared)
+
+    monkeypatch.setattr(cohomology, "_reduce_columns", spy)
+    X = projective_sample(2, 20, seed=1)
+    rips_barcodes(X, 2, [Operation.sq(1, 1)], X.diameter())  # cut at the enclosing radius
+    assert reads == [34, 55]
+    assert reads[1] < 73 and sum(reads) < 32 + 73
+
+
 def test_rips_barcodes_one_point_and_negative_degree(monkeypatch):
     """One point has no enclosing radius and keeps max_scale; a negative
     degree is an error."""
