@@ -13,14 +13,20 @@ lexicographic vertices), in which faces always precede cofaces, is
 derived from those parts by a merge.  Cochains ride on the stored
 order: the support of a degree-p cochain is a bit-vector indexed by the
 p-simplices of its host complex.  Coboundaries, the reduction and cup-i
-products find faces from the rows, with :func:`_faces` alone.
+products find faces from the rows, with :func:`_faces` alone.  It keys
+the first c + 1 vertices of a face by the index of the first c among the
+(c-1)-simplices and the last vertex, and maps the keys to indices with a
+direct-address table, or with a sort where the table would hold more
+slots than the sort makes comparisons, so its memory stays within keys *
+log2(keys) slots (or a small fixed table).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import accumulate, chain, combinations, repeat
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -237,31 +243,64 @@ def zero_cochain(K: FilteredComplex, p: int) -> Cochain:
     return Cochain(K, p, 0)
 
 
+# Table slots that cost less than a sort's fixed overhead whatever the
+# key count: 32 KB, eight pages, against some 20 us for np.unique
+_SMALL_TABLE = 1 << 12
+
+
+def _use_table(entries: int, keys: int) -> bool:
+    """Whether a level of :func:`_faces` maps its keys by a table of
+    ``entries`` slots: only while the table is no larger than
+    ``_SMALL_TABLE`` or than the comparisons a sort of the keys would
+    make, keys * log2(keys)."""
+    return entries <= max(keys * math.log2(max(keys, 1)), _SMALL_TABLE)
+
+
 def _faces(K: FilteredComplex, n: int, subsets: Sequence[Sequence[int]]) -> np.ndarray:
     """Row sigma, column k: the index among the p-simplices of the face
     of the n-simplex sigma on its vertex numbers ``subsets[k]``, each an
     increasing tuple of p + 1 numbers in 0..n (at least one subset); no
-    rows when n > dim(K).  Exact for every vertex id: rows are matched
-    one vertex column at a time, each prefix coded by its rank among the
-    p-simplices' prefixes, so no code reaches (number of p-simplices) x
-    (number of vertices)."""
+    rows when n > dim(K).
+
+    Faces are matched one level c = 1..p at a time; level 0 is the vertex
+    position itself.  A c-simplex is keyed by i * m + v: i the index of
+    its first c vertices among K's (c-1)-simplices, v its last vertex and
+    m the number of vertices.  Keys are below n_{c-1} * m, so they are
+    exact for every vertex id.  The keys of K's c-simplices
+    (``K.dim_rows[c]``) give each key its index, and a level maps through
+    them the first c + 1 vertices of every face, and of every simplex of
+    K above c that a later level keys.  The map is a direct-address table
+    of n_{c-1} * m slots, filled by one scatter and read by one gather,
+    with nothing sorted, where :func:`_use_table` finds it no larger than
+    a sort of the level's keys; a sparser level ranks its keys with
+    ``np.unique``.  So no table holds more than keys * log2(keys) slots,
+    or 4,096 on small complexes, and the tables live for one call."""
     if n >= len(K.dim_rows):
         return np.empty((0, len(subsets)), dtype=np.intp)
-    p = len(subsets[0]) - 1
-    S, T = K.dim_rows[p], K.dim_rows[n]
-    m = K.n_simplices(0)
-
-    def vertex(c: int) -> np.ndarray:
-        return T[:, [subset[c] for subset in subsets]]
-
-    code, face_code = S[:, 0], vertex(0)
+    p, m = len(subsets[0]) - 1, K.n_simplices(0)
+    T, columns = K.dim_rows[n], np.asarray(subsets).T
+    # level c reads the index among the (c-1)-simplices of the first c
+    # vertices of each d-simplex of K, d = c..p (prefix), and of each face
+    prefix, face = [rows[:, 0] for rows in K.dim_rows[1:p + 1]], T[:, columns[0]]
     for c in range(1, p + 1):
-        keys = np.concatenate([code * m + S[:, c], (face_code * m + vertex(c)).ravel()])
-        rank = np.unique(keys, return_inverse=True)[1]
-        code, face_code = rank[:len(S)], rank[len(S):].reshape(len(T), len(subsets))
-    index = np.empty(len(S), dtype=np.intp)
-    index[code] = np.arange(len(S))
-    return index[face_code]
+        own, *keys = (code * m + rows[:, c] for code, rows in zip(prefix, K.dim_rows[c:]))
+        face *= m
+        face += T[:, columns[c]]
+        entries = len(K.dim_rows[c - 1]) * m
+        if _use_table(entries, len(own) + sum(map(len, keys)) + face.size):
+            index = np.empty(entries, dtype=np.intp)
+            index[own] = np.arange(len(own))
+            prefix, face = [index[k] for k in keys], index[face]
+        else:
+            rank = np.unique(np.concatenate([own, *keys, face.ravel()]),
+                             return_inverse=True)[1]
+            index = np.empty(len(own), dtype=np.intp)
+            index[rank[:len(own)]] = np.arange(len(own))
+            found = index[rank[len(own):]]
+            ends = [*accumulate(map(len, keys), initial=0)]
+            prefix = [found[a:b] for a, b in zip(ends, ends[1:])]
+            face = found[ends[-1]:].reshape(face.shape)
+    return face
 
 
 def _facets(K: FilteredComplex, q: int) -> np.ndarray:

@@ -1,8 +1,11 @@
 import io
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import steenrips.simplicial as simplicial
 from steenrips.errors import (
     ClosureError,
     DimensionMismatchError,
@@ -11,7 +14,14 @@ from steenrips.errors import (
     ValidationError,
 )
 from steenrips.gf2 import rank
-from steenrips.metric import metric_from_points, vr_filtration
+from steenrips.metric import (
+    circle_grid,
+    gluing_wedge,
+    metric_from_points,
+    projective_sample,
+    sphere_sample,
+    vr_filtration,
+)
 from steenrips.simplicial import (
     Cochain,
     FilteredComplex,
@@ -23,12 +33,14 @@ from steenrips.simplicial import (
     rp2_complex,
     zero_cochain,
 )
+from steenrips.steenrod import _blocks, _cup_faces
 from steenrips.synthetic import random_filtered_complex
 
 from oracles import (
     _chain_boundary_columns,
     cochain_from_simplices,
     restrict_cochain,
+    simplex_index,
     sublevel,
     value_of,
 )
@@ -289,3 +301,85 @@ def test_text_parsing():
         load_complex("0\n")
     with pytest.raises(ValidationError):
         load_complex("x 0 1\n")
+
+
+def _face_complexes() -> list:
+    """Small random complexes, complexes with large non-contiguous vertex
+    ids, and VR complexes of the benchmark workloads' shapes: a 30-orbit
+    RP^2 sample to dimension 3, a circle-sphere wedge to dimension 3 and
+    a 200-point noisy circle to dimension 2."""
+    rng = np.random.default_rng(41)
+    complexes = [random_filtered_complex(rng) for _ in range(12)]
+    for count in (9, 14):
+        # distinct ids past 2**64, far apart, in random order
+        ids = [(1 << 70) + 7919 * k * k for k in rng.permutation(count).tolist()]
+        weight = rng.uniform(size=count)
+        tops = {tuple(sorted(rng.choice(count, size=size, replace=False).tolist()))
+                for size in rng.integers(2, 5, size=3 * count)}
+        faces = {f for top in tops for r in range(1, len(top) + 1)
+                 for f in combinations(top, r)} | {(v,) for v in range(count)}
+        complexes.append(build(
+            [([ids[v] for v in f], max(weight[v] for v in f) + len(f)) for f in faces]))
+    theta = rng.uniform(0.0, 2.0 * np.pi, 200)
+    radius = 1.0 + 0.05 * rng.standard_normal(200)
+    wedge = gluing_wedge(circle_grid(9, 1.0), 0, sphere_sample(2, 1.0, 21, seed=2), 0)
+    return complexes + [
+        vr_filtration(projective_sample(2, 30, seed=3), 3, 2.3),
+        vr_filtration(wedge, 3, 1.8),
+        vr_filtration(metric_from_points(
+            np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])), 2, 0.25)]
+
+
+def _oracle_faces(K: FilteredComplex, n: int, subsets) -> list[list[int]]:
+    """The face indices that _faces returns, looked up by vertex tuple."""
+    if n > K.dimension:
+        return []
+    index = simplex_index(K, len(subsets[0]) - 1)
+    return [[index[tuple(s[j] for j in subset)] for subset in subsets]
+            for s in K.dim_simplices[n]]
+
+
+@pytest.mark.parametrize("levels", ["by density", "sorted", "by table"])
+def test_faces_match_the_tuple_oracle(monkeypatch, levels):
+    """Every facet array and both cup-i face arrays equal the indices
+    found by vertex tuple, whichever map each level of _faces takes."""
+    if levels != "by density":
+        monkeypatch.setattr(simplicial, "_use_table",
+                            lambda entries, keys: levels == "by table")
+    for K in _face_complexes():
+        for q in range(K.dimension):
+            facets = simplicial._facets(K, q)
+            subsets = [[c for c in range(q + 2) if c != x] for x in range(q + 2)]
+            assert facets.dtype == np.intp and facets.shape == (K.n_simplices(q + 1), q + 2)
+            assert facets.tolist() == _oracle_faces(K, q + 1, subsets)
+        for p in range(K.dimension + 1):
+            for q in range(K.dimension + 1):
+                for i in range(min(p, q) + 1):
+                    even, odd = zip(*_blocks(p, q, i))
+                    fa, fb = _cup_faces(K, p, q, i)
+                    assert fa.shape == fb.shape == (K.n_simplices(p + q - i), len(even))
+                    assert fa.tolist() == _oracle_faces(K, p + q - i, even)
+                    assert fb.tolist() == _oracle_faces(K, p + q - i, odd)
+
+
+def test_faces_memory_is_linear_in_the_keys():
+    """5,000 vertices, nearly all isolated, and 300 triangles: a table
+    over every (vertex, vertex) pair would take 200 MB, so the level must
+    be sorted, and the peak stays within a bound linear in the keys."""
+    rng = np.random.default_rng(43)
+    ids = rng.permutation(5000)[:900].reshape(300, 3)
+    pairs = [([v], 0.0) for v in range(5000)]
+    pairs += [(list(f), 1.0) for t in ids.tolist() for f in combinations(sorted(t), 2)]
+    pairs += [(t, 2.0) for t in ids.tolist()]
+    K = build(pairs)
+    assert K.n_simplices(0) == 5000 and K.n_simplices(2) == 300
+    # keys: the 900 edges' own, then the faces' (three or one per triangle)
+    for call, keys in ((lambda: simplicial._facets(K, 1), 900 + 3 * 300),
+                       (lambda: _cup_faces(K, 1, 1, 0), 900 + 300)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * keys + (64 << 10), f"peak {peak} bytes for {keys} keys"
