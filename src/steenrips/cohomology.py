@@ -24,9 +24,9 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .gf2 import insert, reduce_column, rows
+from .gf2 import insert, reduce_column, rows, to_bools
 from .metric import _BLOCK
-from .simplicial import Cochain, FilteredComplex, _facets, coboundary
+from .simplicial import Cochain, FilteredComplex, _facets
 
 INF = math.inf
 _JSON_KINDS = (int, (int, float), (int, float), int)  # degree, birth, death, mult
@@ -60,71 +60,141 @@ class Bar:
         return self.death - self.birth
 
 
-class Barcode:
-    """Multiset of bars, canonically sorted by (degree, birth, death)."""
+def _bar(degree: int, birth: float, death: float, multiplicity: int) -> Bar:
+    """A :class:`Bar` of fields already validated, built without
+    validating them again."""
+    bar = object.__new__(Bar)
+    bar.__dict__.update(degree=degree, birth=birth, death=death, multiplicity=multiplicity)
+    return bar
 
-    __slots__ = ("bars",)
+
+def _merge(degree, birth, death, multiplicity) -> tuple[np.ndarray, ...]:
+    """The four columns of bars sorted by (degree, birth, death), with
+    the multiplicities of equal keys added: one lexsort and a run-length
+    merge.  A merged key keeps its first endpoint in the input order."""
+    columns = (np.asarray(degree, dtype=np.int64), np.asarray(birth, dtype=np.float64),
+               np.asarray(death, dtype=np.float64), np.asarray(multiplicity, dtype=np.int64))
+    order = np.lexsort(columns[2::-1])
+    degree, birth, death, multiplicity = (c[order] for c in columns)
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (degree[1:] != degree[:-1]) | (birth[1:] != birth[:-1]) | (death[1:] != death[:-1])
+    if not new.all():
+        starts = np.flatnonzero(new)
+        degree, birth, death = degree[starts], birth[starts], death[starts]
+        multiplicity = np.add.reduceat(multiplicity, starts)
+    return degree, birth, death, multiplicity
+
+
+class Barcode:
+    """Multiset of bars, canonically sorted by (degree, birth, death).
+
+    It is held as four read-only arrays with one entry per distinct
+    (degree, birth, death), in that order: ``degree`` and
+    ``multiplicity`` (int64), ``birth`` and ``death`` (float64, inf for
+    an essential bar).  :meth:`from_arrays` validates whole columns and
+    ``Barcode(bars)`` takes bars that validated themselves; both go
+    through one lexsort and a run-length merge that adds the
+    multiplicities of equal keys.  ``bars``, the tuple of :class:`Bar`,
+    is built on first read, without validating each bar again.
+    """
+
+    __slots__ = ("degree", "birth", "death", "multiplicity", "_bars")
 
     def __init__(self, bars: Iterable[Bar] = ()):
-        # a key seen once keeps the caller's bar: none is built twice
-        merged: dict[tuple[int, float, float], list[Bar]] = {}
-        for b in bars:
-            merged.setdefault((b.degree, b.birth, b.death), []).append(b)
-        self.bars = tuple(
-            same[0] if len(same) == 1 else Bar(*key, sum(b.multiplicity for b in same))
-            for key, same in sorted(merged.items()))
+        fields = [(b.degree, b.birth, b.death, b.multiplicity) for b in bars]
+        self._set(*_merge(*(zip(*fields) if fields else ((),) * 4)))
+
+    def _set(self, *columns: np.ndarray) -> None:
+        for c in columns:
+            c.flags.writeable = False
+        self.degree, self.birth, self.death, self.multiplicity = columns
+        self._bars = None
+
+    @classmethod
+    def _of(cls, *columns: np.ndarray) -> "Barcode":
+        """The barcode of columns that are already canonical."""
+        barcode = object.__new__(cls)
+        barcode._set(*columns)
+        return barcode
+
+    @classmethod
+    def from_arrays(cls, degree, birth, death, multiplicity) -> "Barcode":
+        """The barcode of bars given as columns in any order; a degree or
+        a multiplicity may be one number for every bar.  Each column is
+        validated whole, and the first bar that fails is refused with
+        the message its :class:`Bar` would give."""
+        birth = np.asarray(birth, dtype=np.float64)
+        death = np.asarray(death, dtype=np.float64)
+        degree, multiplicity = (np.broadcast_to(np.asarray(c, dtype=np.int64), birth.shape)
+                                for c in (degree, multiplicity))
+        refused = (degree < 0, ~(birth < death), np.isinf(birth), multiplicity < 1)
+        bad = refused[0] | refused[1] | refused[2] | refused[3]
+        if bad.any():
+            i = int(bad.argmax())
+            messages = (f"bar degree must be nonnegative, got {degree[i]}",
+                        f"bar with birth {float(birth[i])} >= death {float(death[i])}",
+                        "bar birth must be finite", "bar multiplicity must be positive")
+            raise ValidationError(next(m for m, r in zip(messages, refused) if r[i]))
+        return cls._of(*_merge(degree, birth, death, multiplicity))
+
+    @property
+    def bars(self) -> tuple[Bar, ...]:
+        if self._bars is None:
+            self._bars = tuple(map(_bar, self.degree.tolist(), self.birth.tolist(),
+                                   self.death.tolist(), self.multiplicity.tolist()))
+        return self._bars
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.degree, self.birth, self.death, self.multiplicity
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Barcode) and self.bars == other.bars
+        return isinstance(other, Barcode) and all(
+            map(np.array_equal, self._columns(), other._columns()))
 
     def __hash__(self):
         return hash(self.bars)
 
     def __len__(self) -> int:
-        return sum(b.multiplicity for b in self.bars)
+        return int(self.multiplicity.sum())
 
     def __iter__(self):
         return iter(self.bars)
 
     def in_degree(self, degree: int) -> "Barcode":
-        return Barcode(b for b in self.bars if b.degree == degree)
+        part = slice(*self.degree.searchsorted((degree, degree + 1)))
+        return Barcode._of(*(c[part] for c in self._columns()))
 
     def expanded(self, degree: int | None = None) -> list[tuple[float, float]]:
         """(birth, death) pairs with multiplicities unrolled."""
-        out = []
-        for b in self.bars:
-            if degree is None or b.degree == degree:
-                out.extend([(b.birth, b.death)] * b.multiplicity)
-        return out
+        part = self if degree is None else self.in_degree(degree)
+        return list(zip(np.repeat(part.birth, part.multiplicity).tolist(),
+                        np.repeat(part.death, part.multiplicity).tolist()))
 
     def alive(self, degree: int, t: float) -> int:
         """Number of classes with birth <= t < death."""
-        return sum(b.multiplicity for b in self.bars
-                   if b.degree == degree and b.birth <= t < b.death)
+        part = self.in_degree(degree)
+        return int(part.multiplicity[(part.birth <= t) & (t < part.death)].sum())
 
     def union(self, other: "Barcode") -> "Barcode":
-        return Barcode(self.bars + other.bars)
+        return Barcode._of(*_merge(*map(np.concatenate, zip(self._columns(), other._columns()))))
 
     def without_one(self, bar: Bar) -> "Barcode":
         """Drop one copy of the given (degree, birth, death)."""
-        out = []
-        dropped = False
-        for b in self.bars:
-            if (not dropped and b.degree == bar.degree
-                    and b.birth == bar.birth and b.death == bar.death):
-                dropped = True
-                if b.multiplicity > 1:
-                    out.append(Bar(b.degree, b.birth, b.death, b.multiplicity - 1))
-            else:
-                out.append(b)
-        if not dropped:
+        at = np.flatnonzero((self.degree == bar.degree) & (self.birth == bar.birth)
+                            & (self.death == bar.death))
+        if not len(at):
             raise ValidationError(f"bar {bar} not present")
-        return Barcode(out)
+        multiplicity = self.multiplicity.copy()
+        multiplicity[at[0]] -= 1
+        kept = multiplicity > 0
+        return Barcode._of(self.degree[kept], self.birth[kept], self.death[kept],
+                           multiplicity[kept])
 
     def reduced(self) -> "Barcode":
         """Without one infinite degree-0 bar, the earliest born, if any."""
-        essential = [b.birth for b in self.in_degree(0) if b.is_infinite]
-        return self.without_one(Bar(0, min(essential), INF)) if essential else self
+        part = self.in_degree(0)
+        essential = part.birth[part.death == INF]
+        return self.without_one(Bar(0, essential[0], INF)) if len(essential) else self
 
     def to_json_dict(self, operation: str = "id", u_scale: bool = False) -> dict:
         bars = []
@@ -322,16 +392,15 @@ def _components(K: FilteredComplex) -> _Degree:
     bars += ((r, INF, mask.get(r)) for r in range(n) if parent[r] == r)
     bars.sort(key=lambda bar: -bar[0])
 
-    # K's vertices and edges: a column holding K would be a reference
-    # cycle through K's reduction
-    skeleton = FilteredComplex(K._vertices, K.dim_rows[:2], K.dim_values[:2])
-
+    # the edges, not K: a column holding K would be a reference cycle
+    # through K's reduction
     def column(tau: int) -> tuple[list[int], int] | None:
         if tau not in killed:
             return None
         b, z = killed[tau]
         z = 1 << b if z is None else z
-        return rows(coboundary(Cochain(skeleton, 0, z)).bits), z
+        ends = to_bools(z, n)[edges]  # which ends of each edge are in B
+        return np.flatnonzero(ends[:, 0] != ends[:, 1]).tolist(), z
 
     return _Degree(column, np.fromiter(killed, dtype=np.intp, count=len(killed)), bars)
 
@@ -525,15 +594,21 @@ def persistent_barcode(K: FilteredComplex, max_degree: int) -> Barcode:
 
     Read from the cohomology reduction of K; over a field the homology
     barcode coincides.  Zero-length pairs (birth value == death value)
-    are dropped.  :meth:`Barcode.reduced` removes one infinite degree-0
-    bar.
+    are dropped.  Each bar's (degree, birth, death) is gathered from its
+    record and the barcode is built once from those columns
+    (:meth:`Barcode.from_arrays`), with no :class:`Bar` built.
+    :meth:`Barcode.reduced` removes one infinite degree-0 bar.
     """
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative")
     red = reduction(K)
-    return Barcode(Bar(p, K.dim_values[p][s], death)
-                   for p in range(min(max_degree, K.dimension) + 1)
-                   for s, death, _ in red.degree(K, p).bars)
+    degree, birth, death = [], [], []
+    for p in range(min(max_degree, K.dimension) + 1):
+        values, bars = K.dim_values[p], red.degree(K, p).bars
+        degree += [p] * len(bars)
+        birth += [values[s] for s, _, _ in bars]
+        death += [end for _, end, _ in bars]
+    return Barcode.from_arrays(degree, birth, death, 1)
 
 
 def cohomology_basis(K: FilteredComplex, p: int) -> CohomologyBasis:

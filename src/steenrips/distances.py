@@ -1,16 +1,20 @@
 """Exact bottleneck distance, brute-force oracle, stability and GH bounds.
 
-The bottleneck distance is computed combinatorially.  One numpy pass
-builds the n x m matrix of L-infinity pair costs and the half-persistence
-of every finite bar; the answer is the least of these costs (or 0) at
-which a partial matching of that cost exists, found by binary search.
-At a threshold c the bars with half-persistence > c must be matched
-along pairs of cost <= c.  By the Mendelsohn-Dulmage theorem (Mendelsohn
-& Dulmage, "Some generalizations of the problem of distinct
-representatives", Canad. J. Math. 1958), a matching covering those
-A-bars and one covering those B-bars combine into one covering both, so
-each probe is two one-sided saturation searches over the threshold
-graph.
+The bottleneck distance is computed combinatorially, from the arrays of
+the two barcodes.  One numpy pass builds the n x m matrix of L-infinity
+pair costs and the half-persistence of every finite bar; the answer is
+the least of these costs (or 0) at which a partial matching of that
+cost exists.  It is found by two binary searches: one over 0 and the
+half-persistences, then one over the pair costs between the two
+half-persistences that bracket the answer, so that not every pair cost
+is sorted (the candidates of Kerber, Morozov & Nigmetov, "Geometry helps
+to compare persistence diagrams", JEA 2017).  At a threshold c the bars
+with half-persistence > c must be matched along pairs of cost <= c.  By
+the Mendelsohn-Dulmage theorem (Mendelsohn & Dulmage, "Some
+generalizations of the problem of distinct representatives", Canad. J.
+Math. 1958), a matching covering those A-bars and one covering those
+B-bars combine into one covering both, so each probe is two one-sided
+saturation searches over the threshold graph.
 
 When each side's finite bars share one birth (every H0 bar of a VR
 filtration is born at 0; the two sides' births may differ), the search
@@ -95,16 +99,6 @@ def _saturates(edges: np.ndarray) -> bool:
     return True
 
 
-def _costs(fa: list[tuple[float, float]], fb: list[tuple[float, float]]):
-    """L-infinity pair costs (n x m) and half-persistences of finite bars;
-    the same floats as ``_pair_cost`` and ``_unmatched_cost``."""
-    a = np.array(fa, dtype=np.float64).reshape(-1, 2)
-    b = np.array(fb, dtype=np.float64).reshape(-1, 2)
-    pair = np.maximum(np.abs(a[:, None, 0] - b[None, :, 0]),
-                      np.abs(a[:, None, 1] - b[None, :, 1]))
-    return pair, (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
-
-
 def _feasible(pair: np.ndarray, ua: np.ndarray, ub: np.ndarray, c: float,
               covers) -> bool:
     """Is there a partial matching of cost <= c between finite bars?
@@ -115,8 +109,15 @@ def _feasible(pair: np.ndarray, ua: np.ndarray, ub: np.ndarray, c: float,
     both (Mendelsohn-Dulmage), so two one-sided searches decide it, each
     a ``covers`` of the rows of ``pair <= c`` of the bars that must be
     matched: ``_first_fit`` or ``_saturates``, read from the bars.
+    First-fit runs on one-birth sides, whose half-persistences ascend
+    with the deaths, so its rows are sliced as a suffix, not masked.
     """
-    return covers(pair[ua > c] <= c) and covers((pair[:, ub > c] <= c).T)
+    if covers is _first_fit:
+        must_a = slice(ua.searchsorted(c, "right"), None)
+        must_b = slice(ub.searchsorted(c, "right"), None)
+    else:
+        must_a, must_b = ua > c, ub > c
+    return covers(pair[must_a] <= c) and covers((pair[:, must_b] <= c).T)
 
 
 def _first_fit(edges: np.ndarray) -> bool:
@@ -145,44 +146,76 @@ def _expanded(A: Barcode, B: Barcode, degree: int) -> tuple[list, list]:
     return A.expanded(degree), B.expanded(degree)
 
 
-def _split(pairs: list[tuple[float, float]]) -> tuple[list, list[float]]:
-    """A side's finite (birth, death) pairs and sorted essential births."""
-    return ([p for p in pairs if not math.isinf(p[1])],
-            sorted(b for b, d in pairs if math.isinf(d)))
+def _side(X: Barcode, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The births and deaths of X's finite bars in this degree and the
+    births of its essential bars, multiplicities unrolled, in X's order:
+    by birth, then death."""
+    if degree < 0:
+        raise ValidationError(f"degree must be nonnegative, got {degree}")
+    part = slice(*X.degree.searchsorted((degree, degree + 1)))
+    birth = np.repeat(X.birth[part], X.multiplicity[part])
+    death = np.repeat(X.death[part], X.multiplicity[part])
+    finite = death < INF
+    return birth[finite], death[finite], birth[~finite]
+
+
+def _least_feasible(ordered: np.ndarray, feasible) -> int:
+    """The index of the least value of ``ordered`` (nondecreasing) at
+    which the monotone ``feasible`` holds, len(ordered) if none, by
+    binary search."""
+    lo, hi = 0, len(ordered)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(ordered[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def bottleneck(A: Barcode, B: Barcode, degree: int) -> float:
     """Exact bottleneck distance between the degree-``degree`` parts.
 
-    Mismatched infinite-bar counts give inf (not an error).  When the
-    finite bars of each side share one birth (read from the bars, in any
-    degree; the sides' births may differ), each probe covers the rows of
-    ``pair <= c`` by first-fit over their death-sorted windows; otherwise
-    by Kuhn's search.  The candidates, the binary search and so the value
-    are the same either way.
+    Read from the barcodes' arrays.  Mismatched infinite-bar counts give
+    inf (not an error).  The answer is the least candidate, 0, a
+    half-persistence or a pair cost, at which ``_feasible`` holds, found
+    in two stages.  A binary search over the sorted 0 and
+    half-persistences finds the least feasible one, s_hi, and the one
+    below it, s_lo, which is not (none if s_hi is 0).  Then only the pair
+    costs strictly between s_lo and s_hi are sorted and searched, s_hi
+    being the answer if none of them is feasible.  When the finite bars
+    of each side share one birth (in any degree; the sides' births may
+    differ), each probe covers the rows of ``pair <= c`` by first-fit
+    over their death-sorted windows; otherwise by Kuhn's search.  The
+    candidates and the predicate are those of one search over every
+    candidate, and so is the value.
     """
-    (fa, inf_a), (fb, inf_b) = map(_split, _expanded(A, B, degree))
-    if len(inf_a) != len(inf_b):
+    (ba, da, ia), (bb, db, ib) = _side(A, degree), _side(B, degree)
+    if len(ia) != len(ib):
         return INF
-    inf_cost = max((abs(x - y) for x, y in zip(inf_a, inf_b)), default=0.0)
-    if not fa and not fb:
+    inf_cost = float(np.abs(ia - ib).max()) if len(ia) else 0.0
+    if not len(ba) and not len(bb):
         return inf_cost
-    pair, ua, ub = _costs(fa, fb)
-    # a Barcode sorts by (birth, death): one birth leaves them by death
-    one_birth = len({p[0] for p in fa}) <= 1 and len({p[0] for p in fb}) <= 1
+    # max(|b_a - b_b|, |d_a - d_b|) in two n x m buffers, filled in place
+    pair, deaths = np.subtract.outer(ba, bb), np.subtract.outer(da, db)
+    np.maximum(np.abs(pair, out=pair), np.abs(deaths, out=deaths), out=pair)
+    ua, ub = (da - ba) / 2.0, (db - bb) / 2.0
+    # the bars come sorted by (birth, death): one birth leaves them by death
+    one_birth = (not len(ba) or ba[0] == ba[-1]) and (not len(bb) or bb[0] == bb[-1])
     covers = _first_fit if one_birth else _saturates
-    ordered = np.unique(np.concatenate(([0.0], ua, ub, pair.ravel())))
-    lo, hi = 0, len(ordered) - 1
-    if not _feasible(pair, ua, ub, ordered[hi], covers):
+
+    def feasible(c) -> bool:
+        return _feasible(pair, ua, ub, c, covers)
+
+    halves = np.sort(np.concatenate(([0.0], ua, ub)))
+    k = _least_feasible(halves, feasible)
+    if k == len(halves):
         # all-unmatched is always feasible at the largest half-persistence
         raise InternalInvariantError("threshold graph not monotone")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _feasible(pair, ua, ub, ordered[mid], covers):
-            hi = mid
-        else:
-            lo = mid + 1
-    return max(inf_cost, float(ordered[lo]))
+    s_lo, s_hi = halves[k - 1] if k else -INF, halves[k]
+    band = np.sort(pair[(s_lo < pair) & (pair < s_hi)])
+    j = _least_feasible(band, feasible)
+    return max(inf_cost, float(band[j] if j < len(band) else s_hi))
 
 
 def bottleneck_oracle(A: Barcode, B: Barcode, degree: int) -> float:

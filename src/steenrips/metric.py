@@ -29,6 +29,10 @@ from .simplicial import FilteredComplex
 _TOL = 1e-9
 # most entries one block of vr_filtration or metric_from_points holds
 _BLOCK = 1 << 22
+# most sums a block of _check_triangle holds beyond one row of n^2: 512 KB
+# covers a small space in one numpy pass, where a block of _BLOCK would
+# raise the peak of a few hundred points from ~2 to ~35 MB
+_TRIANGLE_BLOCK = 1 << 16
 
 
 class FiniteMetricSpace:
@@ -101,11 +105,15 @@ def _symmetric(d: np.ndarray, tol: float = math.inf) -> np.ndarray:
 
 
 def _check_triangle(d: np.ndarray) -> None:
-    """d(x,y) <= d(x,z) + d(z,y) for all z, within tolerance; one row of
-    slack at a time keeps the check in O(n^2) memory."""
+    """d(x,y) <= d(x,z) + d(z,y) for all z, within tolerance.  The slack
+    min_z d(x,z) + d(z,y) is taken in blocks of max(1, _TRIANGLE_BLOCK //
+    n^2) rows, so at most max(_TRIANGLE_BLOCK, n^2) sums are held at
+    once: O(n^2) memory, and one numpy pass for a small space."""
+    n = d.shape[0]
     slack = np.empty_like(d)
-    for i in range(d.shape[0]):
-        slack[i] = (d[i] + d).min(axis=1)
+    step = max(1, _TRIANGLE_BLOCK // (n * n))
+    for a in range(0, n, step):
+        slack[a:a + step] = (d[a:a + step, None, :] + d[None, :, :]).min(axis=2)
     if (d > slack + _TOL).any():
         i, j = np.unravel_index(np.argmax(d - slack), d.shape)
         raise MetricError(f"triangle inequality fails at points ({i}, {j})")

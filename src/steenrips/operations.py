@@ -115,7 +115,7 @@ def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
     cup = op.kind == "sq" and op.k <= ell
     faces = _cup_faces(K, ell, ell, ell - op.k) if cup else None
     d_m = _Columns(K, m - 1)
-    image, candidates = [], []
+    image, candidates = ([], []), []  # image (births, deaths)
     for s, death, z in sorted(red.degree(K, ell).bars, key=lambda bar: -bar[1]):
         z = 1 << s if z is None else z
         count = bisect_left(values_m, death)
@@ -127,17 +127,20 @@ def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
         p, kappa = insert(d_m, img, z, d_m.__getitem__)
         e = death
         if p is not None and values_m[p] < death:
-            image.append(Bar(m, values_m[p], death))
             e = values_m[p]
+            image[0].append(e)
+            image[1].append(death)
         candidates.append((e, kappa))
     # step 3: kernel, the candidates in the global delta_{ell-1} pivots
     d_ell = _Columns(K, ell - 1)
-    kernel = []
+    kernel = [], []  # births, deaths
     for e, kappa in sorted(candidates, key=lambda c: -c[0]):
         q, _ = insert(d_ell, rows(kappa), 0, d_ell.__getitem__)
         if q is not None and values_ell[q] < e:
-            kernel.append(Bar(ell, values_ell[q], e))
-    memo = red.operations[op] = (Barcode(image), Barcode(kernel))
+            kernel[0].append(values_ell[q])
+            kernel[1].append(e)
+    memo = red.operations[op] = (Barcode.from_arrays(m, *image, 1),
+                                 Barcode.from_arrays(ell, *kernel, 1))
     return memo
 
 

@@ -19,7 +19,10 @@ from bisect import bisect_right
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from steenrips.cohomology import Bar, Barcode
+from steenrips.distances import _first_fit, _saturates
 from steenrips.errors import DimensionMismatchError, ValidationError
 from steenrips.operations import Operation
 from steenrips.simplicial import (
@@ -362,3 +365,50 @@ def dense_reduction(K: FilteredComplex, p: int) -> tuple[list, list]:
         tables.append(table)
         all_bars.append(bars)
     return tables, all_bars
+
+
+def pair_costs(fa: list[tuple[float, float]], fb: list[tuple[float, float]]):
+    """L-infinity pair costs (n x m) and half-persistences of two lists of
+    finite (birth, death) pairs, as the float expressions the library's
+    bottleneck distance compares."""
+    a = np.array(fa, dtype=np.float64).reshape(-1, 2)
+    b = np.array(fb, dtype=np.float64).reshape(-1, 2)
+    pair = np.maximum(np.abs(a[:, None, 0] - b[None, :, 0]),
+                      np.abs(a[:, None, 1] - b[None, :, 1]))
+    return pair, (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
+
+
+def all_candidates_bottleneck(A: Barcode, B: Barcode, degree: int) -> float:
+    """The bottleneck distance by one binary search over every candidate:
+    np.unique over 0, the half-persistences and every pair cost, each
+    probe selecting the bars that must be matched by boolean masks.  It
+    covers by first-fit where each side's finite bars share one birth and
+    by Kuhn's search otherwise, as the library does; essential bars match
+    by sorted births."""
+    pa, pb = A.expanded(degree), B.expanded(degree)
+    inf_a = sorted(b for b, d in pa if math.isinf(d))
+    inf_b = sorted(b for b, d in pb if math.isinf(d))
+    if len(inf_a) != len(inf_b):
+        return math.inf
+    inf_cost = max((abs(x - y) for x, y in zip(inf_a, inf_b)), default=0.0)
+    fa = [p for p in pa if not math.isinf(p[1])]
+    fb = [p for p in pb if not math.isinf(p[1])]
+    if not fa and not fb:
+        return inf_cost
+    pair, ua, ub = pair_costs(fa, fb)
+    one_birth = len({p[0] for p in fa}) <= 1 and len({p[0] for p in fb}) <= 1
+    covers = _first_fit if one_birth else _saturates
+
+    def feasible(c: float) -> bool:
+        return covers(pair[ua > c] <= c) and covers((pair[:, ub > c] <= c).T)
+
+    ordered = np.unique(np.concatenate(([0.0], ua, ub, pair.ravel())))
+    lo, hi = 0, len(ordered) - 1
+    assert feasible(ordered[hi])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(ordered[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return max(inf_cost, float(ordered[lo]))

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from steenrips.cohomology import Bar, Barcode
 from steenrips.distances import (
-    _costs, _feasible, _first_fit, _saturates, bottleneck, bottleneck_oracle,
+    _feasible, _first_fit, _saturates, bottleneck, bottleneck_oracle,
 )
+
+from oracles import pair_costs
 
 # (birth, length); length None is an essential bar
 bars = st.lists(
@@ -72,8 +74,8 @@ def kuhn_bottleneck(A, B):
     inf_b = sorted(b for b, d in pb if math.isinf(d))
     if len(inf_a) != len(inf_b):
         return math.inf
-    pair, ua, ub = _costs([p for p in pa if not math.isinf(p[1])],
-                          [p for p in pb if not math.isinf(p[1])])
+    pair, ua, ub = pair_costs([p for p in pa if not math.isinf(p[1])],
+                              [p for p in pb if not math.isinf(p[1])])
     candidates = np.unique(np.concatenate(([0.0], ua, ub, pair.ravel())))
     least = next(c for c in candidates if _feasible(pair, ua, ub, c, _saturates))
     return max(max((abs(x - y) for x, y in zip(inf_a, inf_b)), default=0.0),

@@ -1,5 +1,8 @@
 import gc
+import io
+import json
 import math
+import re
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 
 import steenrips
-from steenrips import cohomology, distances
+from steenrips import cohomology, diagrams, distances
 from steenrips.cohomology import (
     Bar,
     Barcode,
@@ -57,21 +60,82 @@ def test_barcode_multiset_merge_and_sort():
     assert len(b) == 3
 
 
-def test_barcode_builds_a_bar_only_where_multiplicities_add(monkeypatch):
-    distinct = [Bar(1, 0.5, 2.0, 3), Bar(0, 0.0, INF), Bar(0, 0.0, 1.0)]
-    merged = [Bar(0, 0.0, 1.0), Bar(0, 0.0, 1.0, 2)]
+def random_bar_columns(rng, count):
+    """Columns of ``count`` bars in degrees 0-2 on a coarse grid, so keys
+    repeat, with multiplicities 1-3 and some essential bars."""
+    degree = rng.integers(0, 3, count)
+    birth = rng.integers(0, 6, count) / 4
+    death = np.where(rng.random(count) < 0.2, INF, birth + rng.integers(1, 5, count) / 4)
+    return degree, birth, death, rng.integers(1, 4, count)
+
+
+def test_barcode_from_arrays_equals_the_barcode_of_its_bars(tmp_path):
+    rng = np.random.default_rng(331)
+    for count in (0, 1, 2, 7, 40, 200):
+        columns = random_bar_columns(rng, count)
+        A = Barcode.from_arrays(*columns)
+        bars = [Bar(int(g), float(b), float(d), int(m)) for g, b, d, m in zip(*columns)]
+        shuffled = [bars[i] for i in rng.permutation(count)]
+        B = Barcode(shuffled)
+        assert A == B and hash(A) == hash(B) and len(A) == len(B) == sum(columns[3])
+        assert A.bars == B.bars == tuple(sorted(B.bars))
+        assert len({(b.degree, b.birth, b.death) for b in A.bars}) == len(A.bars)
+        for degree in (None, 0, 1, 2, 3):
+            assert A.expanded(degree) == B.expanded(degree)
+        for degree in (0, 1, 2):
+            assert A.in_degree(degree) == B.in_degree(degree) == Barcode(
+                b for b in shuffled if b.degree == degree)
+            for t in {-1.0, *columns[1].tolist(), *columns[2].tolist()}:
+                assert A.alive(degree, t) == B.alive(degree, t) == sum(
+                    b.multiplicity for b in bars if b.degree == degree and b.birth <= t < b.death)
+        C = Barcode.from_arrays(*random_bar_columns(rng, count // 2 + 1))
+        assert A.union(C) == B.union(C) == Barcode(shuffled + list(C.bars))
+        assert A.reduced() == B.reduced()
+        assert len(A.reduced()) == len(A) - any(b.degree == 0 and b.is_infinite for b in bars)
+        assert (json.dumps(A.to_json_dict(u_scale=True))
+                == json.dumps(B.to_json_dict(u_scale=True)))
+        for write in (diagrams.write_csv, diagrams.write_svg):
+            out = [io.StringIO(), io.StringIO()]
+            write(A, out[0])
+            write(B, out[1])
+            assert out[0].getvalue() == out[1].getvalue()
+
+
+def test_barcode_arrays_refuse_what_a_bar_refuses():
+    good = ([0, 1], [0.0, 0.5], [1.0, INF], [1, 2])
+    for at, value in [(0, -2), (1, INF), (1, -INF), (1, float("nan")), (2, float("nan")),
+                      (2, 0.25), (2, 0.5), (3, 0), (3, -4)]:
+        columns = [list(c) for c in good]
+        columns[at][1] = value
+        with pytest.raises(ValidationError) as bar_refusal:
+            Bar(*(c[1] for c in columns))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(bar_refusal.value))}$"):
+            Barcode.from_arrays(*columns)
+    # the first bar refused, by the first check it fails
+    with pytest.raises(ValidationError, match="^bar with birth 2.0 >= death 1.0$"):
+        Barcode.from_arrays([0, -1], [2.0, 0.0], [1.0, INF], 1)
+
+
+def test_barcodes_are_built_without_validating_a_bar(monkeypatch):
+    """The barcode, image and kernel passes build their barcodes from
+    columns: no Bar is validated, not even when the bars are read."""
     calls = []
     post_init = Bar.__post_init__
     monkeypatch.setattr(Bar, "__post_init__",
                         lambda self: calls.append(self) or post_init(self))
-    b = Barcode(distinct)
-    assert not calls
-    assert b.bars == tuple(sorted(distinct))
-    assert all(x is y for x, y in zip(b.bars, sorted(distinct)))
-    b = Barcode(distinct + merged)
-    assert [(c.degree, c.birth, c.death, c.multiplicity) for c in calls] == [(0, 0.0, 1.0, 4)]
-    assert b.bars == (Bar(0, 0.0, 1.0, 4), Bar(0, 0.0, INF), Bar(1, 0.5, 2.0, 3))
-    assert len(b) == 8
+    rng = np.random.default_rng(7)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 200)
+    r = 1.0 + 0.05 * rng.standard_normal(200)
+    X = steenrips.metric_from_points(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+    cloud = persistent_barcode(vr_filtration(X, 2, 0.25), 1)
+    K = vr_filtration(projective_sample(2, 30, seed=1), 3, 2.3)
+    op = steenrips.Operation.sq(1, 1)
+    barcodes = [cloud, persistent_barcode(K, 2), steenrips.image_barcode(K, op),
+                steenrips.kernel_barcode(K, op)]
+    assert [len(b.bars) for b in barcodes] and all(len(b) for b in barcodes)
+    assert calls == []
+    merged = Barcode([Bar(0, 0.0, 1.0), Bar(0, 0.0, 1.0, 2)])
+    assert merged.bars == (Bar(0, 0.0, 1.0, 3),) and len(calls) == 3
 
 
 def test_barcode_json_refuses_what_it_would_convert():

@@ -10,7 +10,6 @@ import pytest
 from steenrips import distances
 from steenrips.cohomology import Bar, Barcode, persistent_barcode
 from steenrips.distances import (
-    _costs,
     _feasible,
     _saturates,
     bottleneck,
@@ -23,7 +22,10 @@ from steenrips.errors import ValidationError
 from steenrips.metric import (
     FiniteMetricSpace,
     circle_grid,
+    gluing_wedge,
     metric_from_points,
+    projective_sample,
+    sphere_sample,
     vr_filtration,
 )
 from steenrips.operations import Operation, image_barcode, kernel_barcode
@@ -32,6 +34,8 @@ from steenrips.synthetic import (
     random_bounded_metric,
     random_metric_space,
 )
+
+from oracles import all_candidates_bottleneck, pair_costs
 
 INF = math.inf
 
@@ -139,7 +143,7 @@ def test_threshold_feasibility_monotone():
                        | {(d - x) / 2 for x, d in fa + fb}
                        | {max(abs(x - y), abs(d - e))
                           for x, d in fa for y, e in fb})
-        pair, ua, ub = _costs(fa, fb)
+        pair, ua, ub = pair_costs(fa, fb)
         flags = [_feasible(pair, ua, ub, c, _saturates) for c in costs]
         assert flags[-1]  # every bar unmatched is within the largest cost
         assert flags == sorted(flags)  # once feasible, stays feasible
@@ -403,3 +407,71 @@ def test_one_birth_bars_take_first_fit(monkeypatch):
 
     monkeypatch.setattr(distances, "_first_fit", distances._saturates)
     assert bottleneck(A, B, 0) == d
+
+
+def _random_side(rng, count, births, mult, essential, step=None):
+    """``count`` finite bars born at one of ``births``, with deaths on a
+    grid of ``step`` if given (so costs tie), multiplicities up to
+    ``mult``, and ``essential`` infinite bars."""
+    birth = rng.choice(births, count)
+    length = (rng.integers(1, 9, count) * step if step
+              else np.round(rng.uniform(0.001, 2.0, count), 4))
+    multiplicity = rng.integers(1, mult + 1, count)
+    return Barcode(
+        [Bar(0, float(b), float(b + n), int(m)) for b, n, m in zip(birth, length, multiplicity)]
+        + [Bar(0, float(b), INF) for b in rng.choice(births, essential)])
+
+
+def _workload_shapes():
+    """H0 and H1 barcodes of the benchmark's three shapes: 30-orbit RP^2
+    samples, RP^2 against a circle-sphere wedge, and noisy 200-point
+    circles."""
+    def circle(seed, noise):
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 200)
+        r = 1.0 + noise * rng.standard_normal(200)
+        X = metric_from_points(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+        return persistent_barcode(vr_filtration(X, 2, 0.25), 1)
+
+    rp2 = [persistent_barcode(vr_filtration(projective_sample(2, 30, seed=s), 2, 2.3), 1)
+           for s in (1, 2)]
+    wedge = gluing_wedge(circle_grid(9, 1.0), 0, sphere_sample(2, 1.0, 21, seed=2), 0)
+    W = persistent_barcode(vr_filtration(wedge, 2, 2.0), 1)
+    return [(rp2[0], rp2[1]), (rp2[0], W), (circle(0, 0.05), circle(1, 0.1))]
+
+
+def test_two_stage_search_equals_the_all_candidates_search():
+    """bottleneck's two-stage search gives the value of one search over
+    every candidate, byte for byte, on one-birth and general bars, with
+    multiplicities, ties between half-persistences and pair costs,
+    answers of 0, equal and unequal essential counts, and the H0/H1
+    barcodes of the benchmark's shapes.  The answers are 0, a
+    half-persistence (s_hi) and a pair cost strictly between s_lo and
+    s_hi, each several times."""
+    rng = np.random.default_rng(2025)
+    pairs = []
+    for count in (1, 2, 3, 5, 9, 17, 40, 120, 400):
+        for births in ([0.0], [0.5]), ([0.25], [1.0]), ([0.0, 0.3, 0.7, 1.1],) * 2:
+            for mult, step in (1, None), (3, None), (1, 0.25), (2, 0.5):
+                if len(births[0]) > 1 and count > 120 and mult > 1:
+                    continue  # Kuhn's search at 400 bars a side, once per step
+                other = max(1, int(count * rng.uniform(0.5, 1.5)))
+                essential = int(rng.integers(0, 3))
+                A = _random_side(rng, count, births[0], mult, essential, step)
+                B = _random_side(rng, other, births[1], mult,
+                                 essential + int(rng.random() < 0.15), step)
+                pairs += [(A, B), (B, A)]
+        pairs.append((A, Barcode(A.bars[::-1])))
+    for A, B in _workload_shapes():
+        pairs += [(A.in_degree(m), B.in_degree(m)) for m in (0, 1)]
+    answers = {"inf": 0, "zero": 0, "half": 0, "pair": 0, "tie": 0}
+    for A, B in pairs:
+        d = bottleneck(A, B, 0)
+        assert d == all_candidates_bottleneck(A, B, 0) and type(d) is float
+        fa, fb = ([p for p in X.expanded(0) if p[1] < INF] for X in (A, B))
+        pair, ua, ub = pair_costs(fa, fb)
+        halves = {0.0, *ua.tolist(), *ub.tolist()}
+        answers["tie"] += bool(halves & set(pair.ravel().tolist()) - {0.0})
+        answers["inf" if d == INF else "zero" if d == 0 else "half" if d in halves
+                else "pair"] += 1
+    assert min(answers.values()) >= 5, answers

@@ -60,26 +60,30 @@ def test_metric_validation():
         FiniteMetricSpace([[0.0, float("inf")], [float("inf"), 0.0]])
 
 
-def test_triangle_violation_reports_worst_pair():
+def test_triangle_violation_reports_worst_pair(monkeypatch):
     msg = "triangle inequality fails at points ({}, {})"
     d = np.ones((4, 4)) - np.eye(4)
     d[1, 3] = d[3, 1] = 2.5
     with pytest.raises(MetricError, match=re.escape(msg.format(1, 3))):
         FiniteMetricSpace(d)
-    rng = np.random.default_rng(18)
-    for _ in range(30):
-        n = int(rng.integers(3, 12))
-        d = random_metric_space(rng, n).d.copy()
-        for _ in range(int(rng.integers(1, 3))):
-            i, j = rng.choice(n, 2, replace=False)
-            d[i, j] = d[j, i] = d[i, j] * float(rng.uniform(2.0, 4.0))
-        # the pair the one-shot n x n x n minimum reports
-        slack = (d[:, None, :] + d[None, :, :]).min(axis=2)
-        if not (d > slack + 1e-9).any():
-            continue
-        i, j = np.unravel_index(np.argmax(d - slack), d.shape)
-        with pytest.raises(MetricError, match=re.escape(msg.format(i, j))):
-            FiniteMetricSpace(d)
+    # row blocks of one row up to the whole matrix give the one-shot slack
+    for block in (metric._TRIANGLE_BLOCK, 1, 50, 300):
+        monkeypatch.setattr(metric, "_TRIANGLE_BLOCK", block)
+        rng = np.random.default_rng(18)
+        for _ in range(30):
+            n = int(rng.integers(3, 12))
+            d = random_metric_space(rng, n).d.copy()
+            for _ in range(int(rng.integers(1, 3))):
+                i, j = rng.choice(n, 2, replace=False)
+                d[i, j] = d[j, i] = d[i, j] * float(rng.uniform(2.0, 4.0))
+            # the pair the one-shot n x n x n minimum reports
+            slack = (d[:, None, :] + d[None, :, :]).min(axis=2)
+            if not (d > slack + 1e-9).any():
+                FiniteMetricSpace(d)
+                continue
+            i, j = np.unravel_index(np.argmax(d - slack), d.shape)
+            with pytest.raises(MetricError, match=re.escape(msg.format(i, j))):
+                FiniteMetricSpace(d)
 
 
 def test_triangle_check_memory_is_quadratic():

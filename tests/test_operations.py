@@ -209,7 +209,7 @@ def test_columns_read_only_where_an_insertion_reaches(monkeypatch):
     """The barcode computes no delta(1_B), the column of a degree-0 pivot;
     the image barcode reads each delta_1 pivot column that its insertions
     reach once, and fewer of them than there are pivots."""
-    indicators = spy(monkeypatch, cohomology, "coboundary")
+    indicators = spy(monkeypatch, cohomology, "to_bools")
     K = vr_filtration(projective_sample(2, 20, seed=1), 3, 2.3)
     persistent_barcode(K, 2)
     assert indicators == []
