@@ -16,9 +16,8 @@ representatives, which the Steenrod stage consumes.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, compress, repeat
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -359,13 +358,10 @@ def _components(K: FilteredComplex) -> _Degree:
     apparent column, so an int is made only for two or more vertices.
     The record's column of tau is (delta(1_B) as edge rows, 1_B)."""
     n = K.n_simplices(0)
-    values = K.dim_values[0]
     edges = K.dim_rows[1] if K.dimension else np.empty((0, 2), dtype=np.intp)
-    values_up = K.dim_values[1] if K.dimension else ()
     parent = list(range(n))
     mask: dict[int, int] = {}  # root -> indicator of its 2+ vertices
     killed: dict[int, tuple[int, int | None]] = {}  # pivot tau -> (b, 1_B)
-    bars = []
     merges = n - 1
     # in blocks of edges, as the loop mostly stops well before the last
     ends = chain.from_iterable(edges[i:i + 1024].tolist() for i in range(0, len(edges), 1024))
@@ -384,11 +380,16 @@ def _components(K: FilteredComplex) -> _Degree:
         z = mask.pop(b, None)
         killed[tau] = b, z
         mask[a] = mask.get(a, 1 << a) | (1 << b if z is None else z)
-        if values[b] < values_up[tau]:
-            bars.append((b, values_up[tau], z))
         merges -= 1
         if not merges:
             break
+    # the kills whose edge enters after the vertex they kill give bars
+    pivots = np.fromiter(killed, dtype=np.intp, count=len(killed))
+    death = K.dim_value_arrays[1][pivots] if K.dimension else np.empty(0)
+    dead = [b for b, _ in killed.values()]
+    positive = K.dim_value_arrays[0][dead] < death
+    bars = [(b, end, z) for (b, z), end in compress(zip(killed.values(), death.tolist()),
+                                                  positive.tolist())]
     bars += ((r, INF, mask.get(r)) for r in range(n) if parent[r] == r)
     bars.sort(key=lambda bar: -bar[0])
 
@@ -402,14 +403,14 @@ def _components(K: FilteredComplex) -> _Degree:
         ends = to_bools(z, n)[edges]  # which ends of each edge are in B
         return np.flatnonzero(ends[:, 0] != ends[:, 1]).tolist(), z
 
-    return _Degree(column, np.fromiter(killed, dtype=np.intp, count=len(killed)), bars)
+    return _Degree(column, pivots, bars)
 
 
 def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]) -> _Degree:
     """Reduce delta_q of K with the columns ``cleared`` skipped.  Its rows
     are the (q+1)-simplices of K, keyed by their index."""
     n, rows = K.n_simplices(q), K.n_simplices(q + 1)
-    values_up = K.dim_values[q + 1] if rows else ()
+    values_up = K.dim_value_arrays[q + 1] if rows else np.empty(0)
     facets = _facets(K, q)
     # the cofacets of column s, increasing: cof[ptr[s]:ptr[s + 1]], sorted
     # as the keys column * rows + row
@@ -425,12 +426,12 @@ def _reduce_degree(K: FilteredComplex, q: int, cleared: np.ndarray | list[int]) 
         return cof[ptr[j]:ptr[j + 1]].tolist()
 
     bars, column, pivots = _reduce_columns(
-        K.dim_values[q], np.append(values_up, INF)[first], apparent,
-        lambda cols: first[cols].tolist(), cofacets, values_up.__getitem__, cleared)
+        K.dim_value_arrays[q], np.append(values_up, INF)[first], apparent,
+        lambda cols: first[cols].tolist(), cofacets, values_up.item, cleared)
     return _Degree(column, np.sort(np.fromiter(pivots, dtype=np.intp)), bars)
 
 
-def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.ndarray,
+def _reduce_columns(values: np.ndarray, death: np.ndarray, apparent: np.ndarray,
                     pivot, cofacets, value_up, cleared) -> tuple[list, Callable, Iterable]:
     """Settle the columns of delta_p, one per p-simplex s, as the dense
     reduction would (see :class:`CohomologyReduction`): the bars (s,
@@ -477,7 +478,7 @@ def _reduce_columns(values: Sequence[float], death: np.ndarray, apparent: np.nda
         end = INF if tau is None else value_up(tau)
         if values[s] < end:
             bars.append((s, end, z))
-    unit = np.flatnonzero(settled & (np.asarray(values) < death))
+    unit = np.flatnonzero(settled & (values < death))
     bars += zip(unit.tolist(), death[unit].tolist(), repeat(None))
     bars.sort(key=lambda bar: -bar[0])
     return bars, lookup, chain(owner, columns)
@@ -511,8 +512,7 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
     vertex tuple of the complex is derived.
     """
     p = K.dimension
-    S, values = K.dim_rows[p], K.dim_values[p]
-    vals, n = np.array(values), d.shape[0]
+    S, vals, n = K.dim_rows[p], K.dim_value_arrays[p], d.shape[0]
     levels = np.unique(d[d <= scale])
     past = len(levels)  # the rank of every entry past the scale
     rank = levels.searchsorted(d).astype(np.min_scalar_type(past))
@@ -574,7 +574,7 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
         return key.tolist()
 
     level = levels.tolist()
-    bars = _reduce_columns(values, death, apparent, pivot, cofacets,
+    bars = _reduce_columns(vals, death, apparent, pivot, cofacets,
                            lambda tau: level[tau // codes], cleared)[0]
     return _Degree(_no_column, np.empty(0, dtype=np.intp), bars)
 
@@ -595,20 +595,21 @@ def persistent_barcode(K: FilteredComplex, max_degree: int) -> Barcode:
     Read from the cohomology reduction of K; over a field the homology
     barcode coincides.  Zero-length pairs (birth value == death value)
     are dropped.  Each bar's (degree, birth, death) is gathered from its
-    record and the barcode is built once from those columns
+    record, the births of a degree by one index into its value array,
+    and the barcode is built once from those columns
     (:meth:`Barcode.from_arrays`), with no :class:`Bar` built.
     :meth:`Barcode.reduced` removes one infinite degree-0 bar.
     """
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative")
     red = reduction(K)
-    degree, birth, death = [], [], []
+    degree, birth, death = [], [np.empty(0)], []  # an empty complex has no degree
     for p in range(min(max_degree, K.dimension) + 1):
-        values, bars = K.dim_values[p], red.degree(K, p).bars
+        bars = red.degree(K, p).bars
         degree += [p] * len(bars)
-        birth += [values[s] for s, _, _ in bars]
+        birth.append(K.dim_value_arrays[p][[s for s, _, _ in bars]])
         death += [end for _, end, _ in bars]
-    return Barcode.from_arrays(degree, birth, death, 1)
+    return Barcode.from_arrays(degree, np.concatenate(birth), death, 1)
 
 
 def cohomology_basis(K: FilteredComplex, p: int) -> CohomologyBasis:

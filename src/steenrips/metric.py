@@ -173,7 +173,8 @@ def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> Filte
     simplex's value and the distances to w.  The rows of each dimension
     come out in lexicographic order, so a stable sort by value orders
     each dimension by (value, vertices), the order the complex stores.
-    The complex is assembled from these rows directly: the 0-simplices
+    The complex is assembled from these rows and their float64 values
+    directly, kept as computed: the 0-simplices
     are the points 0..n-1 in order, so a point's index is its position
     and its id, and no vertex tuple is made.  It is duplicate-free,
     closed under faces and monotone by construction, so :func:`build`'s
@@ -202,7 +203,7 @@ def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> Filte
     for S, V in dims:
         order = np.argsort(V, kind="stable")
         dim_rows.append(S[order])
-        dim_values.append(V[order].tolist())
+        dim_values.append(V[order])
     return FilteredComplex(range(X.n), dim_rows, dim_values)
 
 

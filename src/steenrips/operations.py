@@ -43,7 +43,6 @@ the reduction.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,17 +107,16 @@ def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
     memo = red.operations.get(op)
     if memo is not None:
         return memo
-    values_ell = K.dim_values[ell]
+    values_ell = K.dim_value_arrays[ell]
     # step 2: image, one evaluation of op per bar, below its death
-    n_m = K.n_simplices(m)
-    values_m = K.dim_values[m] if n_m else ()
+    values_m = K.dim_value_arrays[m] if m <= K.dimension else np.empty(0)
     cup = op.kind == "sq" and op.k <= ell
     faces = _cup_faces(K, ell, ell, ell - op.k) if cup else None
     d_m = _Columns(K, m - 1)
     image, candidates = ([], []), []  # image (births, deaths)
     for s, death, z in sorted(red.degree(K, ell).bars, key=lambda bar: -bar[1]):
         z = 1 << s if z is None else z
-        count = bisect_left(values_m, death)
+        count = int(values_m.searchsorted(death))
         if cup:
             a = to_bools(z, len(values_ell))
             img = np.flatnonzero(_cup_bits(*faces, a, a, count)).tolist()

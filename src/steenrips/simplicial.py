@@ -2,18 +2,19 @@
 
 A filtered complex is stored one dimension at a time: the p-simplices
 sorted by (filtration value, lexicographic vertices), as one integer
-array of vertex rows, with their values.  A row holds the positions of
-its vertices among the 0-simplices, so any vertex ids fit it.  Within
-every dimension the simplices appear in nondecreasing value order, so
-each sublevel set is a prefix of every dimension.  A complex keeps
-only these parts: its vertex tuples are derived from the rows on each
-read, and its distinct values on first read, then kept.  The canonical
-order of the whole complex, by (filtration value, dimension,
-lexicographic vertices), in which faces always precede cofaces, is
-derived from those parts by a merge.  Cochains ride on the stored
-order: the support of a degree-p cochain is a bit-vector indexed by the
-p-simplices of its host complex.  Coboundaries, the reduction and cup-i
-products find faces from the rows, with :func:`_faces` alone.  It keys
+array of vertex rows and one float64 array of their values.  A row
+holds the positions of its vertices among the 0-simplices, so any
+vertex ids fit it.  Within every dimension the simplices appear in
+nondecreasing value order, so each sublevel set is a prefix of every
+dimension.  A complex keeps only these parts: its vertex tuples and
+value tuples are derived from the arrays on each read, and its distinct
+values on first read, then kept.  The canonical order of the whole
+complex, by (filtration value, dimension, lexicographic vertices), in
+which faces always precede cofaces, is derived from those parts by a
+merge.  Cochains ride on the stored order: the support of a degree-p
+cochain is a bit-vector indexed by the p-simplices of its host complex.
+Coboundaries, the reduction and cup-i products find faces from the
+rows, with :func:`_faces` alone.  It keys
 the first c + 1 vertices of a face by the index of the first c among the
 (c-1)-simplices and the last vertex, and maps the keys to indices with a
 direct-address table, or with a sort where the table would hold more
@@ -60,53 +61,57 @@ def _vertex_tuples(vertices: Sequence[int], rows: np.ndarray) -> tuple[Simplex, 
     return tuple(zip(*(map(vertices.__getitem__, col) for col in rows.T.tolist())))
 
 
-def _distinct(dim_values: tuple[tuple[float, ...], ...]) -> tuple[float, ...]:
-    return tuple(sorted(set(chain.from_iterable(dim_values))))
-
-
 class FilteredComplex:
     """Finite filtered simplicial complex, stored one dimension at a time.
 
     ``dim_rows[p]`` is a read-only integer array with one row per
     p-simplex, in order of (value, lexicographic vertices): the
     positions of its vertices among the 0-simplices, increasing.
-    ``dim_values[p]`` holds their values as Python floats.  With the
-    vertex ids of the 0-simplices these are the whole complex; no
-    dimension is empty.  The rest is derived from them:
+    ``dim_value_arrays[p]`` is a read-only float64 array of their
+    values.  With the vertex ids of the 0-simplices these are the whole
+    complex; no dimension is empty.  The rest is derived from them:
     ``distinct_values`` on its first read, then kept, and on each read
-    ``dim_simplices``, every dimension's simplices as tuples of vertex
-    ids, and ``simplices`` and ``values``, the canonical order by (value,
-    dimension, lexicographic vertices), merged from the parts.  They hold
-    Python ints and floats.
+    ``dim_values``, every dimension's values as a tuple, ``dim_simplices``,
+    every dimension's simplices as tuples of vertex ids, and ``simplices``
+    and ``values``, the canonical order by (value, dimension,
+    lexicographic vertices), merged from the parts.  They hold Python
+    ints and floats.
 
     ``FilteredComplex(vertices, dim_rows, dim_values)`` takes these
-    parts, ``vertices`` the ids of the 0-simplices in order, and trusts
-    them to be sorted, duplicate-free, closed under faces and monotone,
-    with float values.  :func:`build`, the one place where vertex tuples
-    become rows, validates and sorts arbitrary input into them;
-    :func:`steenrips.metric.vr_filtration` makes them sorted by
-    construction.  Instances are immutable but for two
-    caches: the distinct values and ``_reduction``, the cohomology
-    reduction that :mod:`steenrips.cohomology` builds on first use.
+    parts, ``vertices`` the ids of the 0-simplices in order and the
+    values of each dimension as a float64 array, kept as it is, or any
+    sequence of floats, and trusts them to be sorted, duplicate-free,
+    closed under faces and monotone.  :func:`build`, the one place where
+    vertex tuples become rows, validates and sorts arbitrary input into
+    them; :func:`steenrips.metric.vr_filtration` makes them sorted by
+    construction.  Instances are immutable but for two caches: the
+    distinct values and ``_reduction``, the cohomology reduction that
+    :mod:`steenrips.cohomology` builds on first use.
     """
 
-    __slots__ = ("dim_rows", "dim_values", "_vertices", "_distinct_values", "_reduction")
+    __slots__ = ("dim_rows", "dim_value_arrays", "_vertices", "_distinct_values", "_reduction")
 
     def __init__(self, vertices: Sequence[int], dim_rows: Sequence[np.ndarray],
-                 dim_values: Sequence[Sequence[float]]):
+                 dim_values: Sequence[Sequence[float] | np.ndarray]):
         self._vertices = tuple(vertices)
         self.dim_rows = tuple(dim_rows)
-        for rows in self.dim_rows:
-            rows.flags.writeable = False
-        self.dim_values = tuple(map(tuple, dim_values))
+        self.dim_value_arrays = tuple(np.asarray(v, dtype=np.float64) for v in dim_values)
+        for array in chain(self.dim_rows, self.dim_value_arrays):
+            array.flags.writeable = False
         self._distinct_values = None
         self._reduction = None
 
     @property
     def distinct_values(self) -> tuple[float, ...]:
         if self._distinct_values is None:
-            self._distinct_values = _distinct(self.dim_values)
+            # of equal values, as -0.0 and 0.0 are, the first one is kept
+            values = np.concatenate((np.empty(0), *self.dim_value_arrays))
+            self._distinct_values = tuple(values[np.unique(values, return_index=True)[1]].tolist())
         return self._distinct_values
+
+    @property
+    def dim_values(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(v.tolist()) for v in self.dim_value_arrays)
 
     @property
     def dim_simplices(self) -> tuple[tuple[Simplex, ...], ...]:
@@ -116,8 +121,8 @@ class FilteredComplex:
         """(value, dimension, simplex) in canonical order.  Each dimension
         is already sorted by (value, vertices), so the sort merges runs."""
         return sorted(chain.from_iterable(
-            zip(vv, repeat(p), ss)
-            for p, (ss, vv) in enumerate(zip(self.dim_simplices, self.dim_values))))
+            zip(vv.tolist(), repeat(p), ss)
+            for p, (ss, vv) in enumerate(zip(self.dim_simplices, self.dim_value_arrays))))
 
     @property
     def simplices(self) -> tuple[Simplex, ...]:
@@ -130,35 +135,38 @@ class FilteredComplex:
     # -- basic queries -------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(map(len, self.dim_values))
+        return sum(map(len, self.dim_rows))
 
     def __eq__(self, other) -> bool:
         # the rows are positions among the 0-simplices, whose ids are
         # compared first, so equal parts are equal simplices
         return (isinstance(other, FilteredComplex)
-                and self.dim_values == other.dim_values
                 and self._vertices == other._vertices
+                and len(self.dim_rows) == len(other.dim_rows)
+                and all(map(np.array_equal, self.dim_value_arrays, other.dim_value_arrays))
                 and all(map(np.array_equal, self.dim_rows, other.dim_rows)))
 
     def __hash__(self):
-        return hash((self._vertices, self.dim_values))
+        # adding 0.0 turns -0.0 into 0.0, so values that compare equal
+        # hash the same bytes
+        return hash((self._vertices, *((v + 0.0).tobytes() for v in self.dim_value_arrays)))
 
     @property
     def dimension(self) -> int:
-        return len(self.dim_values) - 1
+        return len(self.dim_rows) - 1
 
     @property
     def num_values(self) -> int:
         return len(self.distinct_values)
 
     def n_simplices(self, p: int) -> int:
-        if 0 <= p < len(self.dim_values):
-            return len(self.dim_values[p])
+        if 0 <= p < len(self.dim_rows):
+            return len(self.dim_rows[p])
         return 0
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * self.n_simplices(p)
-                   for p in range(len(self.dim_values)))
+                   for p in range(len(self.dim_rows)))
 
 
 def build(filtered_simplices: Iterable[tuple[Iterable[int], float]]) -> FilteredComplex:
@@ -198,7 +206,9 @@ def build(filtered_simplices: Iterable[tuple[Iterable[int], float]]) -> Filtered
     return FilteredComplex(vertices, [
         np.fromiter(map(position.__getitem__, chain.from_iterable(ss)),
                     dtype=np.intp, count=len(ss) * (p + 1)).reshape(len(ss), p + 1)
-        for p, ss in enumerate(dims)], [[entries[s] for s in ss] for ss in dims])
+        for p, ss in enumerate(dims)],
+        [np.fromiter(map(entries.__getitem__, ss), dtype=np.float64, count=len(ss))
+         for ss in dims])
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,12 +29,17 @@ from steenrips.simplicial import (
     Cochain,
     FilteredComplex,
     Simplex,
-    _distinct,
     coboundary_matrix,
     normalize_simplex,
     zero_cochain,
 )
 from steenrips.steenrod import sq
+
+
+def distinct(dim_values: Iterable[Iterable[float]]) -> tuple[float, ...]:
+    """The distinct values of the given dimensions' values, increasing; of
+    equal values, as -0.0 and 0.0 are, the first one is kept."""
+    return tuple(sorted(set(chain.from_iterable(dim_values))))
 
 
 def sublevel(K: FilteredComplex, i: int) -> FilteredComplex:
@@ -44,7 +49,7 @@ def sublevel(K: FilteredComplex, i: int) -> FilteredComplex:
     it keeps are K's first ones, so its rows need no renumbering.  The
     i-th value is found from K's values, so K's distinct values are not
     derived."""
-    values = _distinct(K.dim_values)
+    values = distinct(K.dim_values)
     if not 0 <= i < len(values):
         raise ValidationError(
             f"filtration index {i} out of range [0, {len(values)})"

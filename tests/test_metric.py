@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steenrips.cli import main
-from steenrips.distances import gh_lower_bound, rips_barcodes, stability_check
+from steenrips.distances import bottleneck, gh_lower_bound, rips_barcodes, stability_check
 from steenrips.errors import MetricError, ValidationError
-from steenrips.cohomology import Barcode, persistent_barcode
+from steenrips.cohomology import Barcode, cohomology_basis, is_coboundary, persistent_barcode
 from steenrips.metric import (
     FiniteMetricSpace,
     GroupAction,
@@ -31,7 +31,7 @@ from steenrips.metric import (
 )
 from steenrips import cohomology, distances, metric, simplicial
 from steenrips.operations import Operation, image_barcode, kernel_barcode
-from steenrips.simplicial import build
+from steenrips.simplicial import build, coboundary
 from steenrips.synthetic import random_bounded_metric, random_metric_space
 
 import io
@@ -611,11 +611,46 @@ def test_metric_top_degree_derives_no_view(monkeypatch):
     assert K._distinct_values is None
 
 
+def test_library_derives_no_value_tuple(monkeypatch):
+    """The barcode, the Sq^1 image and kernel barcodes, cocycle bases,
+    class-zero tests, rips_barcodes and gh_lower_bound read a complex's
+    value arrays: on the shapes of the benchmark's three workloads, none
+    reads dim_values, the view that derives value tuples."""
+    reads, view = [], simplicial.FilteredComplex.dim_values
+    monkeypatch.setattr(simplicial.FilteredComplex, "dim_values",
+                        property(lambda K: reads.append(K.dimension) or view.fget(K)))
+    op = Operation.sq(1, 1)
+    # rp2-sq1: VR of an RP^2 sample to dimension 3 at 2.3, then Sq^1
+    X = projective_sample(2, 30, seed=1)
+    K = vr_filtration(X, 3, 2.3)
+    persistent_barcode(K, 2)
+    image_barcode(K, op), kernel_barcode(K, op)
+    for p in range(3):
+        for z in cohomology_basis(K, p).cocycles:
+            assert not is_coboundary(z) and is_coboundary(coboundary(z))
+    rips_barcodes(X, 2, [op], 2.3)
+    # gh-rp2-wedge: the bound against a circle-sphere wedge at the diameter
+    W = gluing_wedge(circle_grid(9, 1.0), 0, sphere_sample(2, 1.0, 21, seed=2), 0)
+    gh_lower_bound(X, W, [0, 1, 2], [op], 3, max(X.diameter(), W.diameter()) + 1e-9)
+    # cloud-h01: two noisy circles, H0 and H1 barcodes and bottleneck distances
+    rng = np.random.default_rng(41)
+    barcodes = []
+    for noise in (0.05, 0.1):
+        theta = rng.uniform(0.0, 2.0 * np.pi, 100)
+        r = 1.0 + noise * rng.standard_normal(100)
+        cloud = metric_from_points(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+        barcodes.append(persistent_barcode(vr_filtration(cloud, 2, 0.35), 1))
+    bottleneck(*barcodes, 0), bottleneck(*barcodes, 1)
+    assert not reads
+    assert K.dim_values and reads == [K.dimension]
+
+
 def test_vr_complex_retains_rows_and_values():
     """A VR complex holds its vertex rows and values.  On 2,000 points at
-    scale 0.04 the rows take 0.65 MB and the values 1.0 MB (a float and
-    its pointer each); with the vertex tuples, index dicts and distinct
-    values made as well, the complex retained 7.4 MB."""
+    scale 0.04 the rows take 0.65 MB and the values 0.25 MB (one float64
+    each; as Python floats, a float and its pointer each, 1.0 MB); with
+    the vertex tuples, index dicts and distinct values made as well, the
+    complex retained 7.4 MB."""
     X = metric_from_points(np.random.default_rng(0).uniform(size=(2000, 2)))
     tracemalloc.start()
     try:

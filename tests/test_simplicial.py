@@ -1,11 +1,12 @@
 import io
 import tracemalloc
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
 
 import steenrips.simplicial as simplicial
+from steenrips.cohomology import persistent_barcode
 from steenrips.errors import (
     ClosureError,
     DimensionMismatchError,
@@ -14,6 +15,7 @@ from steenrips.errors import (
     ValidationError,
 )
 from steenrips.gf2 import rank
+from steenrips.operations import Operation, image_barcode, kernel_barcode
 from steenrips.metric import (
     circle_grid,
     gluing_wedge,
@@ -39,6 +41,7 @@ from steenrips.synthetic import random_filtered_complex
 from oracles import (
     _chain_boundary_columns,
     cochain_from_simplices,
+    distinct,
     restrict_cochain,
     simplex_index,
     sublevel,
@@ -122,6 +125,82 @@ def test_one_constructor_rebuilds_from_per_dimension_parts():
         assert K.values == tuple(v for v, _, _ in canonical)
         assert len(K) == len(canonical)
         assert K.distinct_values == tuple(sorted(set(K.values)))
+
+
+def test_distinct_values_match_the_set_oracle():
+    """distinct_values, one np.unique over the value arrays, is the sorted
+    set of the values read in order: of equal values, as -0.0 and 0.0
+    are, the first one read is kept, in either order of the two.  The
+    dimensions hold more than 16 values, which np.unique sorts with a
+    non-insertion sort that leaves ties in any order."""
+    rng = np.random.default_rng(34)
+    pool = np.array([-0.0, 0.0, -0.25, 0.25, 0.5, 1.0])
+    for first in (-0.0, 0.0):
+        for _ in range(30):
+            sizes = rng.integers(17, 80, size=int(rng.integers(1, 4))).tolist()
+            values = [rng.choice(pool, size) for size in sizes]
+            values[0][0] = first
+            # distinct_values reads only the values, so the rows may repeat
+            rows = [np.zeros((size, p + 1), dtype=np.intp) for p, size in enumerate(sizes)]
+            K = FilteredComplex(range(sizes[0]), rows, values)
+            assert repr(K.distinct_values) == repr(distinct(K.dim_values))
+            assert repr(K.distinct_values) == repr(distinct(v.tolist() for v in values))
+        # 20 vertices at alternating signed zeros and 37 edges, some at zero
+        pairs = [([v], first if v % 2 == 0 else -first) for v in range(20)]
+        pairs += [([v, w], float(rng.choice(pool[[0, 1, 4, 5]])))
+                  for v in range(20) for w in (v + 1, v + 2) if w < 20]
+        K = build(pairs)
+        assert repr(K.distinct_values) == repr(distinct(K.dim_values))
+        assert repr(K.distinct_values[0]) == repr(first)
+
+
+def test_values_are_float64_arrays_handed_out_as_floats():
+    """A complex stores one read-only float64 array of values per
+    dimension, kept as given, and its constructor also takes tuples.
+    Equal complexes hash alike, whether built or made by VR, and with
+    -0.0 where the other has 0.0.  Every value it or its barcodes hand
+    out is a Python float, and dump_complex writes a VR complex as the
+    text of its simplices enumerated one by one."""
+    rng = np.random.default_rng(34)
+    X = metric_from_points(rng.uniform(size=(9, 2)))
+    scale = float(np.median(X.d))
+    K = vr_filtration(X, 2, scale)
+    B = build(zip(K.simplices, K.values))
+    R = FilteredComplex(K._vertices, K.dim_rows, K.dim_value_arrays)
+    T = FilteredComplex(K._vertices, K.dim_rows, K.dim_values)
+    assert K == B == R == T
+    assert hash(K) == hash(B) == hash(R) == hash(T)
+    assert all(a is b for a, b in zip(R.dim_value_arrays, K.dim_value_arrays))
+    for L in (K, B, T):
+        for values in L.dim_value_arrays:
+            assert values.dtype == np.float64 and not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+
+    positive = build([([0], 0.0), ([1], 0.0), ([0, 1], 1.0)])
+    negative = build([([0], -0.0), ([1], 0.0), ([0, 1], 1.0)])
+    for A, Z in ((positive, negative), (negative, positive)):
+        assert A == Z and hash(A) == hash(Z)
+        rebuilt = FilteredComplex(Z._vertices, Z.dim_rows, Z.dim_values)
+        assert A == rebuilt and hash(A) == hash(rebuilt)
+
+    op = Operation.sq(1, 1)
+    G, P = vr_filtration(projective_sample(2, 20, seed=1), 3, 2.3), rp2_complex()
+    assert len(kernel_barcode(G, op)) and len(image_barcode(P, op))
+    for L in (K, B, T, negative, G, P):
+        assert all(type(v) is float for v in chain(L.values, L.distinct_values, *L.dim_values))
+        for barcode in (persistent_barcode(L, 2), image_barcode(L, op), kernel_barcode(L, op)):
+            assert all(type(b.birth) is float and type(b.death) is float for b in barcode.bars)
+
+    d = X.d.tolist()
+    cliques = (s for k in range(1, 4) for s in combinations(range(X.n), k)
+               if all(d[a][b] <= scale for a, b in combinations(s, 2)))
+    expected = sorted((max((d[a][b] for a, b in combinations(s, 2)), default=0.0), len(s), s)
+                      for s in cliques)
+    buf = io.StringIO()
+    dump_complex(K, buf)
+    assert buf.getvalue() == "".join(
+        f"{v!r} " + " ".join(map(str, s)) + "\n" for v, _, s in expected)
 
 
 def test_faces_precede_cofaces():
