@@ -7,23 +7,25 @@ barcodes of :mod:`steenrips.operations` read too.  Its degree 0 is
 settled by union-find: Kruskal's algorithm with the elder rule, whose
 companions are component indicators 1_B and whose pivot columns are
 their coboundaries delta(1_B).  Higher degrees store their reduced
-columns with :func:`steenrips.gf2.insert`, and each degree's
-``column(tau)`` gives its pivot columns as (rows, companion).  Static
-bases are read from it as well: they carry explicit cocycle
-representatives, which the Steenrod stage consumes.
+columns with :func:`steenrips.gf2.insert` and read them with
+:func:`steenrips.gf2.read`, and each degree's ``column(tau)`` gives its
+pivot columns as (rows, companion).  Static bases are read from it as
+well: they carry explicit cocycle representatives, which the Steenrod
+stage consumes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations, compress, repeat
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .gf2 import insert, reduce_column, rows, to_bools
+from .gf2 import insert, read, reduce_column, rows, to_bools
 from .metric import _BLOCK
 from .simplicial import Cochain, FilteredComplex, _facets
 
@@ -258,11 +260,14 @@ class _Degree(NamedTuple):
 
 
 class _Columns(dict):
-    """The columns a pass stores, pivot -> (rows, pivot first; companion),
-    over the reduced columns of delta_p of K (none outside degrees
-    0..dim): a pivot of the reduction is read on its first miss and
-    stored with companion 0, as adding a coboundary changes no class.
-    Its ``__getitem__`` is a lookup for :func:`steenrips.gf2.insert`."""
+    """The columns a pass stores, pivot -> (rows; companion), over the
+    reduced columns of delta_p of K (none outside degrees 0..dim): a
+    pivot of the reduction is read on its first miss and stored with
+    companion 0, as adding a coboundary changes no class.  A column the
+    pass stores is the raw rest of its heap until
+    :func:`steenrips.gf2.read` first reads it; one from the reduction is
+    finished (pivot first) when it is read.  ``get`` misses into the
+    reduction, so ``read`` over this dict is a pass's lookup."""
 
     def __init__(self, K: FilteredComplex, p: int):
         super().__init__()
@@ -272,6 +277,8 @@ class _Columns(dict):
         found = self.column(tau)
         found = self[tau] = None if found is None else (found[0], 0)
         return found
+
+    get = dict.__getitem__  # for gf2.read: a miss reads the reduction
 
 
 def _no_column(tau: int) -> None:
@@ -297,7 +304,9 @@ class CohomologyReduction:
     its turn comes keeps it unreduced too (an emergent pair), and the
     others are reduced as sparse columns, each a binary heap of row keys
     whose equal pairs cancel (Ripser's working column), by
-    :func:`steenrips.gf2.insert`.  Degree 0
+    :func:`steenrips.gf2.insert`, which stores the rest of the heap raw:
+    :func:`steenrips.gf2.read` sorts it and drops its pairs when a later
+    column first reaches it, and most are never reached.  Degree 0
     needs no reduction (:func:`_components`): Kruskal's algorithm over the
     edges in canonical order, each component rooted at its least vertex,
     is Ripser's dimension-0 pass.  The edge tau joining roots a < b kills
@@ -451,9 +460,10 @@ def _reduce_columns(values: np.ndarray, death: np.ndarray, apparent: np.ndarray,
     unreduced (an emergent pair, found without reading its cofacets) and
     becomes its owner; every other column left is reduced and stored as
     in the dense reduction, by :func:`steenrips.gf2.insert`.  The lookup
-    gives a stored column, or an apparent or emergent owner's sorted
-    cofacets with its unit cochain, computed on each read: an owner's
-    unit cochain is an int as long as its index."""
+    gives a stored column, read with :func:`steenrips.gf2.read`, which
+    finishes it on its first read, or an apparent or emergent owner's
+    sorted cofacets with its unit cochain, computed on each read: an
+    owner's unit cochain is an int as long as its index."""
     left = np.ones(len(death), dtype=bool)
     left[cleared] = False
     apparent = apparent & left
@@ -464,7 +474,7 @@ def _reduce_columns(values: np.ndarray, death: np.ndarray, apparent: np.ndarray,
     bars, columns = [], {}
 
     def lookup(tau) -> tuple[list, int] | None:
-        found = columns.get(tau)
+        found = read(columns, tau)
         if found is None and (j := owner.get(tau)) is not None:
             return cofacets(j), 1 << j
         return found
@@ -632,4 +642,4 @@ def is_coboundary(c: Cochain) -> bool:
     K, p = c.host, c.degree
     if p == 0 or p > K.dimension:
         return c.is_zero
-    return reduce_column(rows(c.bits), 0, _Columns(K, p - 1).__getitem__)[0] is None
+    return reduce_column(rows(c.bits), 0, partial(read, _Columns(K, p - 1)))[0] is None

@@ -9,15 +9,19 @@ lists its set bits.
 A column being reduced is a list of its row keys kept as a binary heap,
 with a companion int beside it (Ripser's working column, Bauer,
 "Ripser", 2021).  :func:`reduce_column` is the one routine that reduces
-a column, and :func:`insert` the one that stores it: the cohomology
-reduction, the image/kernel pass and :func:`rank` insert their columns,
-and the coboundary test only reduces.  Pivots are the least row of odd
-count, and reduction is deterministic, so reduced forms and ranks are
-reproducible bit-for-bit.
+a column, :func:`insert` the one that stores it and :func:`read` the one
+that reads a stored column: the cohomology reduction, the image/kernel
+pass and :func:`rank` insert their columns, and the coboundary test only
+reduces.  A column is stored as the raw rest of its heap, pairs
+included, and :func:`read` sorts it and drops its pairs the first time a
+reduction reads it, so a column that no later one reaches is never
+finished.  Pivots are the least row of odd count, and reduction is
+deterministic, so reduced forms and ranks are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappop, heappush
 from itertools import islice
 from typing import Callable, Iterable
@@ -73,16 +77,33 @@ def reduce_column(heap: list[int], z: int,
 def insert(columns: dict, heap: list[int], z: int,
            lookup: Callable[[int], tuple[list[int], int] | None]) -> tuple[int | None, int]:
     """Reduce the column ``heap`` with companion z against ``lookup`` and
-    store it in ``columns`` under its pivot tau, if any, as ``[tau,
-    *rest], z``: the rest sorted and without pairs, as a stored column
-    that kept its pairs would hand them to every column it reduces, and
-    those to theirs.  Returns the pivot, None if the column reduced to
-    zero, and z."""
+    store it in ``columns`` under its pivot tau, if any, as ``heap, z``:
+    the raw rest of the heap, every row greater than tau, pairs included.
+    :func:`read` finishes it when a reduction first reads it.  Returns the
+    pivot, None if the column reduced to zero, and z."""
     tau, z = reduce_column(heap, z, lookup)
     if tau is not None:
-        _drop_pairs(heap)
-        columns[tau] = [tau, *heap], z
+        columns[tau] = heap, z
     return tau, z
+
+
+def read(columns: dict, tau: int) -> tuple[list[int], int] | None:
+    """The column stored in ``columns`` under pivot tau, as its rows with
+    tau first, sorted and without pairs, and its companion, or None if
+    none is stored; the lookup of every reduction over stored columns.
+
+    A column :func:`insert` stored raw is finished in place on its first
+    read: a stored column that kept its pairs would hand them to every
+    column it reduces, and those to theirs.  A finished column starts
+    with its pivot, and a raw one holds only rows greater than it, or
+    none, so one compare tells them apart on every later read."""
+    found = columns.get(tau)
+    if found is not None:
+        rest = found[0]
+        if not rest or rest[0] != tau:
+            rest.append(tau)  # below every row, so sorted first
+            _drop_pairs(rest)
+    return found
 
 
 def _drop_pairs(heap: list[int]) -> None:
@@ -101,8 +122,9 @@ def _drop_pairs(heap: list[int]) -> None:
 def rank(columns: Iterable[int]) -> int:
     """Dimension of the span of the bit-vector columns over F2."""
     table: dict[int, tuple[list[int], int]] = {}
+    lookup = partial(read, table)
     # last column first, as the cohomology reduction goes: on a coboundary
     # matrix in canonical order that keeps the heap columns short
     for bits in reversed(list(columns)):
-        insert(table, rows(bits), 0, table.get)
+        insert(table, rows(bits), 0, lookup)
     return len(table)

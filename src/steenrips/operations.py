@@ -33,23 +33,25 @@ The pass has three steps.
 In both modules r(i, j) is then the number of bars alive at v_i and
 v_j.  Tests pin both barcodes to the literal per-pair ranks of the
 reference implementations in tests/oracles.py.  Each pass reduces and
-stores its columns with :func:`steenrips.gf2.insert`, the routine of the
-cohomology reduction, in a dict layered over that reduction's columns,
-``column(tau)`` of a degree, which it reads only where a reduction
-reaches their pivot, with companion 0.  Both barcodes are memoised with
-the reduction.
+stores its columns with :func:`steenrips.gf2.insert` and reads them with
+:func:`steenrips.gf2.read`, the routines of the cohomology reduction, in
+a dict layered over that reduction's columns, ``column(tau)`` of a
+degree, which it reads only where a reduction reaches their pivot, with
+companion 0.  A column it stores keeps its pairs until a later column of
+the pass first reads it.  Both barcodes are memoised with the reduction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .cohomology import Bar, Barcode, _Columns, reduction
 from .errors import ValidationError
-from .gf2 import insert, rows, to_bools
+from .gf2 import insert, read, rows, to_bools
 from .simplicial import FilteredComplex
 from .steenrod import _cup_bits, _cup_faces
 
@@ -113,6 +115,7 @@ def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
     cup = op.kind == "sq" and op.k <= ell
     faces = _cup_faces(K, ell, ell, ell - op.k) if cup else None
     d_m = _Columns(K, m - 1)
+    lookup = partial(read, d_m)
     image, candidates = ([], []), []  # image (births, deaths)
     for s, death, z in sorted(red.degree(K, ell).bars, key=lambda bar: -bar[1]):
         z = 1 << s if z is None else z
@@ -122,7 +125,7 @@ def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
             img = np.flatnonzero(_cup_bits(*faces, a, a, count)).tolist()
         else:
             img = rows(z & ((1 << count) - 1)) if op.kind == "identity" else []
-        p, kappa = insert(d_m, img, z, d_m.__getitem__)
+        p, kappa = insert(d_m, img, z, lookup)
         e = death
         if p is not None and values_m[p] < death:
             e = values_m[p]
@@ -131,9 +134,10 @@ def _image_kernel(K: FilteredComplex, op: Operation) -> tuple[Barcode, Barcode]:
         candidates.append((e, kappa))
     # step 3: kernel, the candidates in the global delta_{ell-1} pivots
     d_ell = _Columns(K, ell - 1)
+    lookup = partial(read, d_ell)
     kernel = [], []  # births, deaths
     for e, kappa in sorted(candidates, key=lambda c: -c[0]):
-        q, _ = insert(d_ell, rows(kappa), 0, d_ell.__getitem__)
+        q, _ = insert(d_ell, rows(kappa), 0, lookup)
         if q is not None and values_ell[q] < e:
             kernel[0].append(values_ell[q])
             kernel[1].append(e)

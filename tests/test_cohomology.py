@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import steenrips
-from steenrips import cohomology, diagrams, distances
+from steenrips import cohomology, diagrams, distances, gf2, operations
 from steenrips.cohomology import (
     Bar,
     Barcode,
@@ -348,10 +348,11 @@ def _oracle_complexes(source: str, monkeypatch) -> list[FilteredComplex]:
 
 
 def _assert_matches_dense(K: FilteredComplex, tables: list, bars: list) -> None:
-    """In every degree the bars, companions (None is the unit cochain),
-    pivots and pivot columns of K's reduction equal the dense ones."""
+    """In every degree of ``tables`` the bars, companions (None is the
+    unit cochain), pivots and pivot columns of K's reduction equal the
+    dense ones."""
     red = reduction(K)
-    for p in range(K.dimension + 1):
+    for p in range(len(tables)):
         column, pivots, got = red.degree(K, p)
         assert ([(s, d, 1 << s if z is None else z) for s, d, z in got]
                 == [(s, d, 1 << s if z is None else z) for s, d, z in bars[p]])
@@ -435,6 +436,71 @@ def test_emergent_columns_are_read_only_when_reached(source, emergent, reaches, 
                     assert seen.get(("lookup", call, tau), INF) < seen["read", call, s]
         _assert_matches_dense(K, tables, bars)
     assert (found, reached) == (emergent, reaches)
+
+
+def test_stored_columns_are_finished_only_when_read(monkeypatch):
+    """A stored column keeps the raw rest of its heap, pairs included,
+    until a reduction first reads it; ``gf2.read`` then sorts it and drops
+    its pairs, once.  With Sq^1 at the diameter, rips_barcodes stores 21
+    columns and finishes the 6 it reads on a 20-orbit RP^2 sample, 49 and
+    20 on the RP^2 side of the first seed-11 gh-rp2-wedge pair and 28 and
+    4 on its wedge side.  Every column read is [tau, *rows], the rows
+    increasing and greater than tau, and the reduction is the dense one:
+    the complex's below the metric top degree and, in it, the bars of the
+    complex built one dimension higher."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmarks"))
+    import workloads
+
+    stored, seen, finished, built = [], set(), [], []
+    insert, read_column, drop_pairs = gf2.insert, gf2.read, gf2._drop_pairs
+
+    def inserting(columns, heap, z, lookup):
+        tau, z = insert(columns, heap, z, lookup)
+        if tau is not None:
+            stored.append(heap)  # the list stored, kept so its id is not reused
+        return tau, z
+
+    def reading(columns, tau):
+        found = read_column(columns, tau)
+        if found is not None:
+            rest = found[0]
+            assert rest[0] == tau and rest == sorted(set(rest))
+            seen.add(id(rest))
+        return found
+
+    def dropping(heap):
+        finished.append(id(heap))
+        drop_pairs(heap)
+
+    def spy(X, max_dim, max_scale):
+        built.append((vr_filtration(X, max_dim, max_scale), max_scale))
+        return built[-1][0]
+
+    for module in (cohomology, operations):
+        monkeypatch.setattr(module, "insert", inserting)
+        monkeypatch.setattr(module, "read", reading)
+    monkeypatch.setattr(gf2, "read", reading)
+    monkeypatch.setattr(gf2, "_drop_pairs", dropping)
+    monkeypatch.setattr(distances, "vr_filtration", spy)
+    X = projective_sample(2, 20, seed=1)
+    q, w, scale = workloads.WORKLOADS["gh-rp2-wedge"].make_inputs(11)[0]
+    spaces = [(X, X.diameter()), (steenrips.FiniteMetricSpace(q), scale),
+              (steenrips.FiniteMetricSpace(w), scale)]
+    counts = []
+    for X, scale in spaces:
+        stored.clear()
+        seen.clear()
+        finished.clear()
+        distances.rips_barcodes(X, 2, [steenrips.Operation.sq(1, 1)], scale)
+        assert len(finished) == len(set(finished))
+        counts.append((len(stored), len(finished), len(seen & {id(heap) for heap in stored})))
+        K, cut = built[-1]
+        tables, bars = dense_reduction(vr_filtration(X, 3, cut), 2)
+        _assert_matches_dense(K, tables[:2], bars[:2])
+        assert ([(s, d, 1 << s if z is None else z) for s, d, z in reduction(K).degree(K, 2).bars]
+                == [(s, d, 1 << s if z is None else z) for s, d, z in bars[2]])
+    assert counts == [(21, 6, 6), (49, 20, 20), (28, 4, 4)]
+    assert all(done == reads < stores for stores, done, reads in counts)
 
 
 def _column(found: tuple[int, int] | None) -> tuple[list[int], int] | None:

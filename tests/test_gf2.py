@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -127,16 +128,16 @@ def test_operations_are_pure():
 
 def test_reduce_column_companion_records_the_sum():
     """Columns inserted one after another, each with its unit companion:
-    a stored column is [pivot, *rows left] with the companion, the rows
-    left, sorted and without pairs, are the XOR of the columns the
-    companion selects, the pivot is their least, and a column reduces to
-    zero exactly where the oracle's does."""
+    a stored column, as read, is [pivot, *rows left] with the companion,
+    the rows left, sorted and without pairs, are the XOR of the columns
+    the companion selects, the pivot is their least, and a column reduces
+    to zero exactly where the oracle's does."""
     rng = np.random.default_rng(11)
     for _ in range(40):
         m = dense(rng.integers(0, 2, size=(int(rng.integers(1, 40)), int(rng.integers(1, 30)))))
         table, oracle = {}, {}
         for j, bits in enumerate(m):
-            tau, z = gf2.insert(table, rows(bits), 1 << j, table.get)
+            tau, z = gf2.insert(table, rows(bits), 1 << j, partial(gf2.read, table))
             assert insert(oracle, bits)[0] == tau
             want = 0
             for i in range(len(m)):
@@ -145,7 +146,7 @@ def test_reduce_column_companion_records_the_sum():
             if tau is None:
                 assert want == 0
             else:
-                (pivot, *heap), y = table[tau]
+                (pivot, *heap), y = gf2.read(table, tau)
                 assert (pivot, y) == (tau, z)
                 assert heap == sorted(set(heap)) and all(row > tau for row in heap)
                 assert want == sum(1 << row for row in [tau, *heap])
