@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .gf2 import insert, read, reduce_column, rows, to_bools
-from .metric import _BLOCK
+from .metric import _BLOCK, _ranks
 from .simplicial import Cochain, FilteredComplex, _facets
 
 INF = math.inf
@@ -503,7 +503,8 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
     The cofacet sigma + {v} of a p-simplex sigma enters at the IEEE max
     of value(sigma) and d[u, v], u in sigma, if that is <= scale.  Values
     are handled as their ranks, their positions among the distinct
-    entries of d up to the scale (every value is one): d is ranked once,
+    entries of d up to the scale (every value is one): the rank matrix
+    comes from :func:`steenrips.metric._ranks`, as in ``vr_filtration``,
     an entry past the scale taking the rank one past the last, and the
     rank of a max is the max of the ranks.  Rows of d are indexed by K's
     vertex rows, which is valid because the 0-simplices of a VR complex
@@ -512,7 +513,9 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
     v) pairs, and again for one sigma outside the last slice whenever the
     sparse loop needs its cofacets.  The earliest cofacet tau of sigma is
     the least by (value, v), and sigma is its latest facet when every
-    other facet tau - {x} has a smaller value, or an equal one and x > v.
+    other facet tau - {x} has a smaller value, or an equal one and x > v;
+    the facet values are compared as ranks, which is exact, since ranks
+    order the values within the scale exactly, ties included.
     :func:`_reduce_columns` settles the columns with each (p+1)-simplex
     keyed by one integer, rank(value) * n^(p+2) + the base-n code of its
     sorted vertex rows.  These keys order as the (p+1)-simplices do, as
@@ -523,9 +526,8 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
     """
     p = K.dimension
     S, vals, n = K.dim_rows[p], K.dim_value_arrays[p], d.shape[0]
-    levels = np.unique(d[d <= scale])
+    levels, rank, _ = _ranks(d, scale)
     past = len(levels)  # the rank of every entry past the scale
-    rank = levels.searchsorted(d).astype(np.min_scalar_type(past))
     ranks = levels.searchsorted(vals).astype(rank.dtype)
     codes = n ** (p + 2)  # base-n codes of p + 2 vertex rows
     dtype = np.int64 if past * codes < 2 ** 63 else object
@@ -554,10 +556,10 @@ def _reduce_top_degree(K: FilteredComplex, d: np.ndarray, scale: float,
     T = np.column_stack([S, v])
     apparent = death < INF
     for x in range(p + 1):
-        facet = np.zeros(len(S))
+        facet = np.zeros(len(S), dtype=rank.dtype)
         for a, b in combinations([i for i in range(p + 2) if i != x], 2):
-            np.maximum(facet, d[T[:, a], T[:, b]], out=facet)
-        apparent &= (facet < vals) | ((facet == vals) & (S[:, x] > v))
+            np.maximum(facet, rank[T[:, a], T[:, b]], out=facet)
+        apparent &= (facet < ranks) | ((facet == ranks) & (S[:, x] > v))
 
     # the code of sigma + {w} is gapped[sigma, k] + w * power[k], k the
     # number of rows of sigma below w: row i of sigma is digit i + (i >= k)

@@ -158,23 +158,45 @@ class GroupAction:
         return out
 
 
+def _ranks(d: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct entries of d up to the scale, increasing (``levels``;
+    0.0 first, the diagonal), the rank matrix R of d among them, and the
+    flat indices of those entries in increasing order.  R[i, j] is the
+    position of d[i, j] in levels, and len(levels) where d[i, j] is past
+    the scale, in the smallest unsigned dtype that holds len(levels).
+    Ranks order the entries up to the scale exactly, ties included, and
+    levels[R[i, j]] is d[i, j] itself.  The boolean mask of d <= scale is
+    freed before R is made."""
+    # flat indices: a 2-d np.nonzero is several times slower
+    flat = np.flatnonzero(d <= scale)
+    levels, inverse = np.unique(d.ravel()[flat], return_inverse=True)
+    R = np.full(d.shape, len(levels), dtype=np.min_scalar_type(len(levels)))
+    R.ravel()[flat] = inverse
+    return levels, R, flat
+
+
 def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> FilteredComplex:
     """Vietoris-Rips filtration up to the given dimension and scale.
 
     A simplex enters at its diameter (exact IEEE max of pairwise
-    distances, vertices at 0).  The distance graph thresholded at
-    max_scale is read once into upper-neighbour lists (CSR arrays), and
-    the complex grows one dimension at a time as arrays of increasing
-    vertex rows: the cofaces of a k-simplex are its extensions by an
-    upper neighbour w of its last vertex that is adjacent to the other
+    distances, vertices at 0).  The metric is ranked once
+    (:func:`_ranks`): every value is one of the distinct entries of d up
+    to max_scale, and is handled as its rank among them, in the smallest
+    unsigned dtype that also holds the rank past the scale.  The entries
+    within the scale are read once into upper-neighbour lists (CSR
+    arrays), and the complex grows one dimension at a time as arrays of
+    increasing vertex rows: the cofaces of a k-simplex are its extensions by an upper
+    neighbour w of its last vertex that is adjacent to the other
     vertices, so every clique of at most max_dim + 1 vertices is made
     exactly once.  Candidates are screened in blocks of at most
-    ``_BLOCK``.  A coface's value is the elementwise maximum of the
-    simplex's value and the distances to w.  The rows of each dimension
-    come out in lexicographic order, so a stable sort by value orders
-    each dimension by (value, vertices), the order the complex stores.
-    The complex is assembled from these rows and their float64 values
-    directly, kept as computed: the 0-simplices
+    ``_BLOCK``.  A coface's rank is the elementwise maximum of the
+    simplex's rank and the ranks of the distances to w, and it is a
+    coface when that is within the scale.  The rows of each dimension
+    come out in lexicographic order, so a stable sort by rank (a radix
+    sort for ranks of 16 bits or less) orders each dimension by (value,
+    vertices), the order the complex stores, and the float64 values are
+    then read once as ``levels[rank]``, the IEEE max itself.  The complex
+    is assembled from these rows and values directly: the 0-simplices
     are the points 0..n-1 in order, so a point's index is its position
     and its id, and no vertex tuple is made.  It is duplicate-free,
     closed under faces and monotone by construction, so :func:`build`'s
@@ -184,40 +206,39 @@ def vr_filtration(X: FiniteMetricSpace, max_dim: int, max_scale: float) -> Filte
         raise ValidationError("max_dim must be nonnegative")
     if not max_scale > 0:
         raise ValidationError("max_scale must be positive")
-    d = X.d
-    adj = d <= max_scale
-    # flat indices: a 2-d np.nonzero is several times slower
-    rows, cols = np.divmod(np.flatnonzero(adj), X.n)
+    levels, R, flat = _ranks(X.d, max_scale)
+    rows, cols = np.divmod(flat, X.n)
     above = cols > rows
     upper = cols[above]
     indptr = np.zeros(X.n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows[above], minlength=X.n), out=indptr[1:])
-    dims = [(np.arange(X.n)[:, None], np.zeros(X.n))]
+    dims = [(np.arange(X.n)[:, None], np.zeros(X.n, dtype=R.dtype))]
     for _ in range(max_dim):
-        S, V = _cofaces(*dims[-1], d, adj, indptr, upper)
+        S, V = _cofaces(*dims[-1], R, len(levels), indptr, upper)
         if not len(V):
             break
         dims.append((S, V))
-    del adj
+    del R
     dim_rows, dim_values = [], []
     for S, V in dims:
         order = np.argsort(V, kind="stable")
-        dim_rows.append(S[order])
-        dim_values.append(V[order])
+        dim_rows.append(S.take(order, axis=0))
+        dim_values.append(levels[V[order]])
     return FilteredComplex(range(X.n), dim_rows, dim_values)
 
 
-def _cofaces(S: np.ndarray, V: np.ndarray, d: np.ndarray, adj: np.ndarray,
+def _cofaces(S: np.ndarray, V: np.ndarray, R: np.ndarray, past: int,
              indptr: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (k+1)-simplex rows and values from the k-simplex rows S and
-    values V, both in lexicographic order.  Candidate c is upper
+    """The (k+1)-simplex rows and ranks from the k-simplex rows S and
+    ranks V, both in lexicographic order; R is the rank matrix and
+    ``past`` the rank of an entry past the scale.  Candidate c is upper
     neighbour number c - ends[s] of simplex s's last vertex; at most
     _BLOCK candidates are held at once."""
     first = indptr[S[:, -1]]
     ends = np.zeros(len(S) + 1, dtype=np.intp)
     np.cumsum(indptr[S[:, -1] + 1] - first, out=ends[1:])
     faces = [np.empty((0, S.shape[1] + 1), dtype=S.dtype)]
-    values = [np.empty(0)]
+    values = [np.empty(0, dtype=V.dtype)]
     for a in range(0, int(ends[-1]), _BLOCK):
         b = min(a + _BLOCK, int(ends[-1]))
         s0 = np.searchsorted(ends, a, "right") - 1
@@ -226,12 +247,12 @@ def _cofaces(S: np.ndarray, V: np.ndarray, d: np.ndarray, adj: np.ndarray,
         w = upper[first[owner] + np.arange(a, b) - ends[owner]]
         keep = np.ones(len(w), dtype=bool)
         for col in S.T[:-1]:
-            keep &= adj[col[owner], w]
+            keep &= R[col[owner], w] < past
         owner, w = owner[keep], w[keep]
         value = V[owner]
         for col in S.T:
-            np.maximum(value, d[col[owner], w], out=value)
-        faces.append(np.column_stack((S[owner], w)))
+            np.maximum(value, R[col[owner], w], out=value)
+        faces.append(np.column_stack((S.take(owner, axis=0), w)))
         values.append(value)
     return np.concatenate(faces), np.concatenate(values)
 

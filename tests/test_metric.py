@@ -176,7 +176,8 @@ def test_load_holds_the_output_and_a_mask():
 
 def test_vr_memory_follows_neighbour_lists():
     # 15,685 edges: a dense edges x points mask would take 63 MB, where
-    # the n x n adjacency is 16 MB
+    # the n x n rank matrix is 32 MB (uint16 ranks, 2 bytes per pair),
+    # made after the 16 MB mask of d <= scale is freed: ~35 MB peak
     X = metric_from_points(np.random.default_rng(0).uniform(size=(4000, 2)))
     tracemalloc.start()
     try:
@@ -225,6 +226,94 @@ def test_vr_matches_subset_enumeration(monkeypatch, block):
         assert got == expected
 
 
+def _grid_metric(rng, n, side):
+    """Euclidean distances between n distinct points of a side x side
+    integer grid: many equal distances, and many distinct ones."""
+    cells = rng.choice(side * side, size=n, replace=False)
+    return metric_from_points(np.stack([cells // side, cells % side], axis=1))
+
+
+def _enumerated(X, max_dim, scale):
+    """Each dimension's vertex rows (intp) and values by subset
+    enumeration, sorted by (value, vertices), as far as the first empty
+    dimension: the stored order of a VR complex."""
+    rows, values = [], []
+    for k in range(1, max_dim + 2):
+        subsets = np.array(list(combinations(range(X.n), k)), dtype=np.intp).reshape(-1, k)
+        diam = np.zeros(len(subsets))
+        for a, b in combinations(range(k), 2):
+            np.maximum(diam, X.d[subsets[:, a], subsets[:, b]], out=diam)
+        keep = diam <= scale
+        if not keep.any():
+            break
+        subsets, diam = subsets[keep], diam[keep]
+        order = np.lexsort((*subsets.T[::-1], diam))
+        rows.append(subsets[order])
+        values.append(diam[order])
+    return rows, values
+
+
+@pytest.mark.parametrize("case", ["uint8", "uint16", "uint32"])
+def test_vr_stored_order_matches_sorted_enumeration(case):
+    """Each dimension's stored rows (dtype included) and the bytes of its
+    values are those of the subset enumeration sorted by (value,
+    vertices), on tied metrics whose ranks take each unsigned dtype: a
+    few distinct distances, more than 255 within the scale, and more than
+    65,535 (370 points, max_dim 1)."""
+    rng = np.random.default_rng(41)
+    if case == "uint8":
+        cases = [(_tied_metric(rng, int(rng.integers(2, 10))), 3) for _ in range(20)]
+    elif case == "uint16":
+        cases = [(_grid_metric(rng, 40, 40), 2) for _ in range(2)]
+    else:
+        cases = [(_grid_metric(rng, 370, 4000), 1)]
+    for X, max_dim in cases:
+        assert metric._ranks(X.d, X.diameter())[1].dtype == case
+        off = X.d[~np.eye(X.n, dtype=bool)]
+        for scale in (X.diameter(), float(np.quantile(off, 0.3))):
+            K = vr_filtration(X, max_dim, scale)
+            rows, values = _enumerated(X, max_dim, scale)
+            assert len(K.dim_rows) == len(rows)
+            for p in range(len(rows)):
+                assert K.dim_rows[p].dtype == rows[p].dtype
+                assert np.array_equal(K.dim_rows[p], rows[p])
+                assert K.dim_value_arrays[p].dtype == np.float64
+                assert K.dim_value_arrays[p].tobytes() == values[p].tobytes()
+
+
+def test_ranks_order_the_entries_within_the_scale():
+    """levels is the strictly increasing distinct entries up to the
+    scale, R each entry's position there and len(levels) past it, in
+    the smallest unsigned dtype holding len(levels), levels[R] gives
+    each entry within the scale back, and the flat indices are those of
+    the entries within it.  255 levels fit uint8 and 256 do not; below
+    every off-diagonal distance only the diagonal's 0.0 is left."""
+    rng = np.random.default_rng(43)
+    pairs = np.triu_indices(24, 1)
+    spaces = []
+    for distinct in (254, 255):  # off-diagonal values: 255 and 256 levels
+        d = np.zeros((24, 24))
+        d[pairs] = 1.0 + rng.permutation(np.arange(len(pairs[0])) % distinct) / 1000
+        spaces.append(FiniteMetricSpace(d + d.T))
+    spaces += [_tied_metric(rng, 9), random_metric_space(rng, 30), _grid_metric(rng, 40, 40)]
+    for X in spaces:
+        off = X.d[~np.eye(X.n, dtype=bool)]
+        for scale in (off.min() / 2, float(rng.choice(off)), X.diameter()):
+            levels, R, flat = metric._ranks(X.d, scale)
+            within = X.d <= scale
+            assert np.all(np.diff(levels) > 0)
+            assert np.array_equal(levels, np.unique(X.d[within]))
+            assert np.array_equal(R, np.where(within, levels.searchsorted(X.d), len(levels)))
+            assert R.dtype == next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                                   if len(levels) <= np.iinfo(t).max)
+            assert levels[R[within]].tobytes() == X.d[within].tobytes()
+            assert np.array_equal(flat, np.flatnonzero(within))
+            if scale < off.min():
+                assert levels.tolist() == [0.0] and R.dtype == np.uint8
+                assert np.array_equal(R, 1 - np.eye(X.n, dtype=np.uint8))
+    assert [metric._ranks(X.d, X.diameter())[1].dtype for X in spaces[:2]] == [np.uint8, np.uint16]
+
+
 def test_vr_monotone_in_caps():
     rng = np.random.default_rng(16)
     X = random_metric_space(rng, 7)
@@ -241,8 +330,7 @@ def _tied_metric(rng, n):
     distinct points of a 5x5 integer grid."""
     if rng.integers(2):
         return FiniteMetricSpace(np.round(random_bounded_metric(rng, n, 1.0, 2.0).d, 1))
-    cells = rng.choice(25, size=n, replace=False)
-    return metric_from_points(np.stack([cells // 5, cells % 5], axis=1))
+    return _grid_metric(rng, n, 5)
 
 
 def _barcode_json(barcode, images, ops):
